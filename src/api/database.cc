@@ -549,6 +549,7 @@ Result<co::CoInstance> Database::QueryCo(const std::string& xnf_text) {
   StatementContext ctx_guard(this, default_session_.get());
   catalog_.BeginStatementEpoch();
   co::Evaluator evaluator(&catalog_, xnf_options_);
+  evaluator.set_trace_sink(trace_sink_);
   Result<co::CoInstance> result = evaluator.EvaluateText(xnf_text);
   xnf_stats_ = evaluator.stats();
   RecordXnfStats(xnf_stats_);

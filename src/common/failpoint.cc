@@ -238,6 +238,8 @@ std::vector<std::string> Failpoints::Describe() {
   return out;
 }
 
+bool Failpoints::suppressed() { return t_suppress_depth > 0; }
+
 Failpoints::Suppressor::Suppressor() { ++t_suppress_depth; }
 Failpoints::Suppressor::~Suppressor() { --t_suppress_depth; }
 

@@ -78,6 +78,11 @@ class Failpoints {
   static const std::vector<const char*>& KnownSites();
   static bool IsKnownSite(const std::string& site);
 
+  // True iff a Suppressor is alive on the calling thread. ThreadPool reads
+  // it in RunAll so worker threads run the batch under the caller's
+  // suppression.
+  static bool suppressed();
+
   // RAII: failpoints never fire on this thread while an instance is alive.
   // Used by rollback/compensation paths and by test-state verification so
   // probe reads do not perturb trigger schedules.

@@ -15,6 +15,13 @@ Status Dispatch(const std::function<Status()>& task) {
   return task();
 }
 
+// A worker dispatch for a batch submitted under a Failpoints::Suppressor:
+// the suppression is thread-local, so the worker re-establishes it.
+Status DispatchSuppressed(const std::function<Status()>& task) {
+  Failpoints::Suppressor suppress;
+  return Dispatch(task);
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int dop) {
@@ -55,7 +62,9 @@ void ThreadPool::Work(Batch* batch, bool is_worker) {
     if (i >= n) return;
     CounterAdd(dispatched_);
     if (is_worker) CounterAdd(stolen_);
-    batch->statuses[i] = Dispatch(batch->tasks[i]);
+    batch->statuses[i] = is_worker && batch->suppressed
+                             ? DispatchSuppressed(batch->tasks[i])
+                             : Dispatch(batch->tasks[i]);
     // Release so the waiter's acquire on `done` sees the status write.
     if (batch->done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
       std::lock_guard<std::mutex> lock(batch->mu);
@@ -109,6 +118,7 @@ Status ThreadPool::RunAll(std::vector<std::function<Status()>> tasks) {
   auto batch = std::make_shared<Batch>();
   batch->tasks = std::move(tasks);
   batch->statuses.assign(n, Status::Ok());
+  batch->suppressed = Failpoints::suppressed();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     queue_.push_back(batch);

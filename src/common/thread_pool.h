@@ -47,7 +47,8 @@ class ThreadPool {
   // which error is reported, so error propagation is deterministic across
   // worker counts. With dop() == 1 the tasks run inline on the caller in
   // index order. Each task dispatch passes the `threadpool.task`
-  // failpoint.
+  // failpoint; a caller's Failpoints::Suppressor covers the tasks workers
+  // run for it too.
   Status RunAll(std::vector<std::function<Status()>> tasks);
 
   // True iff no RunAll() batch is executing or queued. The engine must be
@@ -79,6 +80,9 @@ class ThreadPool {
     std::vector<Status> statuses;
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
+    // The RunAll caller ran under a Failpoints::Suppressor; workers then
+    // dispatch its tasks under one too.
+    bool suppressed = false;
     std::mutex mu;
     std::condition_variable cv;  // signalled when done reaches tasks.size()
   };

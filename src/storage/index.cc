@@ -1,5 +1,7 @@
 #include "storage/index.h"
 
+#include <algorithm>
+
 #include "common/failpoint.h"
 
 namespace xnf {
@@ -47,6 +49,8 @@ std::vector<Rid> HashIndex::Lookup(const Row& key) const {
   for (auto it = range.first; it != range.second; ++it) {
     out.push_back(it->second);
   }
+  // The multimap keeps equal keys in an insert/erase-history order.
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -54,31 +58,24 @@ Status OrderedIndex::Insert(const Row& row, Rid rid) {
   XNF_FAILPOINT("index.insert");
   Row key = ExtractKey(row);
   if (KeyHasNull(key)) return Status::Ok();
-  if (unique() && map_.find(key) != map_.end()) {
+  if (unique() && entries_.find(key) != entries_.end()) {
     return Status::AlreadyExists("duplicate key " + RowToString(key) +
                                  " in unique index '" + name() + "'");
   }
-  map_.emplace(std::move(key), rid);
+  entries_.emplace(std::move(key), rid);
   return Status::Ok();
 }
 
 Status OrderedIndex::Erase(const Row& row, Rid rid) {
   XNF_FAILPOINT("index.erase");
-  Row key = ExtractKey(row);
-  auto range = map_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == rid) {
-      map_.erase(it);
-      break;
-    }
-  }
+  entries_.erase(Entry(ExtractKey(row), rid));
   return Status::Ok();
 }
 
 std::vector<Rid> OrderedIndex::Lookup(const Row& key) const {
   std::vector<Rid> out;
   if (KeyHasNull(key)) return out;
-  auto range = map_.equal_range(key);
+  auto range = entries_.equal_range(key);
   for (auto it = range.first; it != range.second; ++it) {
     out.push_back(it->second);
   }
@@ -89,12 +86,12 @@ std::vector<Rid> OrderedIndex::RangeLookup(const Row& lo, bool lo_inclusive,
                                            const Row& hi,
                                            bool hi_inclusive) const {
   std::vector<Rid> out;
-  auto it = lo.empty() ? map_.begin()
-                       : (lo_inclusive ? map_.lower_bound(lo)
-                                       : map_.upper_bound(lo));
-  auto end = hi.empty() ? map_.end()
-                        : (hi_inclusive ? map_.upper_bound(hi)
-                                        : map_.lower_bound(hi));
+  auto it = lo.empty() ? entries_.begin()
+                       : (lo_inclusive ? entries_.lower_bound(lo)
+                                       : entries_.upper_bound(lo));
+  auto end = hi.empty() ? entries_.end()
+                        : (hi_inclusive ? entries_.upper_bound(hi)
+                                        : entries_.lower_bound(hi));
   for (; it != end; ++it) out.push_back(it->second);
   return out;
 }

@@ -1,10 +1,11 @@
 #ifndef XNF_STORAGE_INDEX_H_
 #define XNF_STORAGE_INDEX_H_
 
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/value.h"
@@ -48,8 +49,11 @@ class Index {
   // Fails only when the `index.erase` failpoint fires (entry retained).
   virtual Status Erase(const Row& row, Rid rid) = 0;
 
-  // All rids whose key equals `key` exactly (NULL keys are never indexed for
-  // lookup purposes: SQL equality with NULL is unknown).
+  // All rids whose key equals `key` exactly, in rid order (NULL keys are
+  // never indexed for lookup purposes: SQL equality with NULL is unknown).
+  // Rid order makes duplicates come back in table-scan order whatever the
+  // insert/erase history, so an index rebuilt by recovery answers exactly
+  // like the one it replaces.
   virtual std::vector<Rid> Lookup(const Row& key) const = 0;
 
   virtual size_t entry_count() const = 0;
@@ -92,19 +96,31 @@ class OrderedIndex : public Index {
   Status Insert(const Row& row, Rid rid) override;
   Status Erase(const Row& row, Rid rid) override;
   std::vector<Rid> Lookup(const Row& key) const override;
-  size_t entry_count() const override { return map_.size(); }
+  size_t entry_count() const override { return entries_.size(); }
 
-  // Rids with lo <= key <= hi (either bound may be empty = unbounded).
+  // Rids with lo <= key <= hi (either bound may be empty = unbounded), in
+  // (key, rid) order.
   std::vector<Rid> RangeLookup(const Row& lo, bool lo_inclusive, const Row& hi,
                                bool hi_inclusive) const;
 
  private:
-  struct KeyLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
+  // Entries ordered by key, then rid; a bare key compares equal to all of
+  // its entries (heterogeneous lookup).
+  using Entry = std::pair<Row, Rid>;
+  struct EntryLess {
+    using is_transparent = void;
+    bool operator()(const Entry& a, const Entry& b) const {
+      int c = CompareRows(a.first, b.first);
+      return c != 0 ? c < 0 : a.second < b.second;
+    }
+    bool operator()(const Entry& a, const Row& key) const {
+      return CompareRows(a.first, key) < 0;
+    }
+    bool operator()(const Row& key, const Entry& a) const {
+      return CompareRows(key, a.first) < 0;
     }
   };
-  std::multimap<Row, Rid, KeyLess> map_;
+  std::set<Entry, EntryLess> entries_;
 };
 
 }  // namespace xnf

@@ -842,7 +842,8 @@ class Generator {
   // --------------------------------------------------------------- XNF
 
   // A chain of nodes over consecutive base tables, linked by fk (or link
-  // table) RELATEs. `updatable_only` keeps every node a base table or a
+  // table) RELATEs; fk edges may add a second key equality or a residual
+  // comparison. `updatable_only` keeps every node a base table or a
   // simple (pushdown-eligible) node query so CO UPDATE/DELETE apply.
   struct XnfChain {
     std::string items;                 // OUT OF body
@@ -908,7 +909,18 @@ class Generator {
         if (rng_.Chance(20)) {
           chain.items += " WITH ATTRIBUTES p.b AS pb";
         }
-        chain.items += " WHERE p.a = c." + child_t.fk_col + ")";
+        chain.items += " WHERE p.a = c." + child_t.fk_col;
+        // Both sides of the node-join eligibility rule: a second key
+        // equality keeps the edge a node join, a residual comparison sends
+        // it to the edge query over the CSE temps.
+        int shape = rng_.Int(0, 99);
+        std::string col = rng_.Chance(50) ? "b" : "c";
+        if (shape < 15) {
+          chain.items += " AND p." + col + " = c." + col;
+        } else if (shape < 30) {
+          chain.items += " AND p." + col + " <= c." + col;
+        }
+        chain.items += ")";
       }
       chain.rels.push_back(std::move(rel));
     }

@@ -152,6 +152,13 @@ void MarkExprSlots(const qgm::Expr& e, std::vector<char>* referenced) {
   }
 }
 
+// Whether SQL `=` between key columns of these types behaves like the hash
+// join's RowsEqual: same type, or both numeric (1 = 1.0).
+bool KeyTypesComparable(Type a, Type b) {
+  auto numeric = [](Type t) { return t == Type::kInt || t == Type::kDouble; };
+  return a == b || (numeric(a) && numeric(b));
+}
+
 }  // namespace
 
 void Evaluator::MergeStats(const Stats& from, Stats* into) {
@@ -375,6 +382,7 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
 
 Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
                                                 const CoInstance& instance,
+                                                const EquiKeys* node_join,
                                                 Stats* stats) {
   XNF_FAILPOINT("xnf.edge.query");
   CoRelInstance rel;
@@ -399,8 +407,58 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
     profile("premade", rel.connections.size());
     return rel;
   }
-  const CoNodeInstance& parent = instance.nodes[rel.parent_node];
-  const CoNodeInstance& child = instance.nodes[rel.child_node];
+  // Either way the edge reuses both node results instead of recomputing
+  // them.
+  stats->edge_queries++;
+  stats->temp_reuses += 2;
+  stats->cse_hits += 2;
+
+  if (node_join != nullptr) {
+    // §4.3 taken literally: the parent tuples just produced are used again
+    // to find their children. Hash the child tuples on the key columns and
+    // probe with the parent tuples in tid order, so connections come out
+    // parent-major with children in tid order — the order of the temp
+    // join's left-deep plan, where the parent temp probes. HashRow/RowsEqual
+    // are the hash join's own key functions (1 = 1.0 matches); a NULL key
+    // component never matches.
+    const CoNodeInstance& parent = instance.nodes[rel.parent_node];
+    const CoNodeInstance& child = instance.nodes[rel.child_node];
+    struct RowHash {
+      size_t operator()(const Row& r) const { return HashRow(r); }
+    };
+    struct RowEq {
+      bool operator()(const Row& a, const Row& b) const {
+        return RowsEqual(a, b);
+      }
+    };
+    auto extract = [](const Row& tuple, const std::vector<int>& cols,
+                      Row* key) {
+      key->clear();
+      for (int c : cols) {
+        if (tuple[c].is_null()) return false;
+        key->push_back(tuple[c]);
+      }
+      return true;
+    };
+    std::unordered_map<Row, std::vector<int>, RowHash, RowEq> children;
+    children.reserve(child.tuples.size());
+    Row key;
+    for (size_t t = 0; t < child.tuples.size(); ++t) {
+      if (extract(child.tuples[t], node_join->child_cols, &key)) {
+        children[key].push_back(static_cast<int>(t));
+      }
+    }
+    for (size_t t = 0; t < parent.tuples.size(); ++t) {
+      if (!extract(parent.tuples[t], node_join->parent_cols, &key)) continue;
+      auto it = children.find(key);
+      if (it == children.end()) continue;
+      for (int c : it->second) {
+        rel.connections.push_back({static_cast<int>(t), c, Row()});
+      }
+    }
+    profile("node-join", rel.connections.size());
+    return rel;
+  }
 
   // Attribute schema.
   for (const RelAttribute& a : def.attributes) {
@@ -421,8 +479,6 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
   // Temps carry a __tid column identifying the candidate tuple.
   add_from(def.parent, def.parent_corr, /*is_temp=*/true);
   add_from(def.child, def.child_corr, /*is_temp=*/true);
-  stats->temp_reuses += 2;
-  stats->cse_hits += 2;
   sql::SelectItem ptid;
   ptid.expr = sql::Expr::ColRef(def.parent_corr, kTidColumn);
   ptid.alias = "__ptid";
@@ -444,7 +500,6 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
   stmt->where = def.predicate->Clone();
 
   XNF_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*stmt, stats));
-  stats->edge_queries++;
 
   // Fill attribute types from the result schema.
   for (size_t i = 0; i < rel.attr_schema.size(); ++i) {
@@ -459,8 +514,6 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
                    std::make_move_iterator(row.end()));
     rel.connections.push_back(std::move(c));
   }
-  (void)parent;
-  (void)child;
   profile("temp-join", rel.connections.size());
   return rel;
 }
@@ -581,11 +634,53 @@ Result<CoRelInstance> Evaluator::MaterializeRelNoCse(const CoRelDef& def,
   return rel;
 }
 
+std::optional<Evaluator::EquiKeys> Evaluator::AnalyzeEquiKeys(
+    const CoRelDef& def, const CoNodeInstance& parent,
+    const CoNodeInstance& child) {
+  if (!def.using_table.empty() || def.parent_corr == def.child_corr) {
+    return std::nullopt;
+  }
+  std::vector<const sql::Expr*> conjuncts;
+  SplitConjuncts(def.predicate.get(), &conjuncts);
+  EquiKeys keys;
+  for (const sql::Expr* e : conjuncts) {
+    if (e->kind != sql::Expr::Kind::kBinary || e->bin_op != sql::BinOp::kEq) {
+      return std::nullopt;
+    }
+    const sql::Expr* pcol = e->args[0].get();
+    const sql::Expr* ccol = e->args[1].get();
+    auto is_col = [](const sql::Expr* c, const std::string& corr) {
+      return c->kind == sql::Expr::Kind::kColumnRef &&
+             ToLower(c->table) == corr;
+    };
+    if (!is_col(pcol, def.parent_corr)) std::swap(pcol, ccol);
+    if (!is_col(pcol, def.parent_corr) || !is_col(ccol, def.child_corr)) {
+      return std::nullopt;
+    }
+    auto pi = parent.schema.Find(ToLower(pcol->column));
+    auto ci = child.schema.Find(ToLower(ccol->column));
+    if (!pi.has_value() || !ci.has_value()) return std::nullopt;
+    keys.parent_cols.push_back(static_cast<int>(*pi));
+    keys.child_cols.push_back(static_cast<int>(*ci));
+  }
+  return keys;
+}
+
 void Evaluator::AnalyzeRelWrite(const CoRelDef& def,
                                 const CoInstance& instance,
                                 CoRelInstance* rel) {
   const CoNodeInstance& parent = instance.nodes[rel->parent_node];
   const CoNodeInstance& child = instance.nodes[rel->child_node];
+
+  if (def.using_table.empty()) {
+    // Foreign-key pattern: exactly one equality parent.a = child.b.
+    std::optional<EquiKeys> keys = AnalyzeEquiKeys(def, parent, child);
+    if (!keys.has_value() || keys->parent_cols.size() != 1) return;
+    rel->write_kind = CoRelInstance::WriteKind::kForeignKey;
+    rel->fk_parent_column = keys->parent_cols[0];
+    rel->fk_child_column = keys->child_cols[0];
+    return;
+  }
 
   std::vector<const sql::Expr*> conjuncts;
   SplitConjuncts(def.predicate.get(), &conjuncts);
@@ -596,38 +691,9 @@ void Evaluator::AnalyzeRelWrite(const CoRelDef& def,
     std::string q = ToLower(e->table);
     if (q == def.parent_corr) return 0;
     if (q == def.child_corr) return 1;
-    if (!def.using_table.empty() && q == def.using_corr) return 2;
+    if (q == def.using_corr) return 2;
     return -1;
   };
-
-  if (def.using_table.empty()) {
-    // Foreign-key pattern: exactly one equality parent.a = child.b.
-    if (conjuncts.size() != 1) return;
-    const sql::Expr* e = conjuncts[0];
-    if (e->kind != sql::Expr::Kind::kBinary || e->bin_op != sql::BinOp::kEq) {
-      return;
-    }
-    int l = classify(e->args[0].get());
-    int r = classify(e->args[1].get());
-    const sql::Expr* pcol = nullptr;
-    const sql::Expr* ccol = nullptr;
-    if (l == 0 && r == 1) {
-      pcol = e->args[0].get();
-      ccol = e->args[1].get();
-    } else if (l == 1 && r == 0) {
-      pcol = e->args[1].get();
-      ccol = e->args[0].get();
-    } else {
-      return;
-    }
-    auto pi = parent.schema.Find(ToLower(pcol->column));
-    auto ci = child.schema.Find(ToLower(ccol->column));
-    if (!pi.has_value() || !ci.has_value()) return;
-    rel->write_kind = CoRelInstance::WriteKind::kForeignKey;
-    rel->fk_parent_column = static_cast<int>(*pi);
-    rel->fk_child_column = static_cast<int>(*ci);
-    return;
-  }
 
   // Link-table pattern: parent.a = u.x AND child.b = u.y.
   TableInfo* link = catalog_->GetTable(def.using_table);
@@ -708,12 +774,13 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
 
   // The phase structure below is also the dependency order for concurrent
   // evaluation: every node query is independent of every other node query,
-  // and every edge query depends only on the CSE temps (all node results),
-  // so nodes run concurrently within phase 1 and edges within phase 3, with
-  // a barrier between phases (pool->RunAll is the barrier). Results land in
-  // per-task slots and are merged in definition order, so instance layout,
-  // counters, and profile order are identical at any DOP. CollectingTraceSink
-  // is not thread-safe, so tracing forces serial evaluation.
+  // and every edge depends only on the node results (directly for a node
+  // join, through the CSE temps for an edge query), so nodes run
+  // concurrently within phase 1 and edges within phase 3, with a barrier
+  // between phases (pool->RunAll is the barrier). Results land in per-task
+  // slots and are merged in definition order, so instance layout, counters,
+  // and profile order are identical at any DOP. CollectingTraceSink is not
+  // thread-safe, so tracing forces serial evaluation.
   ThreadPool* pool = catalog_ != nullptr ? catalog_->exec_pool() : nullptr;
   const bool concurrent =
       pool != nullptr && pool->dop() > 1 && trace_sink_ == nullptr;
@@ -757,15 +824,50 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
     }
   }
 
-  // Phase 2: register CSE temps (node rows + __tid). Temps are narrowed to
-  // the columns the relationship predicates and attributes actually
-  // reference, so the edge joins never copy full-width tuples.
+  // Edge path per relationship (CSE only; the no-CSE baseline always runs
+  // its inline query). A predicate of the 1:n foreign-key shape — only
+  // `parent.col = child.col` equalities, no USING table, no attributes, key
+  // columns of one type or both numeric — is a node join: its connections
+  // are hashed out of the node results directly. Everything else (link
+  // tables, theta and cross predicates, residual conjuncts, subqueries,
+  // paths, bare columns) runs as an edge query over the CSE temps.
+  std::vector<std::optional<EquiKeys>> node_join(def.rels.size());
+  for (size_t i = 0; options_.use_cse && i < def.rels.size(); ++i) {
+    const CoRelDef& rel = def.rels[i];
+    const int p = instance.NodeIndex(rel.parent);
+    const int c = instance.NodeIndex(rel.child);
+    if (rel.premade != nullptr || !rel.attributes.empty() || p < 0 || c < 0) {
+      continue;
+    }
+    const CoNodeInstance& parent = instance.nodes[p];
+    const CoNodeInstance& child = instance.nodes[c];
+    std::optional<EquiKeys> keys = AnalyzeEquiKeys(rel, parent, child);
+    if (!keys.has_value()) continue;
+    bool comparable = true;
+    for (size_t k = 0; k < keys->parent_cols.size(); ++k) {
+      comparable &= KeyTypesComparable(
+          parent.schema.column(keys->parent_cols[k]).type,
+          child.schema.column(keys->child_cols[k]).type);
+    }
+    if (comparable) node_join[i] = std::move(keys);
+  }
+
+  // Phase 2: register CSE temps (node rows + __tid) for the partners of
+  // edge queries. Temps are narrowed to the columns the relationship
+  // predicates and attributes actually reference, so the edge joins never
+  // copy full-width tuples.
   if (options_.use_cse) {
     TraceScope span(trace_sink_, "cse-temps");
+    // Partner node -> columns its edge queries read.
     std::map<std::string, std::set<std::string>> used_columns;
     std::set<std::string> full_width;  // nodes needing all columns
-    for (const CoRelDef& rel : def.rels) {
-      if (rel.premade != nullptr) continue;  // no predicate to analyze
+    for (size_t i = 0; i < def.rels.size(); ++i) {
+      const CoRelDef& rel = def.rels[i];
+      // Premade edges have no predicate to analyze; node joins read the
+      // node results, not temps.
+      if (rel.premade != nullptr || node_join[i].has_value()) continue;
+      used_columns[rel.parent];
+      used_columns[rel.child];
       auto collect = [&](const sql::Expr& root) {
         std::function<void(const sql::Expr&)> walk =
             [&](const sql::Expr& e) {
@@ -794,6 +896,7 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
       for (const RelAttribute& a : rel.attributes) collect(*a.expr);
     }
     for (const CoNodeInstance& node : instance.nodes) {
+      if (used_columns.count(node.name) == 0) continue;
       ResultSet temp;
       std::vector<int> projection;  // node column indices in the temp
       bool full = full_width.count(node.name) > 0;
@@ -832,11 +935,15 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
   // runs inside the task too.
   {
     TraceScope span(trace_sink_, "materialize-edges");
-    auto materialize_rel = [&](const CoRelDef& rel_def,
+    auto materialize_rel = [&](size_t i,
                                Stats* stats) -> Result<CoRelInstance> {
+      const CoRelDef& rel_def = def.rels[i];
       CoRelInstance rel;
       if (rel_def.premade != nullptr || options_.use_cse) {
-        XNF_ASSIGN_OR_RETURN(rel, MaterializeRel(rel_def, instance, stats));
+        XNF_ASSIGN_OR_RETURN(
+            rel, MaterializeRel(rel_def, instance,
+                                node_join[i] ? &*node_join[i] : nullptr,
+                                stats));
       } else {
         XNF_ASSIGN_OR_RETURN(rel,
                              MaterializeRelNoCse(rel_def, instance, stats));
@@ -852,12 +959,10 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
       std::vector<std::function<Status()>> tasks;
       tasks.reserve(def.rels.size());
       for (size_t i = 0; i < def.rels.size(); ++i) {
-        tasks.push_back(
-            [&materialize_rel, &def, &slots, &task_stats, i]() -> Status {
-              XNF_ASSIGN_OR_RETURN(
-                  slots[i], materialize_rel(def.rels[i], &task_stats[i]));
-              return Status::Ok();
-            });
+        tasks.push_back([&materialize_rel, &slots, &task_stats, i]() -> Status {
+          XNF_ASSIGN_OR_RETURN(slots[i], materialize_rel(i, &task_stats[i]));
+          return Status::Ok();
+        });
       }
       XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
       for (size_t i = 0; i < def.rels.size(); ++i) {
@@ -865,10 +970,10 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
         instance.rels.push_back(std::move(slots[i]));
       }
     } else {
-      for (const CoRelDef& rel_def : def.rels) {
+      for (size_t i = 0; i < def.rels.size(); ++i) {
         Stats task_stats;
         XNF_ASSIGN_OR_RETURN(CoRelInstance rel,
-                             materialize_rel(rel_def, &task_stats));
+                             materialize_rel(i, &task_stats));
         MergeStats(task_stats, &stats_);
         instance.rels.push_back(std::move(rel));
       }
@@ -899,18 +1004,7 @@ Result<CoInstance> Evaluator::Evaluate(const XnfQuery& query) {
     Evaluator nested(catalog_, options_);
     nested.set_trace_sink(trace_sink_);
     Result<CoInstance> out = nested.Evaluate(sub);
-    stats_.node_queries += nested.stats().node_queries;
-    stats_.edge_queries += nested.stats().edge_queries;
-    stats_.temp_reuses += nested.stats().temp_reuses;
-    stats_.cse_hits += nested.stats().cse_hits;
-    stats_.cse_misses += nested.stats().cse_misses;
-    stats_.reachability_passes += nested.stats().reachability_passes;
-    stats_.restrictions_applied += nested.stats().restrictions_applied;
-    stats_.rows_produced += nested.stats().rows_produced;
-    stats_.batches_produced += nested.stats().batches_produced;
-    stats_.profiles.insert(stats_.profiles.end(),
-                           nested.stats().profiles.begin(),
-                           nested.stats().profiles.end());
+    MergeStats(nested.stats(), &stats_);
     return out;
   });
   XNF_ASSIGN_OR_RETURN(CoDef def, [&]() -> Result<CoDef> {

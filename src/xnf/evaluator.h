@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,8 +24,11 @@ namespace xnf::co {
 // materializing each node's defining query once as a temporary table that
 // the edge queries then join ("when we generate the tuples of a parent node,
 // we output them, and also use them again to find the tuples of the
-// associated children"). Reachability (§2) is enforced as a fixpoint over
-// the resulting connection graph, which also covers recursive COs (§3.4).
+// associated children"). A relationship whose predicate is a plain
+// foreign-key equi-join takes that sentence literally: its connections are
+// hashed straight out of the two node results, with no derived SQL query.
+// Reachability (§2) is enforced as a fixpoint over the resulting connection
+// graph, which also covers recursive COs (§3.4).
 class Evaluator {
  public:
   struct Options {
@@ -45,8 +49,9 @@ class Evaluator {
     std::string name;    // component table / relationship name
     // How the derived query ran: "index" (simple node, fast extraction),
     // "scan" (simple node, candidate scan), "query" (full engine query),
-    // "premade" (imported from a restricted view reference), "temp-join"
-    // (edge over CSE temps), "inline" (edge recomputing node queries).
+    // "premade" (imported from a restricted view reference), "node-join"
+    // (foreign-key edge hashed out of the node results), "temp-join" (edge
+    // query over CSE temps), "inline" (edge recomputing node queries).
     std::string access;
     uint64_t rows = 0;   // candidate tuples / connections produced
     uint64_t time_ns = 0;
@@ -102,18 +107,38 @@ class Evaluator {
   // Stats, merged into stats_ in definition order afterwards (keeps profile
   // order and counter totals identical at any DOP).
 
+  // Node column indices of a relationship predicate that is a conjunction
+  // of `parent_corr.col = child_corr.col` equalities (see AnalyzeEquiKeys);
+  // parent_cols[k] pairs with child_cols[k].
+  struct EquiKeys {
+    std::vector<int> parent_cols;
+    std::vector<int> child_cols;
+  };
+
   // Candidate node materialization (with provenance when simple).
   Result<CoNodeInstance> MaterializeNode(const CoNodeDef& def, Stats* stats);
-  // Edge materialization against already-materialized candidates.
+  // Edge materialization against already-materialized candidates: with
+  // `node_join` set, a hash join of the node results on those keys;
+  // otherwise the edge query over the CSE temps.
   Result<CoRelInstance> MaterializeRel(const CoRelDef& def,
                                        const CoInstance& instance,
+                                       const EquiKeys* node_join,
                                        Stats* stats);
   // Baseline without common-subexpression reuse: the edge query recomputes
   // the partner node queries inline and endpoints are matched by value.
   Result<CoRelInstance> MaterializeRelNoCse(const CoRelDef& def,
                                             const CoInstance& instance,
                                             Stats* stats);
-  // Derives connect/disconnect provenance (§3.7) from the predicate shape.
+  // The equi-join keys of `def`'s predicate, resolved in the partner node
+  // schemas; nullopt unless the relationship has no USING table, distinct
+  // partner correlations, and a predicate made only of
+  // `parent_corr.col = child_corr.col` conjuncts whose columns resolve.
+  static std::optional<EquiKeys> AnalyzeEquiKeys(const CoRelDef& def,
+                                                 const CoNodeInstance& parent,
+                                                 const CoNodeInstance& child);
+  // Derives connect/disconnect provenance (§3.7) from the predicate shape:
+  // a single-key equi-join is a foreign key, two equalities through a
+  // USING table a link table.
   void AnalyzeRelWrite(const CoRelDef& def, const CoInstance& instance,
                        CoRelInstance* rel);
 

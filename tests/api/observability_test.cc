@@ -8,6 +8,7 @@
 #include "common/trace.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "xnf/cache.h"
 
 namespace xnf::testing {
 namespace {
@@ -124,7 +125,7 @@ TEST_F(Observability, ExplainAnalyzeXnfProfilesDerivedQueries) {
       << all;
   EXPECT_NE(all.find("node xemp access=scan rows=6 time="), std::string::npos)
       << all;
-  EXPECT_NE(all.find("edge employment access=temp-join rows=2 time="),
+  EXPECT_NE(all.find("edge employment access=node-join rows=2 time="),
             std::string::npos)
       << all;
   EXPECT_NE(all.find("queries: 2 node, 1 edge"), std::string::npos) << all;
@@ -198,6 +199,22 @@ TEST_F(Observability, TraceSinkCapturesXnfPhases) {
     ASSERT_GE(i, 0) << "missing span " << name << "\n" << sink.ToString();
     EXPECT_TRUE(spans[i].closed) << name;
     EXPECT_GT(spans[i].depth, 0) << name;
+  }
+}
+
+TEST_F(Observability, TraceSinkCapturesXnfPhasesUnderOpenCo) {
+  CollectingTraceSink sink;
+  db_.set_trace_sink(&sink);
+  auto cache = db_.OpenCo(kXnfQuery);
+  db_.set_trace_sink(nullptr);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+
+  const auto& spans = sink.spans();
+  for (const char* name : {"resolve", "materialize-nodes", "materialize-edges",
+                           "reachability"}) {
+    int i = FindSpan(spans, name);
+    ASSERT_GE(i, 0) << "missing span " << name << "\n" << sink.ToString();
+    EXPECT_TRUE(spans[i].closed) << name;
   }
 }
 

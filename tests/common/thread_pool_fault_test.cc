@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -81,6 +83,35 @@ TEST_F(ThreadPoolFault, QuiescentAfterManyFailedBatches) {
     (void)pool.RunAll(CountingTasks(7, &ran, {}));
     EXPECT_TRUE(pool.quiescent());
   }
+}
+
+TEST_F(ThreadPoolFault, CallerSuppressionCoversWorkerTasks) {
+  // Suppression is thread-local; a batch submitted under a Suppressor must
+  // not fire on the workers that run its tasks — neither at dispatch nor at
+  // a site inside the task body.
+  ASSERT_TRUE(Failpoints::Enable("threadpool.task", "always").ok());
+  ASSERT_TRUE(Failpoints::Enable("xnf.node.query", "always").ok());
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  std::vector<std::function<Status()>> tasks;
+  for (int i = 0; i < 32; ++i) {
+    tasks.push_back([&ran]() -> Status {
+      XNF_FAILPOINT("xnf.node.query");
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ran.fetch_add(1);
+      return Status::Ok();
+    });
+  }
+  Status status;
+  {
+    Failpoints::Suppressor suppress;
+    status = pool.RunAll(std::move(tasks));
+  }
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(ran.load(), 32);
+  EXPECT_EQ(Failpoints::hits("threadpool.task"), 0u);
+  EXPECT_EQ(Failpoints::hits("xnf.node.query"), 0u);
+  EXPECT_TRUE(pool.quiescent());
 }
 
 }  // namespace

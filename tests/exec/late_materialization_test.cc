@@ -10,10 +10,12 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -646,6 +648,52 @@ TEST(TakePruning, RestrictionColumnsSurvivePruning) {
   EXPECT_EQ(eager_co.ToString(), expected.ToString());
   EXPECT_EQ(late_co.ToString(), expected.ToString());
   EXPECT_FALSE(expected.ToString().empty());
+}
+
+// Parses the "scan columns: D decoded, S skipped" line of an EXPLAIN
+// ANALYZE OUT OF rendering; {0, 0} when the line is absent.
+std::pair<uint64_t, uint64_t> ScanColumns(const std::string& plan) {
+  uint64_t decoded = 0, skipped = 0;
+  auto pos = plan.find("scan columns: ");
+  if (pos != std::string::npos) {
+    EXPECT_EQ(std::sscanf(plan.c_str() + pos,
+                          "scan columns: %lu decoded, %lu skipped", &decoded,
+                          &skipped),
+              2)
+        << plan;
+  }
+  return {decoded, skipped};
+}
+
+TEST(TakePruning, NestedViewScansReportTheirColumns) {
+  // A restricted XNF view is evaluated by a nested evaluator and imported
+  // premade; its candidate scans still count toward the outer statement's
+  // scan-column totals.
+  auto build = [](Database* db, const std::string& storage) {
+    MustExecute(db, "CREATE TABLE wide (a INT, b INT, s VARCHAR, n INT)" +
+                        storage);
+    std::string insert = "INSERT INTO wide VALUES ";
+    for (int i = 0; i < 300; ++i) {
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " + std::to_string(i % 60) +
+                ", 's" + std::to_string(i % 13) + "', " +
+                std::to_string(i % 7) + ")";
+    }
+    MustExecute(db, insert);
+  };
+  const std::string body =
+      "OUT OF w AS (SELECT * FROM wide WHERE b < 30) "
+      "WHERE w z SUCH THAT z.n > 2 TAKE w(a, b)";
+  auto late = MakeDb(/*columnar=*/true, /*late=*/true, build);
+  MustExecute(late.get(), "CREATE VIEW rv AS " + body);
+  const auto direct =
+      ScanColumns(ExplainText(late.get(), "EXPLAIN ANALYZE " + body));
+  std::string plan =
+      ExplainText(late.get(), "EXPLAIN ANALYZE OUT OF rv TAKE *");
+  EXPECT_NE(plan.find("node w access=premade"), std::string::npos) << plan;
+  EXPECT_GT(direct.first, 0u);
+  EXPECT_GT(direct.second, 0u);  // s is never read
+  EXPECT_EQ(ScanColumns(plan), direct) << plan;
 }
 
 }  // namespace

@@ -278,5 +278,25 @@ TEST(RegressionCorpus, IndexCreationMidScriptKeepsPlansAgreeing) {
   });
 }
 
+TEST(RegressionCorpus, IndexDuplicatesFollowRidOrderAfterUpdates) {
+  // Seed 8074: an UPDATE re-inserts a row's index entries, which used to
+  // move it behind its duplicate-key siblings; the checkpointed engine
+  // rebuilds its index from a scan, so its index-nested-loop join emitted
+  // the duplicates in another order than the in-memory engines.
+  for (const char* kind : {"INDEX", "ORDERED INDEX"}) {
+    ExpectAgreement({
+        "CREATE TABLE p (a INT PRIMARY KEY, b INT)",
+        "CREATE TABLE c (a INT PRIMARY KEY, b INT, r INT)",
+        std::string("CREATE ") + kind + " ix ON c (r)",
+        "INSERT INTO p VALUES (1, 0), (2, 0)",
+        "INSERT INTO c VALUES (1, 0, 1), (2, 0, 1), (3, 0, 2), (4, 0, 2)",
+        "UPDATE c SET b = 5 WHERE a = 1",
+        "UPDATE c SET r = 1 WHERE a = 4",
+        "UPDATE c SET r = 2 WHERE a = 4",
+        "SELECT p.a, c.a FROM p, c WHERE c.r = p.a",
+    });
+  }
+}
+
 }  // namespace
 }  // namespace xnf::testing

@@ -79,6 +79,28 @@ TEST(OrderedIndex, UniqueViolation) {
   EXPECT_FALSE(index.Insert(R(5, "b"), Rid{0, 1}).ok());
 }
 
+TEST(Index, DuplicatesComeBackInRidOrderWhateverTheHistory) {
+  // An update erases and re-inserts a row's entry; lookups must still list
+  // duplicates in rid (table-scan) order, as a freshly built index would.
+  HashIndex hash("h", {0}, false);
+  OrderedIndex ordered("o", {0}, false);
+  for (Index* index : {static_cast<Index*>(&hash),
+                       static_cast<Index*>(&ordered)}) {
+    for (uint32_t s = 0; s < 4; ++s) {
+      ASSERT_TRUE(index->Insert(R(7, "x"), Rid{0, s}).ok());
+    }
+    ASSERT_TRUE(index->Erase(R(7, "x"), Rid{0, 1}).ok());
+    ASSERT_TRUE(index->Insert(R(7, "y"), Rid{0, 1}).ok());
+    ASSERT_TRUE(index->Erase(R(7, "x"), Rid{0, 0}).ok());
+    ASSERT_TRUE(index->Insert(R(7, "y"), Rid{0, 0}).ok());
+    EXPECT_EQ(index->Lookup({Value::Int(7)}),
+              (std::vector<Rid>{{0, 0}, {0, 1}, {0, 2}, {0, 3}}))
+        << index->name();
+  }
+  EXPECT_EQ(ordered.RangeLookup({Value::Int(7)}, true, {}, true),
+            (std::vector<Rid>{{0, 0}, {0, 1}, {0, 2}, {0, 3}}));
+}
+
 TEST(BufferPool, LruEviction) {
   BufferPool pool(2);
   pool.Touch({1, 0});
