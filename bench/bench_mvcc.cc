@@ -1,33 +1,23 @@
-// ABBA MVCC-overhead check plus a reader-scaling harness.
+// MVCC transaction-workload timing plus a reader-scaling harness.
 //
-// Gate: the same single-session DML workload runs against two engines —
-// MVCC snapshot isolation on (A, the default) and Options::mvcc=false (B,
-// the legacy single-writer undo path) — in A B B A order per round so slow
-// clock/thermal drift cancels out. The measured delta is the cost of
-// snapshot bookkeeping a single session pays for the multi-session
-// machinery it doesn't use: epoch stamping, write-set tracking for
-// first-committer-wins, version harvesting + GC at commit. The workload
-// mixes autocommit statements with explicit BEGIN/COMMIT blocks so both
-// transaction-bracketing paths are on the clock.
-//
-//   ./bench_mvcc                   print the measured overhead + scaling
-//   ./bench_mvcc --check           exit 1 if overhead > threshold
-//   ./bench_mvcc --threshold=5     override the default 5% gate
-//   ./bench_mvcc --rounds=N        ABBA rounds (default 9)
+// Workload: a single-session DML mix — autocommit single-row writes (each
+// its own ephemeral transaction), explicit BEGIN/COMMIT blocks with every
+// fourth rolled back, a read, and a cleanup delete — timed over several
+// passes; the median pass lands in BENCH_results.json as "txn_workload".
 //
 // Scaling: 1/2/4/8 concurrent reader sessions run snapshot transactions
 // (BEGIN; aggregate + point reads; COMMIT) against one transfer-writer
 // session; aggregate reader statements/sec per width lands in
-// BENCH_results.json (binary "bench_mvcc"). Not gated — statements
-// serialize on the engine's statement latch, so the interesting signal is
-// that throughput stays flat-ish while the writer forces version retention,
-// not that it scales linearly.
+// BENCH_results.json. Statements serialize on the engine's statement latch,
+// so the interesting signal is that throughput stays flat-ish while the
+// writer forces version retention, not that it scales linearly.
+//
+// Neither number is gated. Takes no flags.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,10 +35,11 @@ constexpr int kAutocommitWrites = 150;
 constexpr int kTxnBlocks = 25;
 constexpr int kStatementsPerBlock = 4;
 
-std::unique_ptr<Database> MakeDb(bool mvcc) {
+constexpr int kPasses = 9;
+
+std::unique_ptr<Database> MakeDb() {
   Database::Options o;
-  o.threads = 1;  // single-threaded: the steadiest timing baseline
-  o.mvcc = mvcc;
+  o.threads = 1;  // single-threaded: the steadiest timing
   auto db = std::make_unique<Database>(o);
   Check(db->open_error(), "open");
   Check(db->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT, s VARCHAR)")
@@ -68,7 +59,7 @@ std::unique_ptr<Database> MakeDb(bool mvcc) {
 }
 
 // One timed pass. Autocommit single-row writes (each is its own ephemeral
-// transaction under MVCC), explicit multi-statement transaction blocks, a
+// transaction), explicit multi-statement transaction blocks, a
 // couple of reads, and a cleanup delete returning the table to its seed
 // contents so rounds are comparable.
 double RunWorkload(Database* db) {
@@ -161,80 +152,32 @@ double ReaderThroughput(int readers, double seconds) {
 }
 
 int Main(int argc, char** argv) {
-  bool check = false;
-  double threshold = 5.0;
-  int rounds = 9;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--check") {
-      check = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::atof(arg.c_str() + 12);
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      rounds = std::atoi(arg.c_str() + 9);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "bench_mvcc takes no flags (got %s)\n", argv[1]);
+    return 2;
   }
 
-  std::unique_ptr<Database> mvcc = MakeDb(true);
-  std::unique_ptr<Database> legacy = MakeDb(false);
-  // Warmup: fault pages in, warm the allocator.
-  RunWorkload(mvcc.get());
-  RunWorkload(legacy.get());
-
-  // Per-round ABBA ratios, gated on the median — one scheduler spike lands
-  // in one round and is voted out of the verdict.
-  double t_mvcc = 0, t_legacy = 0;
-  std::vector<double> ratios, mvcc_s, legacy_s;
-  ratios.reserve(rounds);
-  for (int r = 0; r < rounds; ++r) {
-    double legacy_r = 0, mvcc_r = 0;
-    legacy_r += RunWorkload(legacy.get());  // A
-    mvcc_r += RunWorkload(mvcc.get());      // B
-    mvcc_r += RunWorkload(mvcc.get());      // B
-    legacy_r += RunWorkload(legacy.get());  // A
-    t_legacy += legacy_r;
-    t_mvcc += mvcc_r;
-    legacy_s.push_back(legacy_r / 2);
-    mvcc_s.push_back(mvcc_r / 2);
-    ratios.push_back((mvcc_r - legacy_r) / legacy_r * 100.0);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  std::sort(legacy_s.begin(), legacy_s.end());
-  std::sort(mvcc_s.begin(), mvcc_s.end());
-  const double overhead_pct = ratios[ratios.size() / 2];
-  std::printf("mvcc=off: %.3fs  mvcc=on: %.3fs  median overhead: %+.2f%%"
-              "  rounds:", t_legacy, t_mvcc, overhead_pct);
-  for (double r : ratios) std::printf(" %+.2f%%", r);
-  std::printf("  (%d ABBA rounds, %d seed rows)\n", rounds, kSeedRows);
+  std::unique_ptr<Database> db = MakeDb();
+  RunWorkload(db.get());  // warmup: fault pages in, warm the allocator
+  std::vector<double> passes;
+  passes.reserve(kPasses);
+  for (int i = 0; i < kPasses; ++i) passes.push_back(RunWorkload(db.get()));
+  std::sort(passes.begin(), passes.end());
+  const double median_s = passes[passes.size() / 2];
+  std::printf("txn_workload: median %.3f ms over %d passes (%d seed rows)\n",
+              median_s * 1e3, kPasses, kSeedRows);
 
   const double stmts = kAutocommitWrites +
                        kTxnBlocks * (kStatementsPerBlock + 2) + 2;
   std::vector<BenchResult> results;
-  BenchResult a;
-  a.name = "txn_workload";
-  a.config = "mvcc-off";
-  a.median_real_ns = legacy_s[legacy_s.size() / 2] * 1e9;
-  a.rows_per_sec = stmts / legacy_s[legacy_s.size() / 2];
-  a.iterations = rounds * 2;
-  results.push_back(a);
-  BenchResult b;
-  b.name = "txn_workload";
-  b.config = "mvcc-on";
-  b.median_real_ns = mvcc_s[mvcc_s.size() / 2] * 1e9;
-  b.rows_per_sec = stmts / mvcc_s[mvcc_s.size() / 2];
-  b.iterations = rounds * 2;
-  results.push_back(b);
-  BenchResult o;
-  o.name = "mvcc_overhead_pct";
-  o.config = "mvcc-on/mvcc-off";
-  o.median_real_ns = overhead_pct;  // percentage, not time — see the name
-  o.iterations = rounds;
-  results.push_back(o);
+  BenchResult w;
+  w.name = "txn_workload";
+  w.median_real_ns = median_s * 1e9;
+  w.rows_per_sec = stmts / median_s;
+  w.iterations = kPasses;
+  results.push_back(w);
 
-  // Reader scaling against a concurrent writer (recorded, not gated).
+  // Reader scaling against a concurrent writer.
   std::printf("reader sessions vs one writer:");
   for (int readers : {1, 2, 4, 8}) {
     const double per_sec = ReaderThroughput(readers, 0.4);
@@ -248,13 +191,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n");
   WriteBenchJson("bench_mvcc", results);
-
-  if (check && overhead_pct > threshold) {
-    std::fprintf(stderr,
-                 "FAIL: MVCC overhead %.2f%% exceeds the %.2f%% gate\n",
-                 overhead_pct, threshold);
-    return 1;
-  }
   return 0;
 }
 

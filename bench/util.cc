@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 
 #include "exec/dml.h"
 
@@ -146,7 +147,10 @@ void WriteBenchJson(const std::string& binary,
         << JsonEscape(r.name) << "\",\"config\":\"" << JsonEscape(r.config)
         << "\",\"rows_per_sec\":" << r.rows_per_sec
         << ",\"median_real_ns\":" << r.median_real_ns
-        << ",\"iterations\":" << r.iterations << "}\n";
+        << ",\"iterations\":" << r.iterations << ",\"build_type\":\""
+        << SQLXNF_BUILD_TYPE << "\",\"nproc\":"
+        << std::thread::hardware_concurrency() << ",\"commit\":\""
+        << SQLXNF_COMMIT << "\"}\n";
   }
   std::printf("appended %zu result(s) to %s\n", results.size(), path.c_str());
 }

@@ -69,12 +69,17 @@ void BuildWorkingSetDatabase(Database* db, const WorkingSetOptions& options);
 // the working directory), so several bench binaries can contribute to one
 // artifact:
 //   {"binary":"bench_join","name":"selective_join","config":"col-late",
-//    "rows_per_sec":1.2e6,"median_real_ns":3.4e6,"iterations":9}
+//    "rows_per_sec":1.2e6,"median_real_ns":3.4e6,"iterations":9,
+//    "build_type":"Release","nproc":4,"commit":"29e41da"}
+// Every record is stamped with the CMake build type, the hardware thread
+// count, and the git commit the build was configured at ("unknown" outside
+// a git checkout), so records from different builds stay comparable.
 
 struct BenchResult {
   std::string name;             // benchmark / workload name
   std::string config;           // engine configuration label
-  double rows_per_sec = 0.0;    // median throughput (0 = not measured)
+  double rows_per_sec = 0.0;    // median wall-time throughput (0 = not
+                                // measured)
   double median_real_ns = 0.0;  // median wall time per iteration
   int64_t iterations = 0;       // samples behind the medians
 };

@@ -26,8 +26,14 @@ class CollectingReporter : public ::benchmark::ConsoleReporter {
         s.real_ns.push_back(run.real_accumulated_time /
                             static_cast<double>(run.iterations) * 1e9);
       }
+      // google-benchmark divides items_per_second by main-thread CPU
+      // time, which overstates the rate of a run whose work happens on
+      // pool workers. Rescale each run's rate to wall time.
       auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) s.items_per_sec.push_back(it->second);
+      if (it != run.counters.end() && run.real_accumulated_time > 0) {
+        s.items_per_sec.push_back(it->second * run.cpu_accumulated_time /
+                                  run.real_accumulated_time);
+      }
       s.iterations += run.iterations;
     }
     ConsoleReporter::ReportRuns(reports);

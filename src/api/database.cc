@@ -99,7 +99,6 @@ Database::Database(Options options)
   ExecConfig exec_config;
   exec_config.use_indexes = options.use_indexes;
   exec_config.use_rewrite = options.use_rewrite;
-  exec_config.scalar_eval = options.scalar_eval;
   exec_config.late_materialization = options.late_materialization;
   catalog_.set_exec_config(exec_config);
   // Fault injection: the Options spec first, then the environment on top
@@ -191,9 +190,6 @@ Database::Database(Options options)
     });
   }
   RegisterSystemViews();
-  if (options_.mvcc) {
-    txn_manager_ = std::make_unique<TransactionManager>();
-  }
   if (!options_.data_dir.empty()) {
     open_error_ = OpenDurable();
     if (!open_error_.ok()) {
@@ -206,9 +202,7 @@ Database::Database(Options options)
   }
   // The transaction manager goes live only after replay: recovery applies
   // the log physically, below any notion of visibility.
-  if (txn_manager_ != nullptr) {
-    catalog_.set_txn_manager(txn_manager_.get());
-  }
+  catalog_.set_txn_manager(&txn_manager_);
   default_session_ =
       std::unique_ptr<Session>(new Session(this, next_session_id_++));
 }
@@ -245,18 +239,14 @@ Status Database::OpenDurable() {
   // checkpoint pinned the epoch at checkpoint time, and each replayed
   // commit marker carries the epoch it committed at. Post-recovery
   // snapshots must order after all of them.
-  if (txn_manager_ != nullptr) {
-    uint64_t horizon = info.mvcc_epoch;
-    for (const Wal::Record& rec : wal_records) {
-      if (rec.commit_epoch > horizon) horizon = rec.commit_epoch;
-    }
-    txn_manager_->set_epoch_floor(horizon);
+  uint64_t horizon = info.mvcc_epoch;
+  for (const Wal::Record& rec : wal_records) {
+    if (rec.commit_epoch > horizon) horizon = rec.commit_epoch;
   }
+  txn_manager_.set_epoch_floor(horizon);
   // Future checkpoints persist the live horizon so the next recovery
   // restores it even with an empty WAL.
-  durable_store_->set_epoch_source([this] {
-    return txn_manager_ != nullptr ? txn_manager_->epoch() : uint64_t{0};
-  });
+  durable_store_->set_epoch_source([this] { return txn_manager_.epoch(); });
   if (metrics_ != nullptr) {
     metrics_->counter("recovery.count")->Add(1);
     metrics_->counter("recovery.tables_restored")->Add(info.tables_restored);
@@ -699,13 +689,11 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       }
       session->undo_ = std::make_unique<UndoLog>();
       catalog_.set_undo_log(session->undo_.get());
-      if (txn_manager_ != nullptr) {
-        // The snapshot is taken here, at BEGIN: every read of this
-        // transaction sees the database as of this instant.
-        session->txn_ = txn_manager_->Begin(/*ephemeral=*/false);
-        session->txn_->undo = session->undo_.get();
-        txn_manager_->set_current(session->txn_);
-      }
+      // The snapshot is taken here, at BEGIN: every read of this
+      // transaction sees the database as of this instant.
+      session->txn_ = txn_manager_.Begin(/*ephemeral=*/false);
+      session->txn_->undo = session->undo_.get();
+      txn_manager_.set_current(session->txn_);
       ++open_txns_;
       result.message = "transaction started";
       return result;
@@ -720,15 +708,14 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       catalog_.set_undo_log(nullptr);
       session->undo_.reset();
       session->txn_ = nullptr;
-      if (txn_manager_ != nullptr) txn_manager_->set_current(nullptr);
+      txn_manager_.set_current(nullptr);
       --open_txns_;
     };
     if (tokens[0].Is("commit")) {
       // Reserve the commit epoch first so the WAL marker carries the same
       // epoch the in-memory commit publishes at — recovery restores the
       // visibility horizon from these markers.
-      const uint64_t epoch =
-          txn_manager_ != nullptr ? txn_manager_->PrepareCommitEpoch() : 0;
+      const uint64_t epoch = txn_manager_.PrepareCommitEpoch();
       if (Wal* wal = catalog_.wal(); wal != nullptr) {
         Status marker = wal->AppendTxnCommit(epoch);
         if (!marker.ok()) {
@@ -738,9 +725,7 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
           // part of this transaction.
           wal->RollbackTxn();
           Status rolled = session->undo_->Rollback(&catalog_);
-          if (txn_manager_ != nullptr && session->txn_ != nullptr) {
-            txn_manager_->Rollback(session->txn_);
-          }
+          txn_manager_.Rollback(session->txn_);
           clear();
           XNF_RETURN_IF_ERROR(rolled);
           return marker;
@@ -749,18 +734,14 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       // Harvest the pre-image versions BEFORE UndoLog::Commit clears the
       // entries they are copied from: concurrent snapshots older than this
       // epoch keep reading the pre-images from the version store.
-      if (txn_manager_ != nullptr && session->txn_ != nullptr) {
-        txn_manager_->Commit(session->txn_, epoch);
-        session->txn_ = nullptr;
-      }
+      txn_manager_.Commit(session->txn_, epoch);
+      session->txn_ = nullptr;
       session->undo_->Commit();
       result.message = "committed";
     } else {
       if (Wal* wal = catalog_.wal(); wal != nullptr) wal->RollbackTxn();
       Status rolled = session->undo_->Rollback(&catalog_);
-      if (txn_manager_ != nullptr && session->txn_ != nullptr) {
-        txn_manager_->Rollback(session->txn_);
-      }
+      txn_manager_.Rollback(session->txn_);
       clear();
       XNF_RETURN_IF_ERROR(rolled);
       result.message = "rolled back";
@@ -837,8 +818,7 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       // An index is built from the physical rows; building one while
       // another live transaction holds uncommitted writes to the table
       // would bake uncommitted (or about-to-be-rolled-back) data into it.
-      if (txn_manager_ != nullptr &&
-          txn_manager_->OtherTransactionTouched(ci.table)) {
+      if (txn_manager_.OtherTransactionTouched(ci.table)) {
         return Status::Serialization(
             "cannot CREATE INDEX on '" + ci.table +
             "' while another transaction has uncommitted writes to it");
@@ -902,9 +882,7 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       } else {
         // Refuses while any live transaction wrote the table (its rollback
         // would need the storage back), then purges retained versions.
-        if (txn_manager_ != nullptr) {
-          XNF_RETURN_IF_ERROR(txn_manager_->OnDropTable(stmt.drop->name));
-        }
+        XNF_RETURN_IF_ERROR(txn_manager_.OnDropTable(stmt.drop->name));
         XNF_RETURN_IF_ERROR(
             apply_ddl([&] { return catalog_.DropTable(stmt.drop->name); }));
         result.message = "table dropped";

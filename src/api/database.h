@@ -85,7 +85,6 @@ class Database {
     // combination; production code leaves the defaults alone.
     bool use_indexes = true;
     bool use_rewrite = true;
-    bool scalar_eval = false;
     bool late_materialization = true;
     // Physical layout for CREATE TABLE without a USING clause. Unset means:
     // the SQLXNF_STORAGE environment variable ("row"/"column") if present,
@@ -121,15 +120,6 @@ class Database {
     // Auto-checkpoint between statements once the live WAL exceeds this
     // many bytes. 0 = only explicit Checkpoint() / close checkpoints.
     uint64_t checkpoint_wal_bytes = 0;
-    // Multi-version concurrency control. On (the default), every
-    // transaction reads from the snapshot it took at BEGIN, sessions from
-    // OpenSession() interleave under snapshot isolation, and write-write
-    // conflicts fail with StatusCode::kSerialization. Off restores the
-    // single-session engine: no snapshots, no conflict checks, no version
-    // retention — the baseline for the MVCC overhead benchmark. With MVCC
-    // off, concurrent sessions share un-versioned state; only the default
-    // session should execute.
-    bool mvcc = true;
   };
 
   // One executed statement's profile — a row of sqlxnf_statements. Recorded
@@ -194,8 +184,11 @@ class Database {
   Catalog* catalog() { return &catalog_; }
   BufferPool* buffer_pool() { return &buffer_pool_; }
 
-  // The MVCC transaction manager, or null when Options::mvcc is off.
-  TransactionManager* txn_manager() const { return txn_manager_.get(); }
+  // The MVCC transaction manager: every transaction reads from the
+  // snapshot it took at BEGIN, and write-write conflicts fail with
+  // StatusCode::kSerialization. Always present; it goes live in the
+  // catalog once recovery has replayed the WAL.
+  TransactionManager* txn_manager() { return &txn_manager_; }
 
   // Durable databases only: snapshot all dirty pages/row groups to the page
   // file, fsync, and start a fresh WAL. Errors on in-memory databases and
@@ -340,9 +333,9 @@ class Database {
   TraceSink* trace_sink_ = nullptr;
   bool collect_exec_stats_ = false;
   std::string last_plan_profile_;
-  // MVCC transaction manager (Options::mvcc); installed into the catalog
-  // only after WAL replay, which must run physically.
-  std::unique_ptr<TransactionManager> txn_manager_;
+  // Installed into the catalog only after WAL replay, which must run
+  // physically.
+  TransactionManager txn_manager_;
   // Serializes statement execution engine-wide: sessions on different
   // threads interleave at statement boundaries, never within one.
   std::mutex exec_mu_;

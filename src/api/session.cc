@@ -14,9 +14,7 @@ Database::StatementContext::StatementContext(Database* db, Session* session)
   // session's state — the next statement may belong to a different session.
   if (session != nullptr) {
     db_->catalog_.set_undo_log(session->undo_.get());
-    if (db_->txn_manager_ != nullptr) {
-      db_->txn_manager_->set_current(session->txn_);
-    }
+    db_->txn_manager_.set_current(session->txn_);
   }
 }
 
@@ -28,10 +26,7 @@ Database::StatementContext::~StatementContext() {
   Session* ambient = db_->default_session_.get();
   db_->catalog_.set_undo_log(ambient != nullptr ? ambient->undo_.get()
                                                 : nullptr);
-  if (db_->txn_manager_ != nullptr) {
-    db_->txn_manager_->set_current(ambient != nullptr ? ambient->txn_
-                                                      : nullptr);
-  }
+  db_->txn_manager_.set_current(ambient != nullptr ? ambient->txn_ : nullptr);
 }
 
 std::unique_ptr<Session> Database::OpenSession() {

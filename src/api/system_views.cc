@@ -147,7 +147,7 @@ void Database::RegisterSystemViews() {
 
   // sqlxnf_transactions: one row with the MVCC engine state — the commit
   // horizon, live transactions, retained versions, and lifetime counters.
-  // Empty when Options::mvcc is off. The fill runs under the statement
+  // Always exactly one row. The fill runs under the statement
   // latch, so the numbers are a consistent instant. Plain reads resolve
   // against the committed horizon without registering a transaction, so
   // active_txns counts only open BEGIN blocks and in-flight DML statements.
@@ -166,8 +166,7 @@ void Database::RegisterSystemViews() {
     must(catalog_.RegisterSystemView(
         "sqlxnf_transactions", std::move(schema), [this] {
           std::vector<Row> rows;
-          if (txn_manager_ == nullptr) return rows;
-          const TransactionManager& mgr = *txn_manager_;
+          const TransactionManager& mgr = txn_manager_;
           const TransactionManager::Stats& s = mgr.stats();
           rows.push_back(
               {Value::Int(static_cast<int64_t>(mgr.epoch())),

@@ -57,7 +57,7 @@ struct ViewInfo {
 };
 
 // Execution-strategy knobs consulted by the planner, the QGM rewriter, and
-// the batch expression evaluator. Defaults are the production settings; the
+// the columnar scan path. Defaults are the production settings; the
 // differential fuzz harness flips them to cross-check every point of the
 // configuration matrix against the same query text.
 struct ExecConfig {
@@ -67,10 +67,6 @@ struct ExecConfig {
   // QGM rewrite passes (view merging, predicate pushdown, constant folding)
   // run between build and plan. Off plans the raw graph.
   bool use_rewrite = true;
-  // Force row-at-a-time expression evaluation: EvalExprBatch /
-  // EvalPredicateBatch delegate to the scalar interpreter per row instead of
-  // evaluating column-wise.
-  bool scalar_eval = false;
   // Columnar scans may hand zero-copy column batches (selection vector +
   // lazily-decoded column views) to an eligible parent operator instead of
   // materializing rows at the scan: hash join then decodes build rows only
@@ -192,9 +188,11 @@ class Catalog {
   UndoLog* undo_log() const { return undo_log_; }
   void set_undo_log(UndoLog* log) { undo_log_ = log; }
 
-  // The MVCC transaction manager, or nullptr (isolation off — every read
-  // sees physical state). Set once by the Database facade; read paths ask
-  // it for snapshot-visible scans, write paths for conflict checks.
+  // The MVCC transaction manager. Set once by the Database facade, after
+  // WAL replay; read paths ask it for snapshot-visible scans, write paths
+  // for conflict checks. Null means only WAL replay (recovery applies the
+  // log physically, below any notion of visibility) or a bare Catalog with
+  // no Database around it — every read then sees physical state.
   TransactionManager* txn_manager() const { return txn_manager_; }
   void set_txn_manager(TransactionManager* mgr) { txn_manager_ = mgr; }
 

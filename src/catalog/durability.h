@@ -86,7 +86,7 @@ class DurableStore {
   Status Checkpoint();
 
   // Supplies the MVCC commit horizon serialized into each checkpoint's
-  // catalog meta page. Unset (or MVCC off) writes 0.
+  // catalog meta page. Unset writes 0.
   void set_epoch_source(std::function<uint64_t()> fn) {
     epoch_source_ = std::move(fn);
   }

@@ -43,6 +43,28 @@ Result<qgm::ExprPtr> CompileOverTable(const sql::Expr& expr,
   return plan::CompileExpr(*built, offsets);
 }
 
+// Runs a row-level op called directly — with no enclosing statement — on a
+// durable or MVCC catalog as its own statement: a StatementAtomicity
+// savepoint gives the WAL a bracketed record-marker pair and MVCC an
+// autocommit transaction, committed if `op` succeeds and rolled back if it
+// fails. Inside a statement, or on a catalog with neither, `op` just runs.
+// `op` returns Status or Result<T>.
+template <typename Op>
+auto AsStatement(Catalog* catalog, Op&& op) -> decltype(op()) {
+  if ((catalog->wal() == nullptr && catalog->txn_manager() == nullptr) ||
+      catalog->undo_log() != nullptr) {
+    return op();
+  }
+  StatementAtomicity statement(catalog);
+  auto result = op();
+  if (!result.ok()) {
+    XNF_RETURN_IF_ERROR(statement.Abort());
+    return result;
+  }
+  XNF_RETURN_IF_ERROR(statement.Commit());
+  return result;
+}
+
 }  // namespace
 
 StatementAtomicity::StatementAtomicity(Catalog* catalog)
@@ -122,20 +144,21 @@ Status StatementAtomicity::Abort() {
 }
 
 Result<Rid> DmlExecutor::InsertRow(TableInfo* table, Row row) {
-  // A direct call on a durable or MVCC database (no enclosing statement)
-  // is its own statement: give it a savepoint so the WAL sees a properly
-  // bracketed record-marker pair and MVCC sees an autocommit transaction.
-  if ((catalog_->wal() != nullptr || catalog_->txn_manager() != nullptr) &&
-      catalog_->undo_log() == nullptr) {
-    StatementAtomicity statement(catalog_);
-    Result<Rid> rid = InsertRow(table, std::move(row));
-    if (!rid.ok()) {
-      XNF_RETURN_IF_ERROR(statement.Abort());
-      return rid;
-    }
-    XNF_RETURN_IF_ERROR(statement.Commit());
-    return rid;
-  }
+  return AsStatement(catalog_,
+                     [&] { return ApplyInsert(table, std::move(row)); });
+}
+
+Status DmlExecutor::UpdateRow(TableInfo* table, Rid rid, Row new_row) {
+  return AsStatement(catalog_, [&] {
+    return ApplyUpdate(table, rid, std::move(new_row));
+  });
+}
+
+Status DmlExecutor::DeleteRow(TableInfo* table, Rid rid) {
+  return AsStatement(catalog_, [&] { return ApplyDelete(table, rid); });
+}
+
+Result<Rid> DmlExecutor::ApplyInsert(TableInfo* table, Row row) {
   XNF_RETURN_IF_ERROR(table->schema.CheckAndCoerceRow(&row));
   XNF_FAILPOINT("dml.apply.insert");
   // Redo reaches the log before the op applies (see wal.h): a failed append
@@ -173,17 +196,7 @@ Result<Rid> DmlExecutor::InsertRow(TableInfo* table, Row row) {
   return rid;
 }
 
-Status DmlExecutor::UpdateRow(TableInfo* table, Rid rid, Row new_row) {
-  if ((catalog_->wal() != nullptr || catalog_->txn_manager() != nullptr) &&
-      catalog_->undo_log() == nullptr) {
-    StatementAtomicity statement(catalog_);
-    Status st = UpdateRow(table, rid, std::move(new_row));
-    if (!st.ok()) {
-      XNF_RETURN_IF_ERROR(statement.Abort());
-      return st;
-    }
-    return statement.Commit();
-  }
+Status DmlExecutor::ApplyUpdate(TableInfo* table, Rid rid, Row new_row) {
   XNF_RETURN_IF_ERROR(table->schema.CheckAndCoerceRow(&new_row));
   // First-updater-wins, before anything touches storage: if another
   // in-flight transaction wrote this rid, or a commit newer than our
@@ -238,17 +251,7 @@ Status DmlExecutor::UpdateRow(TableInfo* table, Rid rid, Row new_row) {
   return Status::Ok();
 }
 
-Status DmlExecutor::DeleteRow(TableInfo* table, Rid rid) {
-  if ((catalog_->wal() != nullptr || catalog_->txn_manager() != nullptr) &&
-      catalog_->undo_log() == nullptr) {
-    StatementAtomicity statement(catalog_);
-    Status st = DeleteRow(table, rid);
-    if (!st.ok()) {
-      XNF_RETURN_IF_ERROR(statement.Abort());
-      return st;
-    }
-    return statement.Commit();
-  }
+Status DmlExecutor::ApplyDelete(TableInfo* table, Rid rid) {
   if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
     XNF_RETURN_IF_ERROR(mgr->CheckWrite(table->name, rid));
   }

@@ -51,7 +51,8 @@ class StatementAtomicity {
   UndoLog* log_;                     // transaction log or local_.get()
   std::unique_ptr<UndoLog> local_;   // set when no transaction was active
   // The autocommit MVCC transaction this statement opened, or nullptr
-  // (MVCC off, or executing inside an explicit transaction).
+  // (inside an explicit transaction, during WAL replay, or on a bare
+  // Catalog).
   TransactionManager::Transaction* txn_ = nullptr;
   size_t mark_ = 0;
   bool done_ = false;
@@ -73,12 +74,19 @@ class DmlExecutor {
   Result<int64_t> Delete(const sql::DeleteStmt& stmt);
 
   // Low-level helpers shared with the XNF manipulation layer (§3.7 of the
-  // paper propagates cache operations to base tables through these).
+  // paper propagates cache operations to base tables through these). A
+  // call made outside any statement on a durable or MVCC catalog runs as
+  // its own autocommit statement.
   Result<Rid> InsertRow(TableInfo* table, Row row);
   Status UpdateRow(TableInfo* table, Rid rid, Row new_row);
   Status DeleteRow(TableInfo* table, Rid rid);
 
  private:
+  // The row ops proper, always inside the caller's statement (if any).
+  Result<Rid> ApplyInsert(TableInfo* table, Row row);
+  Status ApplyUpdate(TableInfo* table, Rid rid, Row new_row);
+  Status ApplyDelete(TableInfo* table, Rid rid);
+
   Catalog* catalog_;
 };
 

@@ -383,12 +383,6 @@ Result<std::vector<Value>> EvalRowWise(const qgm::Expr& expr,
 Result<std::vector<Value>> EvalExprBatch(const qgm::Expr& expr,
                                          const std::vector<const Row*>& rows,
                                          EvalContext* ctx) {
-  // Forced row-at-a-time mode (ExecConfig::scalar_eval): every expression
-  // goes through the scalar interpreter, bypassing the column-wise kernels.
-  if (ctx->exec != nullptr && ctx->exec->catalog != nullptr &&
-      ctx->exec->catalog->exec_config().scalar_eval) {
-    return EvalRowWise(expr, rows, ctx);
-  }
   using K = qgm::Expr::Kind;
   const size_t n = rows.size();
   std::vector<Value> out;
@@ -556,9 +550,7 @@ Status EvalPredicateBatch(const qgm::Expr& pred,
   }
   if (alive.empty()) return Status::Ok();
 
-  bool force_scalar = ctx->exec != nullptr && ctx->exec->catalog != nullptr &&
-                      ctx->exec->catalog->exec_config().scalar_eval;
-  if (ExprHasSubquery(pred) || force_scalar) {
+  if (ExprHasSubquery(pred)) {
     EvalContext local = *ctx;
     for (size_t j = 0; j < alive.size(); ++j) {
       local.row = alive[j];

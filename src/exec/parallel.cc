@@ -711,15 +711,9 @@ Status ParallelFilterScan(const TableInfo& table,
     overlay = &mvcc_overlay;
   }
 
-  // Columnar fast path: kernel prefix + late materialization. Forced
-  // scalar evaluation falls back to the generic row-materializing scan so
-  // ExecConfig::scalar_eval remains a whole-pipeline row-at-a-time
-  // baseline for the differential harness.
+  // Columnar fast path: kernel prefix + late materialization.
   const ColumnStore* column_store = storage.AsColumnStore();
-  const bool force_scalar =
-      ctx->catalog != nullptr && ctx->catalog->exec_config().scalar_eval;
-  const bool columnar =
-      column_store != nullptr && !force_scalar && overlay == nullptr;
+  const bool columnar = column_store != nullptr && overlay == nullptr;
   ColumnScanPlan column_plan;
   if (columnar) {
     column_plan = BuildColumnScanPlan(
@@ -974,8 +968,7 @@ Status TryLateFilterScan(const TableInfo& table,
   *stats = ScanStats{};
   const ColumnStore* store = table.storage->AsColumnStore();
   if (store == nullptr || ctx->catalog == nullptr) return Status::Ok();
-  const ExecConfig& config = ctx->catalog->exec_config();
-  if (config.scalar_eval || !config.late_materialization) return Status::Ok();
+  if (!ctx->catalog->exec_config().late_materialization) return Status::Ok();
   // MVCC: column batches view physical segments; a snapshot that must hide
   // or substitute rows needs the row-wise overlay merge, so decline and let
   // the caller take the materializing scan.

@@ -26,8 +26,8 @@ struct ScanStats {
   // touched (modulo the group header) — the fault counters agree.
   uint64_t columns_decoded = 0;
   uint64_t columns_skipped = 0;
-  // True iff the columnar kernel path ran (column table, scalar_eval off);
-  // then kernel_filters of the total_filters pushed filters were evaluated
+  // True iff the columnar kernel path ran (column table whose physical
+  // state the snapshot may read directly); then kernel_filters of the total_filters pushed filters were evaluated
   // by the SIMD kernel prefix. Row scans leave all three at their zero
   // defaults.
   bool columnar = false;
@@ -139,8 +139,8 @@ struct LateScan {
 // in morsel (= page) order. The output is therefore row-for-row identical
 // to a serial scan at any degree of parallelism and for either layout.
 //
-// For columnar tables (unless ExecConfig::scalar_eval forces the scalar
-// interpreter) a kernelizable prefix of `filters` — `col cmp literal`,
+// For columnar tables (unless the MVCC snapshot needs the row-wise overlay
+// merge) a kernelizable prefix of `filters` — `col cmp literal`,
 // `(col arith literal) cmp literal`, `col IS [NOT] NULL` — runs on the
 // column segments through the SIMD kernel registry before any row is
 // materialized; survivors are gathered with only the `referenced` columns
@@ -164,8 +164,8 @@ Status ParallelFilterScan(const TableInfo& table,
 // Late-materializing variant: instead of gathering rows, hand the kernel
 // survivors upward as ColBatches (selection vector + lazy column views).
 // Taken only when the table is columnar, ExecConfig::late_materialization
-// is on, scalar_eval is off, and *every* pushed filter kernelized (a scalar
-// remainder would need gathered rows anyway); otherwise returns Ok with
+// is on, the snapshot may read physical state, and *every* pushed filter
+// kernelized (a scalar remainder would need gathered rows anyway); otherwise returns Ok with
 // out->store == nullptr and the caller falls back to ParallelFilterScan.
 // Same morsel decomposition, merge order, and cluster-tag pruning as the
 // eager path, so batch rows concatenate to the identical scan output.

@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <iterator>
+
 #include "common/failpoint.h"
 
 namespace xnf {
@@ -44,16 +46,34 @@ Status BufferPool::Touch(PageId id, PageKind kind) {
     }
     if (victim != lru_list_.end()) {
       XNF_FAILPOINT("bufferpool.evict");
-      auto vit = lru_map_.find(*victim);
-      PageKind victim_kind = vit->second.kind;
-      lru_map_.erase(vit);
-      lru_list_.erase(victim);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      by_kind_[static_cast<int>(victim_kind)].evictions.fetch_add(
-          1, std::memory_order_relaxed);
+      EvictLocked(victim);
     }
   }
   return Status::Ok();
+}
+
+void BufferPool::EvictLocked(std::list<PageId>::iterator victim) {
+  auto vit = lru_map_.find(*victim);
+  PageKind victim_kind = vit->second.kind;
+  lru_map_.erase(vit);
+  lru_list_.erase(victim);
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+  by_kind_[static_cast<int>(victim_kind)].evictions.fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+void BufferPool::ShrinkLocked() {
+  if (capacity_ == 0) return;
+  // Walk from the LRU end; erasing a list node leaves `next` valid.
+  auto next = lru_list_.end();
+  while (lru_map_.size() > capacity_ && next != lru_list_.begin()) {
+    auto victim = std::prev(next);
+    if (pins_.find(*victim) != pins_.end()) {
+      next = victim;
+    } else {
+      EvictLocked(victim);
+    }
+  }
 }
 
 void BufferPool::Pin(PageId id) {
@@ -66,6 +86,7 @@ void BufferPool::Unpin(PageId id) {
   auto it = pins_.find(id);
   if (it == pins_.end()) return;
   if (--it->second == 0) pins_.erase(it);
+  ShrinkLocked();
 }
 
 void BufferPool::PinRange(uint32_t file, uint32_t page_begin,
@@ -84,6 +105,7 @@ void BufferPool::UnpinRange(uint32_t file, uint32_t page_begin,
     if (it == pins_.end()) continue;
     if (--it->second == 0) pins_.erase(it);
   }
+  ShrinkLocked();
 }
 
 void BufferPool::Clear() {

@@ -72,7 +72,9 @@ class BufferPool {
   // Pins exempt a page from eviction; they do not count an access or make
   // the page resident (the next Touch faults it in as usual). Morsel
   // workers pin their page range for the duration of the morsel. Unpin of
-  // an unpinned page is a no-op. Pins nest (count per page).
+  // an unpinned page is a no-op. Pins nest (count per page). A bounded
+  // pool that pins held over capacity shrinks back at unpin, evicting
+  // unpinned pages least recently used first.
   void Pin(PageId id);
   void Unpin(PageId id);
   // Range forms take the pool lock once for the whole range — morsel
@@ -178,6 +180,13 @@ class BufferPool {
     std::list<PageId>::iterator it;
     PageKind kind = PageKind::kHeap;
   };
+
+  // Removes resident page `victim` and counts the eviction. Caller holds
+  // mu_.
+  void EvictLocked(std::list<PageId>::iterator victim);
+  // Evicts unpinned pages, LRU first, while the pool is over capacity.
+  // Caller holds mu_.
+  void ShrinkLocked();
 
   size_t capacity_;
   std::atomic<uint64_t> accesses_{0};

@@ -12,13 +12,12 @@ namespace xnf::testing {
 
 // One engine configuration of the differential matrix. Configurations with
 // the same (use_indexes, use_rewrite) pair must produce bit-identical row
-// sequences: the executed plan is the same, and parallelism/batching/CSE are
+// sequences: the executed plan is the same, and parallelism and CSE are
 // implementation strategies that may not change observable order. Across
 // groups only multiset equality (plus ORDER BY sortedness) is required.
 struct EngineConfig {
   int threads = 1;
-  bool scalar_eval = false;  // scalar (row-at-a-time) expression evaluation
-  bool use_cse = true;       // XNF edge queries over CSE temps vs inline
+  bool use_cse = true;  // XNF edge queries over CSE temps vs inline
   bool use_indexes = true;
   bool use_rewrite = true;
   // Default storage layout for tables created without a USING clause. NOT
@@ -47,8 +46,9 @@ struct EngineConfig {
 };
 
 // The default matrix: every (use_indexes, use_rewrite) plan group, crossed
-// with serial/parallel execution, batch/scalar evaluation, CSE on/off, and
-// row/columnar default storage (one columnar member per plan group).
+// with serial/parallel execution, CSE on/off, row/columnar default storage
+// (one columnar member per plan group), late vs decode-at-scan columnar
+// batches, and durable reopen-per-statement engines.
 std::vector<EngineConfig> DefaultMatrix();
 
 // A detected divergence: which statement (index into the script), what the

@@ -267,16 +267,6 @@ TEST(SystemViews, TransactionsViewSchemaAndHandVerifiedCounters) {
   ASSERT_EQ(filtered->rows.size(), 1u);
 }
 
-TEST(SystemViews, TransactionsViewEmptyWhenMvccOff) {
-  Database::Options opts = RowLayout();
-  opts.mvcc = false;
-  Database db{opts};
-  MustExecute(&db, "CREATE TABLE t (a INT); INSERT INTO t VALUES (1)");
-  auto r = db.Query("SELECT epoch FROM sqlxnf_transactions");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), 0u);
-}
-
 TEST(SystemViews, ReservedPrefixRejectedForUserObjects) {
   Database db;
   auto t = db.Execute("CREATE TABLE sqlxnf_mine (a INT)");

@@ -87,6 +87,29 @@ TEST(BufferPoolKinds, UnboundedPoolNeverEvicts) {
   EXPECT_EQ(pool.resident_pages(PageKind::kColumn), 100u);
 }
 
+// Pins may hold a bounded pool over capacity (parallel morsels pin their
+// page ranges before touching them); once they drain, the pool is back
+// within capacity, evicting the unpinned pages least recently used first.
+TEST(BufferPoolKinds, PoolShrinksToCapacityWhenPinsDrain) {
+  BufferPool pool(2);
+  pool.PinRange(0, 0, 3);
+  pool.Pin({1, 0});
+  for (uint32_t p = 0; p < 3; ++p) ASSERT_OK(pool.Touch({0, p}));
+  ASSERT_OK(pool.Touch({1, 0}, PageKind::kIndex));
+  EXPECT_EQ(pool.resident_pages(), 4u);  // every page pinned: no victim
+  EXPECT_EQ(pool.evictions(), 0u);
+
+  pool.UnpinRange(0, 0, 3);  // {1,0} still pinned
+  EXPECT_EQ(pool.resident_pages(), 2u);
+  EXPECT_EQ(pool.evictions(PageKind::kHeap), 2u);  // pages 0 and 1, LRU
+  ASSERT_OK(pool.Touch({0, 2}));
+  EXPECT_EQ(pool.faults(), 4u);  // page 2 stayed resident
+
+  pool.Unpin({1, 0});
+  EXPECT_EQ(pool.resident_pages(), 2u);  // already within capacity
+  EXPECT_EQ(pool.faults(), pool.resident_pages() + pool.evictions());
+}
+
 // End-to-end: the same invariant holds for the pool inside a Database under
 // a real mixed workload (heap scans + columnar scans) with a bounded pool.
 TEST(BufferPoolKinds, DatabaseMixedWorkloadCountersSumToTotals) {
