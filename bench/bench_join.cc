@@ -1,33 +1,19 @@
-// ABBA late-materialization benchmark: the PR's headline workloads — a
-// selective hash join over columnar inputs, an XNF CO extraction with a
-// TAKE column list, and a grouped aggregation — run against four engines
-// that differ only in storage clause and Options::late_materialization:
+// Column-batch workloads on row vs columnar storage: a selective hash join
+// (the probe decodes payload columns only for matching rows), an XNF CO
+// extraction with a TAKE column list (untaken columns are never decoded),
+// and a grouped aggregation that accumulates straight off column views.
+// Each runs against a row-storage and a columnar engine with the same
+// logical contents; result row counts are cross-checked between the two
+// before any timing is trusted. Not gated: the columnar scan picks column
+// batches by itself, so there is no baseline engine to compare against.
 //
-//   row-late / row-eager    late materialization is a no-op on row tables;
-//                           this pair is the CI regression gate (<2%).
-//   col-late / col-eager    col-eager is the PR 6 decode-at-scan baseline;
-//                           this pair is the speedup recorded in
-//                           EXPERIMENTS.md ("Late materialization").
-//
-// Each pair runs against ONE database whose exec-config flag is flipped
-// between runs — two separate instances differ in allocation layout, which
-// alone is worth ±2% and would drown the gate. Each round interleaves the
-// pair A B B A so clock/thermal drift cancels, and the verdict is the
-// median of per-round ratios (see metrics_overhead.cc for the rationale).
-// Result row counts are cross-checked across all four configurations
-// before any timing is trusted.
-//
-//   ./bench_join                       print speedups and the gate ratio
-//   ./bench_join --check               exit 1 if the row-pair gate > 2%
-//   ./bench_join --threshold=1.5       override the 2% gate
-//   ./bench_join --rounds=N            ABBA rounds (default 9)
+//   ./bench_join            print per-engine medians
 //
 // Medians are appended to BENCH_results.json (see util.h).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,14 +29,6 @@ constexpr int kFactRows = 120000;  // probe side; ~1% of rows find a match
 constexpr int kKeySpace = 100000;
 constexpr int kWideRows = 60000;   // 12-column CO source, mostly strings
 constexpr int kQueriesPerRun = 3;
-
-// Flips the late-materialization axis on a live engine: plans are built per
-// statement, so the next query picks the flag up immediately.
-void SetLate(Database* db, bool late) {
-  ExecConfig cfg = db->catalog()->exec_config();
-  cfg.late_materialization = late;
-  db->catalog()->set_exec_config(cfg);
-}
 
 std::unique_ptr<Database> MakeDb(bool columnar) {
   Database::Options o;
@@ -82,8 +60,8 @@ std::unique_ptr<Database> MakeDb(bool columnar) {
   fact.reserve(kFactRows);
   for (int i = 0; i < kFactRows; ++i) {
     // Keys key0..key999 (the dim range) appear on ~1% of probe rows; the
-    // string payloads are what the eager engine decodes for every row and
-    // the late engine only for matches.
+    // string payloads are what a row scan materializes for every row and
+    // the columnar probe decodes only for matches.
     int key = (i * 131) % kKeySpace;
     fact.push_back(Row{Value::Int(i), Value::String("key" + std::to_string(key)),
                        Value::Int(i % 64), Value::Int(i % 1000),
@@ -173,36 +151,21 @@ double Median(std::vector<double> v) {
 }
 
 int Main(int argc, char** argv) {
-  bool check = false;
-  double threshold = 2.0;
-  int rounds = 9;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--check") {
-      check = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::atof(arg.c_str() + 12);
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      rounds = std::atoi(arg.c_str() + 9);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown flag: %s\n", argv[1]);
+    return 2;
   }
+  constexpr int kRounds = 5;
 
   std::unique_ptr<Database> row_db = MakeDb(/*columnar=*/false);
   std::unique_ptr<Database> col_db = MakeDb(/*columnar=*/true);
-  // Logical configurations: (database, flag) pairs over the two instances.
   struct Config {
     const char* label;
     Database* db;
-    bool late;
   };
-  const Config configs[4] = {
-      {"row-late", row_db.get(), true},
-      {"row-eager", row_db.get(), false},
-      {"col-late", col_db.get(), true},
-      {"col-eager", col_db.get(), false},
+  const Config configs[2] = {
+      {"row", row_db.get()},
+      {"col", col_db.get()},
   };
 
   const Workload workloads[] = {
@@ -215,59 +178,31 @@ int Main(int argc, char** argv) {
   // cardinality: a fast engine that returns different rows is a bug, not a
   // speedup.
   for (const Workload& w : workloads) {
-    size_t expect = 0;
-    for (int e = 0; e < 4; ++e) {
-      SetLate(configs[e].db, configs[e].late);
-      Timed t = w.run(configs[e].db);
-      if (e == 0) {
-        expect = t.count;
-      } else if (t.count != expect) {
-        std::fprintf(stderr,
-                     "FAIL: %s on %s returned %zu rows, expected %zu\n",
-                     w.name, configs[e].label, t.count, expect);
-        return 1;
-      }
+    const size_t expect = w.run(configs[0].db).count;
+    const size_t got = w.run(configs[1].db).count;
+    if (got != expect) {
+      std::fprintf(stderr, "FAIL: %s on %s returned %zu rows, expected %zu\n",
+                   w.name, configs[1].label, got, expect);
+      return 1;
     }
   }
 
-  bool gate_failed = false;
   std::vector<BenchResult> json;
   for (const Workload& w : workloads) {
-    // Per-configuration per-run samples (two runs per round from the ABBA
-    // order). A timed run under config e: flip the flag, run, record.
-    std::vector<double> samples[4];
-    auto timed = [&](int e) {
-      SetLate(configs[e].db, configs[e].late);
-      samples[e].push_back(w.run(configs[e].db).seconds);
-      return samples[e].back();
-    };
-    std::vector<double> row_regression, col_speedup;
-    for (int r = 0; r < rounds; ++r) {
-      // Row pair: late(A) eager(B) eager(B) late(A).
-      double row_late = timed(0);
-      double row_eager = timed(1) + timed(1);
-      row_late += timed(0);
-      row_regression.push_back((row_late - row_eager) / row_eager * 100.0);
-      // Column pair: eager(A) late(B) late(B) eager(A).
-      double col_eager = timed(3);
-      double col_late = timed(2) + timed(2);
-      col_eager += timed(3);
-      col_speedup.push_back(col_eager / col_late);
+    // Interleave the engines round by round so clock/thermal drift hits
+    // both alike.
+    std::vector<double> samples[2];
+    for (int r = 0; r < kRounds; ++r) {
+      for (int e = 0; e < 2; ++e) {
+        samples[e].push_back(w.run(configs[e].db).seconds);
+      }
     }
-    const double gate = Median(row_regression);
-    const double speedup = Median(col_speedup);
-    std::printf("%-18s col-eager/col-late speedup: %.2fx   "
-                "row late-vs-eager: %+.2f%%  (rounds:", w.name, speedup, gate);
-    for (double s : col_speedup) std::printf(" %.2fx", s);
-    std::printf(")\n");
-    if (check && gate > threshold) {
-      std::fprintf(stderr,
-                   "FAIL: %s row-engine late-materialization overhead "
-                   "%.2f%% exceeds the %.2f%% gate\n",
-                   w.name, gate, threshold);
-      gate_failed = true;
-    }
-    for (int e = 0; e < 4; ++e) {
+    const double row_med = Median(samples[0]);
+    const double col_med = Median(samples[1]);
+    std::printf("%-18s row %8.2f ms   col %8.2f ms   row/col %.2fx\n", w.name,
+                row_med / kQueriesPerRun * 1e3, col_med / kQueriesPerRun * 1e3,
+                row_med / col_med);
+    for (int e = 0; e < 2; ++e) {
       BenchResult res;
       res.name = w.name;
       res.config = configs[e].label;
@@ -280,7 +215,7 @@ int Main(int argc, char** argv) {
     }
   }
   WriteBenchJson("bench_join", json);
-  return gate_failed ? 1 : 0;
+  return 0;
 }
 
 }  // namespace

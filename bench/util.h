@@ -68,7 +68,7 @@ void BuildWorkingSetDatabase(Database* db, const WorkingSetOptions& options);
 // SQLXNF_BENCH_JSON environment variable (default "BENCH_results.json" in
 // the working directory), so several bench binaries can contribute to one
 // artifact:
-//   {"binary":"bench_join","name":"selective_join","config":"col-late",
+//   {"binary":"bench_join","name":"selective_join","config":"col",
 //    "rows_per_sec":1.2e6,"median_real_ns":3.4e6,"iterations":9,
 //    "build_type":"Release","nproc":4,"commit":"29e41da"}
 // Every record is stamped with the CMake build type, the hardware thread

@@ -99,7 +99,6 @@ Database::Database(Options options)
   ExecConfig exec_config;
   exec_config.use_indexes = options.use_indexes;
   exec_config.use_rewrite = options.use_rewrite;
-  exec_config.late_materialization = options.late_materialization;
   catalog_.set_exec_config(exec_config);
   // Fault injection: the Options spec first, then the environment on top
   // (the env wins on per-site conflicts). Both are no-ops when empty; a

@@ -85,7 +85,6 @@ class Database {
     // combination; production code leaves the defaults alone.
     bool use_indexes = true;
     bool use_rewrite = true;
-    bool late_materialization = true;
     // Physical layout for CREATE TABLE without a USING clause. Unset means:
     // the SQLXNF_STORAGE environment variable ("row"/"column") if present,
     // else row storage. An explicit value here wins over the environment (so

@@ -56,10 +56,10 @@ struct ViewInfo {
   bool is_xnf = false;
 };
 
-// Execution-strategy knobs consulted by the planner, the QGM rewriter, and
-// the columnar scan path. Defaults are the production settings; the
-// differential fuzz harness flips them to cross-check every point of the
-// configuration matrix against the same query text.
+// Execution-strategy knobs consulted by the planner and the QGM rewriter.
+// Defaults are the production settings; the differential fuzz harness
+// flips them to cross-check every point of the configuration matrix
+// against the same query text.
 struct ExecConfig {
   // Planner may select index access paths (IndexLookup / index nested-loop
   // join). Off forces scans + hash/nested-loop joins.
@@ -67,13 +67,6 @@ struct ExecConfig {
   // QGM rewrite passes (view merging, predicate pushdown, constant folding)
   // run between build and plan. Off plans the raw graph.
   bool use_rewrite = true;
-  // Columnar scans may hand zero-copy column batches (selection vector +
-  // lazily-decoded column views) to an eligible parent operator instead of
-  // materializing rows at the scan: hash join then decodes build rows only
-  // on emit and aggregation reads its inputs straight off the views. Off
-  // pins the PR 6 behaviour (decode at the scan) — the differential
-  // harness's late-materialization axis. Row tables are unaffected.
-  bool late_materialization = true;
 };
 
 // Name-to-object registry for one database. Names are case-insensitive.

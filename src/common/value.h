@@ -115,6 +115,17 @@ int CompareRows(const Row& a, const Row& b);
 // True iff rows are equal under GroupEquals element-wise.
 bool RowsEqual(const Row& a, const Row& b);
 
+// Hash / equality functors over HashRow / RowsEqual, for unordered
+// containers keyed by rows (join keys, DISTINCT, GROUP BY, index keys).
+struct RowHash {
+  size_t operator()(const Row& r) const { return HashRow(r); }
+};
+struct RowEq {
+  bool operator()(const Row& a, const Row& b) const {
+    return RowsEqual(a, b);
+  }
+};
+
 // Renders "(v1, v2, ...)".
 std::string RowToString(const Row& row);
 

@@ -249,7 +249,7 @@ Status SeqScanOp::NextBatchImpl(RowBatch* out) {
   out->clear();
   if (late_.store != nullptr) {
     // Late path taken but a consumer is pulling rows anyway: materialize
-    // the selected slots in batch (= group) order — exactly the eager
+    // the selected slots in batch (= group) order — exactly the gathering
     // scan's output stream.
     while (!out->full() && late_batch_ < late_.batches.size()) {
       ColBatch& b = late_.batches[late_batch_];
@@ -826,20 +826,22 @@ Result<bool> HashJoinOp::AdvanceLeft() {
     if (col[i].is_null()) has_null = true;
     key.push_back(std::move(col[i]));
   }
-  if (!has_null) {
-    if (build_mode_ == BuildMode::kRef) {
-      auto it = ref_table_.find(key);
-      if (it != ref_table_.end()) ref_matches_ = &it->second;
-    } else if (!partitions_.empty()) {
-      const BuildTable& part =
-          partitions_.size() == 1
-              ? partitions_[0]
-              : partitions_[HashRow(key) % partitions_.size()];
-      auto it = part.find(key);
-      if (it != part.end()) matches_ = &it->second;
-    }
-  }
+  if (!has_null) LookupMatches(key);
   return true;
+}
+
+void HashJoinOp::LookupMatches(const Row& key) {
+  if (build_mode_ == BuildMode::kRef) {
+    auto it = ref_table_.find(key);
+    if (it != ref_table_.end()) ref_matches_ = &it->second;
+  } else if (!partitions_.empty()) {
+    const BuildTable& part =
+        partitions_.size() == 1
+            ? partitions_[0]
+            : partitions_[HashRow(key) % partitions_.size()];
+    auto it = part.find(key);
+    if (it != part.end()) matches_ = &it->second;
+  }
 }
 
 Result<bool> HashJoinOp::AdvanceLeftColumnar() {
@@ -889,19 +891,7 @@ Result<bool> HashJoinOp::AdvanceLeftColumnar() {
       if (val.is_null()) has_null = true;
       key.push_back(std::move(val));
     }
-    if (!has_null) {
-      if (build_mode_ == BuildMode::kRef) {
-        auto it = ref_table_.find(key);
-        if (it != ref_table_.end()) ref_matches_ = &it->second;
-      } else if (!partitions_.empty()) {
-        const BuildTable& part =
-            partitions_.size() == 1
-                ? partitions_[0]
-                : partitions_[HashRow(key) % partitions_.size()];
-        auto it = part.find(key);
-        if (it != part.end()) matches_ = &it->second;
-      }
-    }
+    if (!has_null) LookupMatches(key);
     return true;
   }
   have_left_ = false;
@@ -1167,16 +1157,28 @@ Result<Value> AggregateOp::Finalize(const AggState& state,
   return Status::Internal("unhandled aggregate");
 }
 
+AggregateOp::Group* AggregateOp::FindOrAddGroup(GroupIndex* index, Row key,
+                                                bool* added) {
+  auto [it, inserted] = index->try_emplace(std::move(key), groups_.size());
+  *added = inserted;
+  if (inserted) {
+    groups_.emplace_back();
+    groups_.back().states.resize(aggs_.size());
+  }
+  return &groups_[it->second];
+}
+
+void AggregateOp::AddScalarDefaultGroup() {
+  // Scalar aggregation over an empty input yields one all-default group.
+  if (!scalar_ || !groups_.empty()) return;
+  groups_.emplace_back();
+  Group& g = groups_.back();
+  g.representative.resize(child_->schema().size(), Value::Null());
+  g.states.resize(aggs_.size());
+}
+
 Status AggregateOp::AccumulateColumnar(LateScan* scan) {
-  struct KeyHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
-  std::unordered_map<Row, size_t, KeyHash, KeyEq> index;
+  GroupIndex index;
   std::vector<const ColumnStore::ColumnView*> key_views(group_keys_.size());
   std::vector<const ColumnStore::ColumnView*> arg_views(aggs_.size());
   for (ColBatch& b : scan->batches) {
@@ -1198,19 +1200,13 @@ Status AggregateOp::AccumulateColumnar(LateScan* scan) {
       for (const ColumnStore::ColumnView* v : key_views) {
         key.push_back(ColumnStore::ViewValue(*v, i));
       }
-      Group* group;
-      auto it = index.find(key);
-      if (it == index.end()) {
-        index.emplace(std::move(key), groups_.size());
-        groups_.emplace_back();
-        group = &groups_.back();
+      bool added = false;
+      Group* group = FindOrAddGroup(&index, std::move(key), &added);
+      if (added) {
         // Only each group's first row is ever materialized — exactly the
-        // row the eager path would have copied as the representative.
+        // row the row stream would have copied as the representative.
         XNF_RETURN_IF_ERROR(
             b.MaterializeRow(scan->materialize, i, &group->representative));
-        group->states.resize(aggs_.size());
-      } else {
-        group = &groups_[it->second];
       }
       for (size_t a = 0; a < aggs_.size(); ++a) {
         if (aggs_[a].func == qgm::AggFunc::kCountStar) {
@@ -1261,27 +1257,14 @@ Status AggregateOp::OpenImpl(ExecContext* ctx) {
     LateScan* late = scan->late_scan();
     if (late != nullptr && SlotsMaterialized(touched_slots, *late)) {
       XNF_RETURN_IF_ERROR(AccumulateColumnar(late));
-      if (scalar_ && groups_.empty()) {
-        groups_.emplace_back();
-        Group& g = groups_.back();
-        g.representative.resize(child_->schema().size(), Value::Null());
-        g.states.resize(aggs_.size());
-      }
+      AddScalarDefaultGroup();
       return Status::Ok();
     }
     // Late path not taken (or bitmap mismatch): the scan's NextBatch
     // materializes rows, so the classic drain below runs unchanged.
   }
 
-  struct KeyHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
-  std::unordered_map<Row, size_t, KeyHash, KeyEq> index;
+  GroupIndex index;
 
   EvalContext ectx;
   ectx.exec = ctx;
@@ -1307,17 +1290,9 @@ Status AggregateOp::OpenImpl(ExecContext* ctx) {
       for (std::vector<Value>& col : key_cols) {
         key.push_back(std::move(col[i]));
       }
-      Group* group;
-      auto it = index.find(key);
-      if (it == index.end()) {
-        index.emplace(std::move(key), groups_.size());
-        groups_.emplace_back();
-        group = &groups_.back();
-        group->representative = row;
-        group->states.resize(aggs_.size());
-      } else {
-        group = &groups_[it->second];
-      }
+      bool added = false;
+      Group* group = FindOrAddGroup(&index, std::move(key), &added);
+      if (added) group->representative = row;
       for (size_t a = 0; a < aggs_.size(); ++a) {
         XNF_RETURN_IF_ERROR(
             Accumulate(&group->states[a], aggs_[a], row, &ectx));
@@ -1325,13 +1300,7 @@ Status AggregateOp::OpenImpl(ExecContext* ctx) {
     }
   }
 
-  // Scalar aggregation over an empty input yields one all-default group.
-  if (scalar_ && groups_.empty()) {
-    groups_.emplace_back();
-    Group& g = groups_.back();
-    g.representative.resize(child_->schema().size(), Value::Null());
-    g.states.resize(aggs_.size());
-  }
+  AddScalarDefaultGroup();
   return Status::Ok();
 }
 

@@ -294,14 +294,6 @@ class HashJoinOp : public Operator {
   uint64_t EstimateRowsImpl(const Catalog* catalog) const override;
 
  private:
-  struct RowHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct RowEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
   // Build table partition: key -> build rows in build-input order. The
   // per-key vector makes the match order an explicit invariant (input
   // order) instead of relying on unordered_multimap iteration, which is
@@ -333,6 +325,9 @@ class HashJoinOp : public Operator {
   // batches and deferring row materialization until a match (or outer pad)
   // needs it.
   Result<bool> AdvanceLeftColumnar();
+  // Points matches_ (kRow) or ref_matches_ (kRef) at the build entries for
+  // a non-NULL probe key; leaves both null when nothing matches.
+  void LookupMatches(const Row& key);
   // Builds kRef / kCode tables over the right scan's column batches.
   Status OpenBuildColumnar();
   // Materializes current_left_row_ if AdvanceLeftColumnar deferred it.
@@ -425,15 +420,7 @@ class IndexNLJoinOp : public Operator {
   // MVCC fallback (see OpenImpl): when the snapshot cannot trust the
   // index's physical rids, the visible inner rows are hashed by index key
   // at Open and probed instead. Same key semantics as the index itself.
-  struct KeyHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
-  std::optional<std::unordered_multimap<Row, Row, KeyHash, KeyEq>>
+  std::optional<std::unordered_multimap<Row, Row, RowHash, RowEq>>
       visible_map_;
   std::vector<Row> matched_;
   size_t match_pos_ = 0;
@@ -482,6 +469,15 @@ class AggregateOp : public Operator {
     Row representative;
     std::vector<AggState> states;
   };
+  // Group key -> index into groups_ (first-seen order).
+  using GroupIndex = std::unordered_map<Row, size_t, RowHash, RowEq>;
+
+  // The group for `key`, appended with fresh states on first sight; then
+  // `*added` is set and the caller fills in the representative row.
+  Group* FindOrAddGroup(GroupIndex* index, Row key, bool* added);
+  // Scalar aggregation (no GROUP BY) over an empty input still yields one
+  // all-default group.
+  void AddScalarDefaultGroup();
 
   Status Accumulate(AggState* state, const qgm::AggSpec& spec,
                     const Row& input, EvalContext* ectx);
@@ -557,14 +553,6 @@ class DistinctOp : public Operator {
   uint64_t EstimateRowsImpl(const Catalog* catalog) const override;
 
  private:
-  struct RowHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct RowEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
   OperatorPtr child_;
   std::unordered_set<Row, RowHash, RowEq> seen_;
   RowBatch input_;
@@ -622,14 +610,6 @@ class UnionOp : public Operator {
   uint64_t EstimateRowsImpl(const Catalog* catalog) const override;
 
  private:
-  struct RowHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct RowEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
   std::vector<OperatorPtr> children_;
   bool distinct_;
   ExecContext* ctx_ = nullptr;
@@ -667,14 +647,6 @@ class IntersectExceptOp : public Operator {
   uint64_t EstimateRowsImpl(const Catalog* catalog) const override;
 
  private:
-  struct RowHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct RowEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
   OperatorPtr left_;
   OperatorPtr right_;
   bool is_except_;

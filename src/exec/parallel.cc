@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <optional>
+#include <utility>
 
 #include "catalog/mvcc.h"
 #include "common/metrics.h"
@@ -15,9 +16,12 @@
 namespace xnf::exec {
 namespace {
 
+// One morsel's output: rows (+ rids) from a gathering scan, or column
+// batches from the batch scan, plus the decode / pruning counters.
 struct MorselOut {
   std::vector<Row> rows;
   std::vector<Rid> rids;
+  std::vector<ColBatch> batches;
   uint64_t columns_decoded = 0;
   uint64_t columns_skipped = 0;
   uint64_t groups_pruned = 0;  // clustered tables: groups skipped by tag
@@ -99,6 +103,82 @@ struct MorselPinGuard {
   }
   ~MorselPinGuard() { storage.UnpinRange(begin, end); }
 };
+
+using MorselFn = std::function<Status(uint32_t begin, uint32_t end,
+                                      MorselOut* out)>;
+
+// The morsel driver of every filtering scan: splits the table's pages into
+// page-range morsels, runs `morsel` over them on the executor pool, and
+// concatenates the outputs in morsel (= page) order into `merged`, so the
+// result is identical to a single serial morsel at any DOP. Runs the whole
+// table as one morsel, serially, when there is no pool, its DOP is 1, or
+// the table is small. Adds the morsels' counters and the DOP used to
+// `stats`.
+Status RunMorsels(const TableStorage& storage, ExecContext* ctx,
+                  const MorselFn& morsel, MorselOut* merged,
+                  ScanStats* stats) {
+  const uint32_t pages = static_cast<uint32_t>(storage.page_count());
+  ThreadPool* pool =
+      ctx->catalog != nullptr ? ctx->catalog->exec_pool() : nullptr;
+  const int dop = pool != nullptr ? pool->dop() : 1;
+  auto add_counters = [stats](const MorselOut& out) {
+    stats->columns_decoded += out.columns_decoded;
+    stats->columns_skipped += out.columns_skipped;
+    stats->groups_pruned += out.groups_pruned;
+    stats->groups_total += out.groups_total;
+  };
+
+  if (dop <= 1 || pages < 2 * kMinMorselPages) {
+    XNF_RETURN_IF_ERROR(morsel(0, pages, merged));
+    add_counters(*merged);
+    return Status::Ok();
+  }
+
+  // Aim for ~4 morsels per worker so fast workers pick up slack from slow
+  // ones, but never below kMinMorselPages pages per morsel.
+  const uint32_t morsel_pages =
+      std::max(kMinMorselPages, pages / (static_cast<uint32_t>(dop) * 4));
+  const size_t n_morsels = (pages + morsel_pages - 1) / morsel_pages;
+  std::vector<MorselOut> outs(n_morsels);
+  std::vector<std::function<Status()>> tasks;
+  tasks.reserve(n_morsels);
+  for (size_t m = 0; m < n_morsels; ++m) {
+    const uint32_t begin = static_cast<uint32_t>(m) * morsel_pages;
+    const uint32_t end = std::min(pages, begin + morsel_pages);
+    tasks.push_back([&storage, &morsel, begin, end, out = &outs[m]] {
+      // The morsel pin covers the scan's reads; a ColBatch carries its own
+      // nested pin past the task.
+      MorselPinGuard pins(storage, begin, end);
+      return morsel(begin, end, out);
+    });
+  }
+  XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
+  stats->dop = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(dop), n_morsels));
+
+  size_t rows = 0;
+  size_t rids = 0;
+  size_t batches = 0;
+  for (const MorselOut& o : outs) {
+    rows += o.rows.size();
+    rids += o.rids.size();
+    batches += o.batches.size();
+  }
+  merged->rows.reserve(rows);
+  merged->rids.reserve(rids);
+  merged->batches.reserve(batches);
+  for (MorselOut& o : outs) {
+    add_counters(o);
+    merged->rows.insert(merged->rows.end(),
+                        std::make_move_iterator(o.rows.begin()),
+                        std::make_move_iterator(o.rows.end()));
+    merged->rids.insert(merged->rids.end(), o.rids.begin(), o.rids.end());
+    merged->batches.insert(merged->batches.end(),
+                           std::make_move_iterator(o.batches.begin()),
+                           std::make_move_iterator(o.batches.end()));
+  }
+  return Status::Ok();
+}
 
 // --- Columnar kernel path ----------------------------------------------
 
@@ -534,152 +614,190 @@ bool GroupPrunedByTag(const ColumnScanPlan& plan, uint32_t g) {
   return false;
 }
 
-// Columnar morsel: per row group, run the kernel prefix on column views,
-// gather survivors with only the needed columns decoded (late
-// materialization — unreferenced columns come back as NULL placeholders),
-// then run any remaining filters batch-wise on the gathered rows.
-Status ColumnScanMorsel(const ColumnScanPlan& plan,
-                        const std::vector<qgm::ExprPtr>& filters,
-                        uint32_t begin, uint32_t end, ExecContext* exec,
-                        bool want_rids, MorselOut* out) {
-  const ColumnStore& store = *plan.store;
-  const size_t ncols = store.num_columns();
-  const KernelRegistry& reg = KernelRegistry::Get();
-  EvalContext ectx;
-  ectx.exec = exec;
+// The per-group filter stage both columnar morsels share. Walks row groups
+// [begin, end) in order, skips the groups whose cluster tag fails a
+// kernelized filter, opens each remaining group (header read + tombstone
+// seeding of the selection vector), runs the kernel prefix over it, and
+// hands every non-empty group to the morsel's `take`. The metric
+// accumulators are flushed once per morsel: a per-row-group atomic add
+// measurably blows the <2% metrics budget (row groups are small), so the
+// hot loop stays atomics-free.
+class GroupFilter {
+ public:
+  explicit GroupFilter(const ColumnScanPlan& plan)
+      : plan_(plan), kstats_(plan.kernels.size()) {}
 
-  std::vector<ColumnStore::ViewScratch> scratch(ncols);
-  std::vector<ColumnStore::ColumnView> views(ncols);
-  std::vector<char> viewed(ncols, 0);
-  std::vector<char> sel;
-  std::vector<int64_t> arith_i64;
-  std::vector<double> arith_f64;
-  std::vector<Row> staged;
-  std::vector<uint32_t> staged_slots;
-
-  // Metric accumulators, flushed once at the end of the morsel: a per-row-
-  // group atomic add in this loop measurably blows the <2% metrics budget
-  // (row groups are small), so the hot loop stays atomics-free.
-  std::vector<std::array<uint64_t, 3>> kstats(plan.kernels.size());
-  uint64_t groups_read = 0;
-  uint64_t segments_viewed = 0;
-
-  const bool clustered = store.cluster_column() >= 0;
-  for (uint32_t g = begin; g < end; ++g) {
-    if (clustered) {
-      ++out->groups_total;
-      if (GroupPrunedByTag(plan, g)) {
-        ++out->groups_pruned;
-        continue;
+  // `open(g)` returns the GroupView to filter group g into; `take()` then
+  // consumes that view after the kernel prefix, with alive() possibly 0.
+  template <typename Open, typename Take>
+  Status Run(uint32_t begin, uint32_t end, MorselOut* out, Open&& open,
+             Take&& take) {
+    const ColumnStore& store = *plan_.store;
+    const bool clustered = store.cluster_column() >= 0;
+    for (uint32_t g = begin; g < end; ++g) {
+      if (clustered) {
+        ++out->groups_total;
+        if (GroupPrunedByTag(plan_, g)) {
+          ++out->groups_pruned;
+          continue;
+        }
       }
+      GroupView* view = open(g);
+      XNF_RETURN_IF_ERROR(view->Open(&store, g));
+      ++groups_read_;
+      if (view->rows() == 0) continue;
+      XNF_RETURN_IF_ERROR(ApplyKernels(view));
+      CountViews(view);
+      XNF_RETURN_IF_ERROR(take());
     }
-    ColumnStore::GroupInfo info;
-    XNF_RETURN_IF_ERROR(store.ReadGroupInfo(g, &info));
-    ++groups_read;
-    if (info.rows == 0) continue;
-    std::fill(viewed.begin(), viewed.end(), 0);
-    auto view_col = [&](size_t c) -> Status {
-      if (viewed[c]) return Status::Ok();
-      XNF_RETURN_IF_ERROR(store.ViewColumn(g, c, &scratch[c], &views[c],
-                                           plan.need_values[c] != 0));
-      viewed[c] = 1;
-      ++segments_viewed;
-      return Status::Ok();
-    };
+    Flush();
+    return Status::Ok();
+  }
 
-    // Seed the selection vector from the tombstone bitmap.
-    sel.assign(info.rows, 1);
-    size_t alive = info.rows;
-    if (info.tombstones != nullptr) {
-      alive = 0;
-      for (size_t i = 0; i < info.rows; ++i) {
-        sel[i] = static_cast<char>(
-            ((info.tombstones[i >> 6] >> (i & 63)) & 1) ^ 1);
-        alive += static_cast<size_t>(sel[i]);
-      }
-    }
+  // Counts the segment views `view` made since it was last counted: the
+  // stage counts the kernel prefix's, a gathering `take` its own.
+  void CountViews(GroupView* view) {
+    segments_viewed_ += view->FlushPendingViews();
+  }
 
-    for (size_t ki = 0; ki < plan.kernels.size(); ++ki) {
-      const KernelFilter& k = plan.kernels[ki];
+ private:
+  Status ApplyKernels(GroupView* view) {
+    const KernelRegistry& reg = KernelRegistry::Get();
+    std::vector<char>& sel = *view->mutable_sel();
+    size_t alive = view->alive();
+    for (size_t ki = 0; ki < plan_.kernels.size(); ++ki) {
       // Mirror EvalPredicateBatch: once no row is alive, later filters do
       // not run (kernelized filters cannot error, so this is purely a
       // work-skip, not an observable difference).
       if (alive == 0) break;
-      const size_t alive_in = alive;
+      const KernelFilter& k = plan_.kernels[ki];
       const ColumnStore::ColumnView* v = nullptr;
       if (k.kind != KernelFilter::Kind::kRejectAll) {
-        XNF_RETURN_IF_ERROR(view_col(k.column));
-        v = &views[k.column];
+        XNF_RETURN_IF_ERROR(
+            view->View(k.column, plan_.need_values[k.column] != 0, &v));
       }
-      ApplyKernel(k, reg, v, info.rows, &arith_i64, &arith_f64, sel.data());
+      const size_t alive_in = alive;
+      ApplyKernel(k, reg, v, view->rows(), &arith_i64_, &arith_f64_,
+                  sel.data());
       alive = 0;
-      for (size_t i = 0; i < info.rows; ++i) {
+      for (size_t i = 0; i < view->rows(); ++i) {
         alive += static_cast<size_t>(sel[i]);
       }
-      kstats[ki][0] += 1;
-      kstats[ki][1] += alive_in;
-      kstats[ki][2] += alive;
+      kstats_[ki][0] += 1;
+      kstats_[ki][1] += alive_in;
+      kstats_[ki][2] += alive;
     }
+    view->set_alive(alive);
+    return Status::Ok();
+  }
 
-    if (alive != 0) {
+  // One atomic add per counter per morsel. An error mid-morsel loses the
+  // partial counts — metrics are best-effort under failure.
+  void Flush() const {
+    for (size_t ki = 0; ki < plan_.kernels.size(); ++ki) {
+      if (kstats_[ki][0] == 0) continue;
+      CounterAdd(plan_.kernels[ki].invocations, kstats_[ki][0]);
+      CounterAdd(plan_.kernels[ki].rows_in, kstats_[ki][1]);
+      CounterAdd(plan_.kernels[ki].rows_kept, kstats_[ki][2]);
+    }
+    CounterAdd(plan_.store->group_reads_counter(), groups_read_);
+    CounterAdd(plan_.store->segment_views_counter(), segments_viewed_);
+  }
+
+  const ColumnScanPlan& plan_;
+  // Per kernel: invocations, alive rows in, alive rows kept.
+  std::vector<std::array<uint64_t, 3>> kstats_;
+  uint64_t groups_read_ = 0;
+  uint64_t segments_viewed_ = 0;
+  std::vector<int64_t> arith_i64_;  // arithmetic-lane scratch, reused
+  std::vector<double> arith_f64_;
+};
+
+// Gathering morsel: the filter stage's survivors are gathered into rows
+// with only the materialized columns decoded (unreferenced columns come
+// back as NULL placeholders), then any filters past the kernel prefix run
+// batch-wise on the gathered rows. One GroupView serves every group of the
+// morsel, so no group is pinned beyond the morsel's own pins.
+Status GatherMorsel(const ColumnScanPlan& plan,
+                    const std::vector<qgm::ExprPtr>& filters, uint32_t begin,
+                    uint32_t end, ExecContext* exec, bool want_rids,
+                    MorselOut* out) {
+  const size_t ncols = plan.store->num_columns();
+  EvalContext ectx;
+  ectx.exec = exec;
+  GroupView view;
+  std::vector<const ColumnStore::ColumnView*> cols(ncols);
+  std::vector<Row> staged;
+  std::vector<uint32_t> staged_slots;
+  std::vector<char> keep;
+  GroupFilter filter(plan);
+  auto gather = [&]() -> Status {
+    if (view.alive() != 0) {
+      for (size_t c = 0; c < ncols; ++c) {
+        cols[c] = nullptr;
+        if (plan.materialize[c]) {
+          XNF_RETURN_IF_ERROR(view.View(c, /*need_values=*/true, &cols[c]));
+        }
+      }
+      filter.CountViews(&view);
       staged.clear();
       staged_slots.clear();
-      staged.reserve(alive);
-      staged_slots.reserve(alive);
-      for (size_t c = 0; c < ncols; ++c) {
-        if (plan.materialize[c]) XNF_RETURN_IF_ERROR(view_col(c));
-      }
-      for (size_t i = 0; i < info.rows; ++i) {
+      staged.reserve(view.alive());
+      staged_slots.reserve(view.alive());
+      const std::vector<char>& sel = view.sel();
+      for (size_t i = 0; i < view.rows(); ++i) {
         if (!sel[i]) continue;
         Row row(ncols);
         for (size_t c = 0; c < ncols; ++c) {
-          if (plan.materialize[c]) {
-            row[c] = ColumnStore::ViewValue(views[c], i);
-          }
+          if (cols[c] != nullptr) row[c] = ColumnStore::ViewValue(*cols[c], i);
         }
         staged.push_back(std::move(row));
         staged_slots.push_back(static_cast<uint32_t>(i));
       }
+      keep.assign(staged.size(), 1);
       if (plan.kernel_filter_count < filters.size()) {
         std::vector<const Row*> ptrs;
         ptrs.reserve(staged.size());
         for (const Row& r : staged) ptrs.push_back(&r);
-        std::vector<char> keep(staged.size(), 1);
         for (size_t fi = plan.kernel_filter_count; fi < filters.size();
              ++fi) {
           XNF_RETURN_IF_ERROR(
               EvalPredicateBatch(*filters[fi], ptrs, &ectx, &keep));
         }
-        for (size_t i = 0; i < staged.size(); ++i) {
-          if (!keep[i]) continue;
-          out->rows.push_back(std::move(staged[i]));
-          if (want_rids) out->rids.push_back(Rid{g, staged_slots[i]});
-        }
-      } else {
-        for (size_t i = 0; i < staged.size(); ++i) {
-          out->rows.push_back(std::move(staged[i]));
-          if (want_rids) out->rids.push_back(Rid{g, staged_slots[i]});
-        }
+      }
+      for (size_t i = 0; i < staged.size(); ++i) {
+        if (!keep[i]) continue;
+        out->rows.push_back(std::move(staged[i]));
+        if (want_rids) out->rids.push_back(Rid{view.group(), staged_slots[i]});
       }
     }
-
-    uint64_t decoded = 0;
-    for (char v : viewed) decoded += static_cast<uint64_t>(v);
+    const uint64_t decoded = view.decoded_columns();
     out->columns_decoded += decoded;
     out->columns_skipped += ncols - decoded;
-  }
+    return Status::Ok();
+  };
+  return filter.Run(begin, end, out, [&](uint32_t) { return &view; }, gather);
+}
 
-  // One atomic add per counter per morsel. An error mid-morsel loses the
-  // partial counts — metrics are best-effort under failure.
-  for (size_t ki = 0; ki < plan.kernels.size(); ++ki) {
-    if (kstats[ki][0] == 0) continue;
-    CounterAdd(plan.kernels[ki].invocations, kstats[ki][0]);
-    CounterAdd(plan.kernels[ki].rows_in, kstats[ki][1]);
-    CounterAdd(plan.kernels[ki].rows_kept, kstats[ki][2]);
-  }
-  CounterAdd(store.group_reads_counter(), groups_read);
-  CounterAdd(store.segment_views_counter(), segments_viewed);
-  return Status::Ok();
+// Batch morsel: the filter stage's survivors stay columnar. Each group is
+// filtered inside the ColBatch that will carry it, so the batch's pin is in
+// place before the header read and lasts as long as a consumer holds it.
+Status BatchMorsel(const ColumnScanPlan& plan, uint32_t begin, uint32_t end,
+                   MorselOut* out) {
+  ColBatch batch;
+  GroupFilter filter(plan);
+  return filter.Run(
+      begin, end, out,
+      [&](uint32_t g) {
+        batch = ColBatch(plan.store, g);
+        return &batch;
+      },
+      [&] {
+        // From here on the consumer drives the decodes; count them directly.
+        batch.AttachViewsCounter(plan.store->segment_views_counter());
+        if (batch.alive() != 0) out->batches.push_back(std::move(batch));
+        return Status::Ok();
+      });
 }
 
 }  // namespace
@@ -690,11 +808,7 @@ Status ParallelFilterScan(const TableInfo& table,
                           ExecContext* ctx, std::vector<Row>* rows_out,
                           std::vector<Rid>* rids_out, ScanStats* stats) {
   const TableStorage& storage = *table.storage;
-  const uint32_t pages = static_cast<uint32_t>(storage.page_count());
   const bool want_rids = rids_out != nullptr;
-  ThreadPool* pool =
-      ctx->catalog != nullptr ? ctx->catalog->exec_pool() : nullptr;
-  const int dop = pool != nullptr ? pool->dop() : 1;
   *stats = ScanStats{};
 
   // MVCC: when the table's physical state differs from the snapshot (an
@@ -711,11 +825,11 @@ Status ParallelFilterScan(const TableInfo& table,
     overlay = &mvcc_overlay;
   }
 
-  // Columnar fast path: kernel prefix + late materialization.
-  const ColumnStore* column_store = storage.AsColumnStore();
-  const bool columnar = column_store != nullptr && overlay == nullptr;
+  // Columnar path: kernel prefix, then gather only the referenced columns.
+  const ColumnStore* column_store =
+      overlay == nullptr ? storage.AsColumnStore() : nullptr;
   ColumnScanPlan column_plan;
-  if (columnar) {
+  if (column_store != nullptr) {
     column_plan = BuildColumnScanPlan(
         *column_store, filters, referenced,
         ctx->catalog != nullptr ? ctx->catalog->metrics() : nullptr);
@@ -724,108 +838,68 @@ Status ParallelFilterScan(const TableInfo& table,
     stats->total_filters = filters.size();
   }
 
-  auto run_morsel = [&](uint32_t begin, uint32_t end,
-                        MorselOut* out) -> Status {
-    if (columnar) {
-      return ColumnScanMorsel(column_plan, filters, begin, end, ctx,
+  MorselOut merged;
+  XNF_RETURN_IF_ERROR(RunMorsels(
+      storage, ctx,
+      [&](uint32_t begin, uint32_t end, MorselOut* out) {
+        if (column_store != nullptr) {
+          return GatherMorsel(column_plan, filters, begin, end, ctx,
                               want_rids, out);
-    }
-    return ScanMorsel(storage, overlay, begin, end, filters, ctx, want_rids,
-                      out);
-  };
-  auto add_counters = [&](const MorselOut& out) {
-    stats->columns_decoded += out.columns_decoded;
-    stats->columns_skipped += out.columns_skipped;
-    stats->groups_pruned += out.groups_pruned;
-    stats->groups_total += out.groups_total;
-  };
-
-  if (dop <= 1 || pages < 2 * kMinMorselPages) {
-    MorselOut out;
-    XNF_RETURN_IF_ERROR(run_morsel(0, pages, &out));
-    add_counters(out);
-    *rows_out = std::move(out.rows);
-    if (want_rids) *rids_out = std::move(out.rids);
-    return Status::Ok();
-  }
-
-  // Aim for ~4 morsels per worker so fast workers pick up slack from slow
-  // ones, but never below kMinMorselPages pages per morsel.
-  const uint32_t morsel_pages =
-      std::max(kMinMorselPages,
-               pages / (static_cast<uint32_t>(dop) * 4));
-  const size_t n_morsels = (pages + morsel_pages - 1) / morsel_pages;
-  std::vector<MorselOut> outs(n_morsels);
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(n_morsels);
-  for (size_t m = 0; m < n_morsels; ++m) {
-    const uint32_t begin = static_cast<uint32_t>(m) * morsel_pages;
-    const uint32_t end = std::min(pages, begin + morsel_pages);
-    tasks.push_back([&storage, &run_morsel, begin, end, out = &outs[m]] {
-      MorselPinGuard pins(storage, begin, end);
-      return run_morsel(begin, end, out);
-    });
-  }
-  XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-  stats->dop = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(dop), n_morsels));
-
-  size_t total = 0;
-  for (const MorselOut& o : outs) total += o.rows.size();
-  rows_out->clear();
-  rows_out->reserve(total);
-  if (want_rids) {
-    rids_out->clear();
-    rids_out->reserve(total);
-  }
-  for (MorselOut& o : outs) {
-    add_counters(o);
-    rows_out->insert(rows_out->end(), std::make_move_iterator(o.rows.begin()),
-                     std::make_move_iterator(o.rows.end()));
-    if (want_rids) {
-      rids_out->insert(rids_out->end(), o.rids.begin(), o.rids.end());
-    }
-  }
+        }
+        return ScanMorsel(storage, overlay, begin, end, filters, ctx,
+                          want_rids, out);
+      },
+      &merged, stats));
+  *rows_out = std::move(merged.rows);
+  if (want_rids) *rids_out = std::move(merged.rids);
   return Status::Ok();
 }
 
-// --- ColBatch ------------------------------------------------------------
+Status TryLateFilterScan(const TableInfo& table,
+                         const std::vector<qgm::ExprPtr>& filters,
+                         const std::vector<char>* referenced, ExecContext* ctx,
+                         LateScan* out, ScanStats* stats) {
+  *out = LateScan{};
+  *stats = ScanStats{};
+  const ColumnStore* store = table.storage->AsColumnStore();
+  if (store == nullptr || ctx->catalog == nullptr) return Status::Ok();
+  // MVCC: column batches view physical segments; a snapshot that must hide
+  // or substitute rows needs the row-wise overlay merge, so decline and let
+  // the caller take the gathering scan.
+  const TransactionManager* mgr = ctx->catalog->txn_manager();
+  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table.name)) {
+    return Status::Ok();
+  }
+  ColumnScanPlan plan = BuildColumnScanPlan(*store, filters, referenced,
+                                            ctx->catalog->metrics());
+  // Only replace the scan when the whole conjunction kernelized: a scalar
+  // remainder would need gathered rows anyway, and running it against
+  // lazily-built rows here would just duplicate the gathering scan.
+  if (plan.kernel_filter_count < filters.size()) return Status::Ok();
 
-ColBatch::ColBatch(const ColumnStore* store, uint32_t group)
-    : store_(store), group_(group) {
-  // Pin for the batch's whole life: consumers hold views across operator
-  // boundaries, long after the scan morsel's own pins are gone.
-  store_->PinRange(group_, group_ + 1);
-  store_->AcquireViewLease(group_);
+  stats->columnar = true;
+  stats->late = true;
+  stats->kernel_filters = plan.kernel_filter_count;
+  stats->total_filters = filters.size();
+  MorselOut merged;
+  XNF_RETURN_IF_ERROR(RunMorsels(
+      *table.storage, ctx,
+      [&plan](uint32_t begin, uint32_t end, MorselOut* o) {
+        return BatchMorsel(plan, begin, end, o);
+      },
+      &merged, stats));
+  out->store = store;
+  out->materialize = std::move(plan.materialize);
+  out->batches = std::move(merged.batches);
+  for (const ColBatch& b : out->batches) out->total_rows += b.alive();
+  return Status::Ok();
 }
 
-void ColBatch::Release() {
-  if (store_ == nullptr) return;
-  // Lease goes first: after it, UnpinRange's debug check no longer expects
-  // this group to stay pinned.
-  store_->ReleaseViewLease(group_);
-  store_->UnpinRange(group_, group_ + 1);
-  store_ = nullptr;
-}
+// --- GroupView / ColBatch -------------------------------------------------
 
-ColBatch& ColBatch::operator=(ColBatch&& other) noexcept {
-  if (this == &other) return *this;
-  Release();
-  store_ = other.store_;
-  other.store_ = nullptr;
-  group_ = other.group_;
-  rows_ = other.rows_;
-  alive_ = other.alive_;
-  sel_ = std::move(other.sel_);
-  scratch_ = std::move(other.scratch_);
-  views_ = std::move(other.views_);
-  viewed_ = std::move(other.viewed_);
-  pending_views_ = other.pending_views_;
-  views_counter_ = other.views_counter_;
-  return *this;
-}
-
-Status ColBatch::Init() {
+Status GroupView::Open(const ColumnStore* store, uint32_t group) {
+  store_ = store;
+  group_ = group;
   ColumnStore::GroupInfo info;
   XNF_RETURN_IF_ERROR(store_->ReadGroupInfo(group_, &info));
   rows_ = info.rows;
@@ -846,8 +920,8 @@ Status ColBatch::Init() {
   return Status::Ok();
 }
 
-Status ColBatch::View(size_t c, bool need_values,
-                      const ColumnStore::ColumnView** out) {
+Status GroupView::View(size_t c, bool need_values,
+                       const ColumnStore::ColumnView** out) {
   const char want = need_values ? 2 : 1;
   if (viewed_[c] < want) {
     XNF_RETURN_IF_ERROR(
@@ -863,8 +937,8 @@ Status ColBatch::View(size_t c, bool need_values,
   return Status::Ok();
 }
 
-Status ColBatch::MaterializeRow(const std::vector<char>& materialize,
-                                size_t i, Row* out) {
+Status GroupView::MaterializeRow(const std::vector<char>& materialize,
+                                 size_t i, Row* out) {
   const size_t ncols = store_->num_columns();
   out->assign(ncols, Value());
   for (size_t c = 0; c < ncols; ++c) {
@@ -876,170 +950,40 @@ Status ColBatch::MaterializeRow(const std::vector<char>& materialize,
   return Status::Ok();
 }
 
-uint64_t ColBatch::decoded_columns() const {
+uint64_t GroupView::decoded_columns() const {
   uint64_t n = 0;
   for (char v : viewed_) n += static_cast<uint64_t>(v != 0);
   return n;
 }
 
-uint64_t ColBatch::FlushPendingViews() {
-  uint64_t n = pending_views_;
-  pending_views_ = 0;
-  return n;
+uint64_t GroupView::FlushPendingViews() {
+  return std::exchange(pending_views_, 0);
 }
 
-// --- Late-materializing scan ---------------------------------------------
-
-namespace {
-
-// Late counterpart of ColumnScanMorsel: identical group order, pruning,
-// tombstone seeding, and kernel sequence — but survivors stay columnar as
-// ColBatches instead of being gathered into rows.
-Status LateScanMorsel(const ColumnScanPlan& plan, uint32_t begin,
-                      uint32_t end, std::vector<ColBatch>* out,
-                      uint64_t* groups_pruned, uint64_t* groups_total) {
-  const ColumnStore& store = *plan.store;
-  const KernelRegistry& reg = KernelRegistry::Get();
-  const bool clustered = store.cluster_column() >= 0;
-  std::vector<int64_t> arith_i64;
-  std::vector<double> arith_f64;
-  std::vector<std::array<uint64_t, 3>> kstats(plan.kernels.size());
-  uint64_t groups_read = 0;
-  uint64_t segments_viewed = 0;
-
-  for (uint32_t g = begin; g < end; ++g) {
-    if (clustered) {
-      ++*groups_total;
-      if (GroupPrunedByTag(plan, g)) {
-        ++*groups_pruned;
-        continue;
-      }
-    }
-    ColBatch batch(&store, g);
-    XNF_RETURN_IF_ERROR(batch.Init());
-    ++groups_read;
-    if (batch.rows() == 0) continue;
-    size_t alive = batch.alive();
-    std::vector<char>* sel = batch.mutable_sel();
-    for (size_t ki = 0; ki < plan.kernels.size(); ++ki) {
-      const KernelFilter& k = plan.kernels[ki];
-      if (alive == 0) break;
-      const size_t alive_in = alive;
-      const ColumnStore::ColumnView* v = nullptr;
-      if (k.kind != KernelFilter::Kind::kRejectAll) {
-        XNF_RETURN_IF_ERROR(
-            batch.View(k.column, plan.need_values[k.column] != 0, &v));
-      }
-      ApplyKernel(k, reg, v, batch.rows(), &arith_i64, &arith_f64,
-                  sel->data());
-      alive = 0;
-      for (size_t i = 0; i < batch.rows(); ++i) {
-        alive += static_cast<size_t>((*sel)[i]);
-      }
-      kstats[ki][0] += 1;
-      kstats[ki][1] += alive_in;
-      kstats[ki][2] += alive;
-    }
-    batch.set_alive(alive);
-    segments_viewed += batch.FlushPendingViews();
-    // From here on the consumer drives the decodes; count them directly.
-    batch.AttachViewsCounter(store.segment_views_counter());
-    if (alive != 0) out->push_back(std::move(batch));
-  }
-
-  for (size_t ki = 0; ki < plan.kernels.size(); ++ki) {
-    if (kstats[ki][0] == 0) continue;
-    CounterAdd(plan.kernels[ki].invocations, kstats[ki][0]);
-    CounterAdd(plan.kernels[ki].rows_in, kstats[ki][1]);
-    CounterAdd(plan.kernels[ki].rows_kept, kstats[ki][2]);
-  }
-  CounterAdd(store.group_reads_counter(), groups_read);
-  CounterAdd(store.segment_views_counter(), segments_viewed);
-  return Status::Ok();
+ColBatch::ColBatch(const ColumnStore* store, uint32_t group)
+    : pinned_(store), pinned_group_(group) {
+  // Pin for the batch's whole life: consumers hold views across operator
+  // boundaries, long after the scan morsel's own pins are gone.
+  pinned_->PinRange(pinned_group_, pinned_group_ + 1);
+  pinned_->AcquireViewLease(pinned_group_);
 }
 
-}  // namespace
+void ColBatch::Release() {
+  if (pinned_ == nullptr) return;
+  // Lease goes first: after it, UnpinRange's debug check no longer expects
+  // this group to stay pinned.
+  pinned_->ReleaseViewLease(pinned_group_);
+  pinned_->UnpinRange(pinned_group_, pinned_group_ + 1);
+  pinned_ = nullptr;
+}
 
-Status TryLateFilterScan(const TableInfo& table,
-                         const std::vector<qgm::ExprPtr>& filters,
-                         const std::vector<char>* referenced, ExecContext* ctx,
-                         LateScan* out, ScanStats* stats) {
-  *out = LateScan{};
-  *stats = ScanStats{};
-  const ColumnStore* store = table.storage->AsColumnStore();
-  if (store == nullptr || ctx->catalog == nullptr) return Status::Ok();
-  if (!ctx->catalog->exec_config().late_materialization) return Status::Ok();
-  // MVCC: column batches view physical segments; a snapshot that must hide
-  // or substitute rows needs the row-wise overlay merge, so decline and let
-  // the caller take the materializing scan.
-  const TransactionManager* mgr = ctx->catalog->txn_manager();
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table.name)) {
-    return Status::Ok();
-  }
-  ColumnScanPlan plan = BuildColumnScanPlan(*store, filters, referenced,
-                                            ctx->catalog->metrics());
-  // Only replace the scan when the whole conjunction kernelized: a scalar
-  // remainder would need gathered rows anyway, and running it against
-  // lazily-built rows here would just duplicate the eager path.
-  if (plan.kernel_filter_count < filters.size()) return Status::Ok();
-
-  out->store = store;
-  out->materialize = plan.materialize;
-  stats->columnar = true;
-  stats->late = true;
-  stats->kernel_filters = plan.kernel_filter_count;
-  stats->total_filters = filters.size();
-
-  const uint32_t pages = static_cast<uint32_t>(store->page_count());
-  ThreadPool* pool = ctx->catalog->exec_pool();
-  const int dop = pool != nullptr ? pool->dop() : 1;
-
-  if (dop <= 1 || pages < 2 * kMinMorselPages) {
-    XNF_RETURN_IF_ERROR(LateScanMorsel(plan, 0, pages, &out->batches,
-                                       &stats->groups_pruned,
-                                       &stats->groups_total));
-    for (const ColBatch& b : out->batches) out->total_rows += b.alive();
-    return Status::Ok();
-  }
-
-  const uint32_t morsel_pages =
-      std::max(kMinMorselPages, pages / (static_cast<uint32_t>(dop) * 4));
-  const size_t n_morsels = (pages + morsel_pages - 1) / morsel_pages;
-  struct LateMorselOut {
-    std::vector<ColBatch> batches;
-    uint64_t groups_pruned = 0;
-    uint64_t groups_total = 0;
-  };
-  std::vector<LateMorselOut> outs(n_morsels);
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(n_morsels);
-  const TableStorage& storage = *table.storage;
-  for (size_t m = 0; m < n_morsels; ++m) {
-    const uint32_t begin = static_cast<uint32_t>(m) * morsel_pages;
-    const uint32_t end = std::min(pages, begin + morsel_pages);
-    tasks.push_back([&storage, &plan, begin, end, o = &outs[m]] {
-      // The morsel pin covers the ReadGroupInfo/kernel window; each
-      // surviving batch carries its own nested pin past the task.
-      MorselPinGuard pins(storage, begin, end);
-      return LateScanMorsel(plan, begin, end, &o->batches, &o->groups_pruned,
-                            &o->groups_total);
-    });
-  }
-  XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-  stats->dop = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(dop), n_morsels));
-  size_t total_batches = 0;
-  for (const LateMorselOut& o : outs) total_batches += o.batches.size();
-  out->batches.reserve(total_batches);
-  for (LateMorselOut& o : outs) {
-    stats->groups_pruned += o.groups_pruned;
-    stats->groups_total += o.groups_total;
-    for (ColBatch& b : o.batches) {
-      out->total_rows += b.alive();
-      out->batches.push_back(std::move(b));
-    }
-  }
-  return Status::Ok();
+ColBatch& ColBatch::operator=(ColBatch&& other) noexcept {
+  if (this == &other) return *this;
+  Release();
+  GroupView::operator=(std::move(other));
+  pinned_ = std::exchange(other.pinned_, nullptr);
+  pinned_group_ = other.pinned_group_;
+  return *this;
 }
 
 }  // namespace xnf::exec

@@ -16,9 +16,9 @@ namespace xnf::exec {
 // size are scanned serially (the morsel bookkeeping would dominate).
 inline constexpr uint32_t kMinMorselPages = 4;
 
-// What a filtering scan actually did — DOP plus the columnar
-// late-materialization counters (0 for row tables: a heap page always
-// materializes whole tuples).
+// What a filtering scan actually did — DOP plus the columnar decode
+// counters (0 for row tables: a heap page always materializes whole
+// tuples).
 struct ScanStats {
   int dop = 1;
   // Column segments decoded into values, and segments skipped, summed over
@@ -27,9 +27,9 @@ struct ScanStats {
   uint64_t columns_decoded = 0;
   uint64_t columns_skipped = 0;
   // True iff the columnar kernel path ran (column table whose physical
-  // state the snapshot may read directly); then kernel_filters of the total_filters pushed filters were evaluated
-  // by the SIMD kernel prefix. Row scans leave all three at their zero
-  // defaults.
+  // state the snapshot may read directly); then kernel_filters of the
+  // total_filters pushed filters were evaluated by the SIMD kernel prefix.
+  // Row scans leave all three at their zero defaults.
   bool columnar = false;
   uint64_t kernel_filters = 0;
   uint64_t total_filters = 0;
@@ -44,29 +44,12 @@ struct ScanStats {
   uint64_t groups_total = 0;
 };
 
-// One row group's kernel-filter survivors kept in columnar form: a
-// selection vector over the group plus lazily-decoded column views. This is
-// the executor's zero-copy batch currency — the scan hands ColBatches
-// upward and the consumer (hash join, aggregation, or the generic
-// row-materializing fallback in SeqScanOp) decodes only the columns and
-// rows it actually touches, only when it touches them.
-//
-// Lifetime: the batch pins its group's pages for its whole life (pins nest
-// with the scan's morsel pins) and holds a debug view lease, so a
-// ColumnView obtained from it can never be invalidated by buffer-pool
-// eviction while the batch is alive. Move-only; moving keeps all views
-// valid (decode buffers live on the heap).
-class ColBatch {
+// One row group as the columnar scan's filter stage sees it: a selection
+// vector over the group's slots plus lazily decoded column views. The
+// gathering scan reuses one GroupView across a morsel's groups; ColBatch
+// adds the pin that lets the views outlive the scan.
+class GroupView {
  public:
-  ColBatch() = default;
-  ColBatch(const ColumnStore* store, uint32_t group);
-  ~ColBatch() { Release(); }
-  ColBatch(ColBatch&& other) noexcept { *this = std::move(other); }
-  ColBatch& operator=(ColBatch&& other) noexcept;
-  ColBatch(const ColBatch&) = delete;
-  ColBatch& operator=(const ColBatch&) = delete;
-
-  const ColumnStore* store() const { return store_; }
   uint32_t group() const { return group_; }
   // Rows appended to the group (selection-vector length), incl. dead rows.
   size_t rows() const { return rows_; }
@@ -75,10 +58,11 @@ class ColBatch {
   // Per-slot selection vector: 1 = row survives the scan's filters.
   const std::vector<char>& sel() const { return sel_; }
 
-  // Reads the group header (fires `column.read`) and seeds the selection
-  // vector from the tombstone bitmap. Must be called exactly once, before
-  // any view access.
-  Status Init();
+  // Points the view at `group`: reads the group header (fires
+  // `column.read`) and seeds the selection vector from the tombstone
+  // bitmap. Views of a previous group are forgotten; their decode buffers
+  // are kept for reuse.
+  Status Open(const ColumnStore* store, uint32_t group);
 
   // The view of column `c`, decoding it on first use (fires `column.read`
   // and touches the column's page). `need_values` == false fills only
@@ -88,27 +72,25 @@ class ColBatch {
 
   // Materializes slot `i` as a full-width row: `materialize` columns decode
   // through the views, the rest stay NULL placeholders — exactly the row
-  // the eager scan path would have gathered.
+  // the gathering scan would have produced.
   Status MaterializeRow(const std::vector<char>& materialize, size_t i,
                         Row* out);
 
-  // Scan-side hooks: the morsel intersects filters into the selection
-  // vector and records the new alive count.
+  // Scan-side hooks: the filter stage intersects filters into the
+  // selection vector and records the new alive count.
   std::vector<char>* mutable_sel() { return &sel_; }
   void set_alive(size_t n) { alive_ = n; }
 
-  // Distinct columns viewed so far (the scan's columns_decoded unit).
+  // Distinct columns viewed since Open (the scan's columns_decoded unit).
   uint64_t decoded_columns() const;
 
-  // Metrics: view counts accumulate locally until a counter is attached
-  // (the scan morsel flushes once per morsel, then attaches the store's
-  // segment-views counter so consumer-time decodes count directly).
+  // Metrics: view counts accumulate locally until flushed into the filter
+  // stage's per-morsel tally; once a ColBatch attaches the store's
+  // segment-views counter, consumer-time decodes count directly.
   uint64_t FlushPendingViews();
   void AttachViewsCounter(Counter* counter) { views_counter_ = counter; }
 
  private:
-  void Release();
-
   const ColumnStore* store_ = nullptr;
   uint32_t group_ = 0;
   size_t rows_ = 0;
@@ -121,13 +103,42 @@ class ColBatch {
   Counter* views_counter_ = nullptr;
 };
 
-// A late-materializing scan's result: the surviving batches in row-group
-// order. Concatenating each batch's selected rows in slot order reproduces
-// the eager scan's output row-for-row; `materialize` is the per-column
+// One row group's filter survivors kept in columnar form. This is the
+// executor's zero-copy batch currency — the scan hands ColBatches upward
+// and the consumer (hash join, aggregation, or the generic
+// row-materializing fallback in SeqScanOp) decodes only the columns and
+// rows it actually touches, only when it touches them.
+//
+// Lifetime: the batch pins its group's pages for its whole life (pins nest
+// with the scan's morsel pins) and holds a debug view lease, so a
+// ColumnView obtained from it can never be invalidated by buffer-pool
+// eviction while the batch is alive. Move-only; moving keeps all views
+// valid (decode buffers live on the heap).
+class ColBatch : public GroupView {
+ public:
+  ColBatch() = default;
+  // Pins `group` of `store`; the filter stage then Opens the view on it.
+  ColBatch(const ColumnStore* store, uint32_t group);
+  ~ColBatch() { Release(); }
+  ColBatch(ColBatch&& other) noexcept { *this = std::move(other); }
+  ColBatch& operator=(ColBatch&& other) noexcept;
+  ColBatch(const ColBatch&) = delete;
+  ColBatch& operator=(const ColBatch&) = delete;
+
+ private:
+  void Release();
+
+  const ColumnStore* pinned_ = nullptr;  // null = holds no pin
+  uint32_t pinned_group_ = 0;
+};
+
+// A batch scan's result: the surviving batches in row-group order.
+// Concatenating each batch's selected rows in slot order reproduces the
+// gathering scan's output row-for-row; `materialize` is the per-column
 // bitmap a consumer must decode to honour the planner's projection
 // contract (other columns are NULL placeholders downstream).
 struct LateScan {
-  const ColumnStore* store = nullptr;  // null = late path not taken
+  const ColumnStore* store = nullptr;  // null = batch path not taken
   std::vector<char> materialize;
   std::vector<ColBatch> batches;
   size_t total_rows = 0;  // sum of batch alive counts
@@ -144,11 +155,11 @@ struct LateScan {
 // `(col arith literal) cmp literal`, `col IS [NOT] NULL` — runs on the
 // column segments through the SIMD kernel registry before any row is
 // materialized; survivors are gathered with only the `referenced` columns
-// decoded (late materialization), remaining filters running batch-wise on
-// the gathered rows. `referenced` is a per-table-column bitmap from the
-// planner's projection walk (nullptr = all columns; ignored for row
-// tables); unreferenced columns come back as NULL placeholders the rest of
-// the plan has been proven never to read.
+// decoded, remaining filters running batch-wise on the gathered rows.
+// `referenced` is a per-table-column bitmap from the planner's projection
+// walk (nullptr = all columns; ignored for row tables); unreferenced
+// columns come back as NULL placeholders the rest of the plan has been
+// proven never to read.
 //
 // `filters` must be subquery-free (pushed-down scan predicates are by
 // construction). `rids_out` may be null when provenance is not needed.
@@ -161,14 +172,15 @@ Status ParallelFilterScan(const TableInfo& table,
                           ExecContext* ctx, std::vector<Row>* rows_out,
                           std::vector<Rid>* rids_out, ScanStats* stats);
 
-// Late-materializing variant: instead of gathering rows, hand the kernel
-// survivors upward as ColBatches (selection vector + lazy column views).
-// Taken only when the table is columnar, ExecConfig::late_materialization
-// is on, the snapshot may read physical state, and *every* pushed filter
-// kernelized (a scalar remainder would need gathered rows anyway); otherwise returns Ok with
-// out->store == nullptr and the caller falls back to ParallelFilterScan.
-// Same morsel decomposition, merge order, and cluster-tag pruning as the
-// eager path, so batch rows concatenate to the identical scan output.
+// Batch variant for consumers that read column views (hash join,
+// aggregation): instead of gathering rows, hand the filter survivors upward
+// as ColBatches (selection vector + lazy column views). Taken only when the
+// table is columnar, the snapshot may read physical state, and *every*
+// pushed filter kernelized (a scalar remainder would need gathered rows
+// anyway); otherwise returns Ok with out->store == nullptr and the caller
+// falls back to ParallelFilterScan. Same morsel driver and per-group filter
+// stage as the gathering scan, so batch rows concatenate to the identical
+// scan output.
 Status TryLateFilterScan(const TableInfo& table,
                          const std::vector<qgm::ExprPtr>& filters,
                          const std::vector<char>* referenced, ExecContext* ctx,

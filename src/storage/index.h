@@ -76,15 +76,7 @@ class HashIndex : public Index {
   size_t entry_count() const override { return map_.size(); }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
-  std::unordered_multimap<Row, Rid, KeyHash, KeyEq> map_;
+  std::unordered_multimap<Row, Rid, RowHash, RowEq> map_;
 };
 
 // Ordered index: point lookups plus range scans, backed by a balanced tree.

@@ -248,37 +248,32 @@ std::string EngineConfig::Label() const {
   std::ostringstream os;
   os << "dop" << threads << (use_cse ? "-cse" : "-nocse") << (use_indexes ? "-idx" : "-noidx")
      << (use_rewrite ? "-rw" : "-norw")
-     << (column_storage ? "-col" : "-row")
-     << (late_materialization ? "" : "-eager");
+     << (column_storage ? "-col" : "-row");
   if (durable) os << (durable_checkpoint ? "-durckpt" : "-durwal");
   return os.str();
 }
 
 std::vector<EngineConfig> DefaultMatrix() {
-  // threads, use_cse, use_indexes, use_rewrite, column_storage,
-  // late_materialization, durable, durable_checkpoint
+  // threads, use_cse, use_indexes, use_rewrite, column_storage, durable,
+  // durable_checkpoint
   return {
-      {1, true, true, true, false, true},     // group A: serial
-      {2, true, true, true, false, true},     // group A: parallel
-      {8, false, true, true, false, true},    // group A: wide, no CSE
-      {1, true, true, true, true, true},      // group A: columnar
-      {2, true, true, true, true, false},     // group A: columnar,
-                                              //   decode-at-scan
-      {1, true, false, true, false, true},    // group B: no index paths
-      {4, false, false, true, false, true},   // group B: parallel, no CSE
-      {4, true, false, true, true, true},     // group B: columnar parallel
-      {1, true, true, false, false, true},    // group C: no rewrite
-      {1, true, true, false, true, true},     // group C: columnar
-      {2, false, false, false, false, true},  // group D: bare plans
-      {2, false, false, false, true, true},   // group D: columnar
-      {4, false, false, false, true, false},  // group D: columnar
-                                              //   decode-at-scan
-      {1, true, true, true, false, true, true, false},
-                                              // group A: durable row,
-                                              //   WAL replay per stmt
-      {2, true, true, true, true, true, true, true},
-                                              // group A: durable columnar,
-                                              //   checkpoint per close
+      {1, true, true, true, false},     // group A: serial
+      {2, true, true, true, false},     // group A: parallel
+      {8, false, true, true, false},    // group A: wide, no CSE
+      {1, true, true, true, true},      // group A: columnar
+      {1, true, false, true, false},    // group B: no index paths
+      {4, false, false, true, false},   // group B: parallel, no CSE
+      {4, true, false, true, true},     // group B: columnar parallel
+      {1, true, true, false, false},    // group C: no rewrite
+      {1, true, true, false, true},     // group C: columnar
+      {2, false, false, false, false},  // group D: bare plans
+      {2, false, false, false, true},   // group D: columnar
+      {1, true, true, true, false, true, false},
+                                        // group A: durable row,
+                                        //   WAL replay per stmt
+      {2, true, true, true, true, true, true},
+                                        // group A: durable columnar,
+                                        //   checkpoint per close
   };
 }
 
@@ -334,7 +329,6 @@ std::optional<Divergence> RunScript(const std::vector<std::string>& statements,
     e.options.threads = c.threads;
     e.options.use_indexes = c.use_indexes;
     e.options.use_rewrite = c.use_rewrite;
-    e.options.late_materialization = c.late_materialization;
     // Pin the layout explicitly so a SQLXNF_STORAGE environment override
     // (the columnar CI lane) can never skew the matrix.
     e.options.default_storage =

@@ -22,15 +22,10 @@ struct EngineConfig {
   bool use_rewrite = true;
   // Default storage layout for tables created without a USING clause. NOT
   // part of PlanGroup: the storage engine (and with it the columnar kernel
-  // + late-materialization scan path) must not change observable results,
-  // so a columnar engine must agree bit-identically with the row engines of
-  // its plan group.
+  // scan and the column batches it hands to joins and aggregation) must
+  // not change observable results, so a columnar engine must agree
+  // bit-identically with the row engines of its plan group.
   bool column_storage = false;
-  // Scans hand zero-copy column batches to joins/aggregation (the PR 8
-  // executor currency) vs decode-at-scan (PR 6 behaviour). NOT part of
-  // PlanGroup for the same reason as column_storage; only observable on
-  // columnar tables.
-  bool late_materialization = true;
   // Durability axis: the engine gets a temp data_dir and is destroyed and
   // reopened after every statement (outside transactions), so each
   // statement's result must survive a WAL replay or checkpoint restore.
@@ -47,8 +42,8 @@ struct EngineConfig {
 
 // The default matrix: every (use_indexes, use_rewrite) plan group, crossed
 // with serial/parallel execution, CSE on/off, row/columnar default storage
-// (one columnar member per plan group), late vs decode-at-scan columnar
-// batches, and durable reopen-per-statement engines.
+// (at least one columnar member per plan group), and durable
+// reopen-per-statement engines.
 std::vector<EngineConfig> DefaultMatrix();
 
 // A detected divergence: which statement (index into the script), what the

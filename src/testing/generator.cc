@@ -149,7 +149,8 @@ class Generator {
       // Mix explicit storage clauses into every matrix member: a USING
       // clause overrides the engine's default layout, so row-default
       // engines also exercise columnar tables (and vice versa). Weighted
-      // toward columnar — the late-materialization axis only bites there.
+      // toward columnar — the kernel scan and its column batches run only
+      // there.
       if (rng_.Chance(40)) {
         ddl += rng_.Chance(60) ? " USING column" : " USING row";
       }
@@ -705,7 +706,7 @@ class Generator {
   SelectText GenSelect(bool allow_order) {
     // Joins and aggregations lead: they are the consumers of the zero-copy
     // column-batch scan path (build/probe/accumulate over views), so the
-    // matrix's late-materialization axis gets maximum coverage there.
+    // matrix's columnar members get maximum coverage there.
     int roll = rng_.Int(0, 99);
     if (roll < 25) return SimpleSelect(allow_order);
     if (roll < 55) return JoinSelect(allow_order);

@@ -326,36 +326,31 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
     } else {
       // Candidate scan: morsel-parallel when an executor pool is attached,
       // serial otherwise; output order matches the heap scan either way.
-      // With late materialization on, columnar tables only decode the
-      // columns the node emits — and under an analyzed TAKE list, only the
-      // emitted columns something after the scan actually reads; the rest
-      // surface as NULL placeholders that ApplyTake projects away. Heap
-      // tables ignore the bitmap; late off pins the decode-everything
-      // baseline (the differential harness's axis).
-      const bool narrow = catalog_->exec_config().late_materialization;
+      // Columnar tables only decode the columns the node emits — and under
+      // an analyzed TAKE list, only the emitted columns something after the
+      // scan actually reads; the rest surface as NULL placeholders that
+      // ApplyTake projects away. Heap tables ignore the bitmap.
       std::vector<char> referenced(table->schema.size(), 0);
-      if (narrow) {
-        const std::set<std::string>* take_cols = nullptr;
-        if (take_pruning_) {
-          auto it = take_needed_.find(ToLower(def.name));
-          if (it != take_needed_.end()) take_cols = &it->second;
-        }
-        for (size_t c = 0; c < node.base_column_map.size(); ++c) {
-          if (take_cols != nullptr &&
-              take_cols->count(ToLower(node.schema.column(c).name)) == 0) {
-            continue;
-          }
-          referenced[node.base_column_map[c]] = 1;
-        }
-        if (pred != nullptr) MarkExprSlots(*pred, &referenced);
+      const std::set<std::string>* take_cols = nullptr;
+      if (take_pruning_) {
+        auto it = take_needed_.find(ToLower(def.name));
+        if (it != take_needed_.end()) take_cols = &it->second;
       }
+      for (size_t c = 0; c < node.base_column_map.size(); ++c) {
+        if (take_cols != nullptr &&
+            take_cols->count(ToLower(node.schema.column(c).name)) == 0) {
+          continue;
+        }
+        referenced[node.base_column_map[c]] = 1;
+      }
+      if (pred != nullptr) MarkExprSlots(*pred, &referenced);
       std::vector<qgm::ExprPtr> filters;
       if (pred != nullptr) filters.push_back(std::move(pred));
       std::vector<Row> rows;
       std::vector<Rid> rids;
       exec::ScanStats scan_stats;
       XNF_RETURN_IF_ERROR(exec::ParallelFilterScan(
-          *table, filters, narrow ? &referenced : nullptr, &exec_ctx, &rows,
+          *table, filters, &referenced, &exec_ctx, &rows,
           &rids, &scan_stats));
       stats->scan_columns_decoded += scan_stats.columns_decoded;
       stats->scan_columns_skipped += scan_stats.columns_skipped;
@@ -423,14 +418,6 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
     // component never matches.
     const CoNodeInstance& parent = instance.nodes[rel.parent_node];
     const CoNodeInstance& child = instance.nodes[rel.child_node];
-    struct RowHash {
-      size_t operator()(const Row& r) const { return HashRow(r); }
-    };
-    struct RowEq {
-      bool operator()(const Row& a, const Row& b) const {
-        return RowsEqual(a, b);
-      }
-    };
     auto extract = [](const Row& tuple, const std::vector<int>& cols,
                       Row* key) {
       key->clear();
@@ -598,14 +585,6 @@ Result<CoRelInstance> Evaluator::MaterializeRelNoCse(const CoRelDef& def,
   }
 
   // Match endpoint rows back to candidate tuple indices by value.
-  struct RowHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct RowEq {
-    bool operator()(const Row& a, const Row& b) const {
-      return RowsEqual(a, b);
-    }
-  };
   auto build_index = [](const CoNodeInstance& node) {
     std::unordered_map<Row, int, RowHash, RowEq> index;
     for (size_t t = 0; t < node.tuples.size(); ++t) {

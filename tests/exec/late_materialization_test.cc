@@ -1,12 +1,15 @@
 // End-to-end tests for the column-batch execution path: dictionary-code
 // join keys (shared / per-table / overflowed dictionaries, NULLs, empty
 // build sides), pin lifetime of zero-copy column views under buffer-pool
-// pressure, CLUSTER BY placement and pruning, bit-identity of late plans
-// against row plans at every DOP, and the XNF TAKE-pruning decode counters.
+// pressure, CLUSTER BY placement and pruning, bit-identity of columnar plans
+// against row plans at every DOP, the scan's automatic choice between
+// column batches and gathered rows, and the XNF TAKE-pruning decode
+// counters.
 //
-// The cross-engine comparisons are deliberately *unsorted*: row storage,
-// columnar eager, and columnar late all belong to the same plan group, so
-// their results must be bit-identical, not merely equal as multisets.
+// The cross-engine comparisons are deliberately *unsorted*: row and
+// columnar storage belong to the same plan group, so their results must be
+// bit-identical, not merely equal as multisets. Row tables never take the
+// column-batch path, which makes the row engine the reference.
 
 #include <unistd.h>
 
@@ -56,33 +59,29 @@ void InsertRows(Database* db, const std::string& table,
   }
 }
 
-// One database per (storage clause, late flag); the schema/data builder is
-// shared so every engine sees the same logical contents.
+// One database per storage clause; the schema/data builder is shared so
+// every engine sees the same logical contents.
 std::unique_ptr<Database> MakeDb(
-    bool columnar, bool late,
+    bool columnar,
     const std::function<void(Database*, const std::string&)>& build,
     int threads = 1, size_t pool_pages = 0) {
   Database::Options options;
   options.threads = threads;
-  options.late_materialization = late;
   options.buffer_pool_pages = pool_pages;
   auto db = std::make_unique<Database>(options);
   build(db.get(), columnar ? " USING column" : " USING row");
   return db;
 }
 
-// Runs `sql` on a row-storage reference and on columnar eager + late
-// engines, and expects all three texts to match byte-for-byte.
+// Runs `sql` on a row-storage reference and on a columnar engine, and
+// expects both texts to match byte-for-byte.
 void ExpectAllEnginesAgree(
     const std::function<void(Database*, const std::string&)>& build,
     const std::vector<std::string>& queries) {
-  auto row = MakeDb(/*columnar=*/false, /*late=*/true, build);
-  auto eager = MakeDb(/*columnar=*/true, /*late=*/false, build);
-  auto late = MakeDb(/*columnar=*/true, /*late=*/true, build);
+  auto row = MakeDb(/*columnar=*/false, build);
+  auto col = MakeDb(/*columnar=*/true, build);
   for (const std::string& sql : queries) {
-    std::string expected = QueryText(row.get(), sql);
-    EXPECT_EQ(QueryText(eager.get(), sql), expected) << "eager: " << sql;
-    EXPECT_EQ(QueryText(late.get(), sql), expected) << "late: " << sql;
+    EXPECT_EQ(QueryText(col.get(), sql), QueryText(row.get(), sql)) << sql;
   }
 }
 
@@ -169,12 +168,12 @@ TEST(DictCodeJoin, OverflowedDictionaryKeysStayExact) {
     InsertRows(db, "probe", std::move(probe));
   };
 
-  auto row = MakeDb(/*columnar=*/false, /*late=*/true, build);
-  auto late = MakeDb(/*columnar=*/true, /*late=*/true, build);
+  auto row = MakeDb(/*columnar=*/false, build);
+  auto col = MakeDb(/*columnar=*/true, build);
   // The columnar big table really did overflow its dictionary.
   ASSERT_OK_AND_ASSIGN(
       ResultSet ov,
-      late->Query(
+      col->Query(
           "SELECT dict_overflow FROM sqlxnf_storage WHERE name = 'big'"));
   ASSERT_EQ(ov.rows.size(), 1u);
   EXPECT_GT(ov.rows[0][0].AsInt(), 0);
@@ -183,7 +182,7 @@ TEST(DictCodeJoin, OverflowedDictionaryKeysStayExact) {
        {"SELECT big.v, probe.w FROM big, probe WHERE big.s = probe.s",
         "SELECT probe.w FROM probe, big WHERE probe.s = big.s AND big.v > "
         "100"}) {
-    EXPECT_EQ(QueryText(late.get(), sql), QueryText(row.get(), sql)) << sql;
+    EXPECT_EQ(QueryText(col.get(), sql), QueryText(row.get(), sql)) << sql;
   }
 }
 
@@ -253,11 +252,11 @@ TEST(PinLifetime, BoundedPoolJoinEvictsOnlyUnpinnedGroups) {
   const char* kJoin =
       "SELECT build.v, probe.w FROM build, probe "
       "WHERE build.s = probe.s AND probe.w < 200";
-  auto reference = MakeDb(/*columnar=*/false, /*late=*/true, BuildPinDb);
+  auto reference = MakeDb(/*columnar=*/false, BuildPinDb);
   std::string expected = QueryText(reference.get(), kJoin);
   ASSERT_FALSE(expected.empty());
   for (int threads : {1, 4}) {
-    auto db = MakeDb(/*columnar=*/true, /*late=*/true, BuildPinDb, threads,
+    auto db = MakeDb(/*columnar=*/true, BuildPinDb, threads,
                      /*pool_pages=*/8);
     EXPECT_EQ(QueryText(db.get(), kJoin), expected) << "dop=" << threads;
     EXPECT_GT(db->buffer_pool()->evictions(), 0u) << "dop=" << threads;
@@ -270,7 +269,7 @@ TEST(PinLifetime, MidJoinEvictionFaultReleasesAllPins) {
   // victim: injecting it mid-join proves a failed eviction surfaces as a
   // clean statement error — never as a column view over freed memory — and
   // that every morsel/batch pin is released on the error path.
-  auto db = MakeDb(/*columnar=*/true, /*late=*/true, BuildPinDb,
+  auto db = MakeDb(/*columnar=*/true, BuildPinDb,
                    /*threads=*/1, /*pool_pages=*/8);
   const char* kJoin =
       "SELECT build.v, probe.w FROM build, probe WHERE build.s = probe.s";
@@ -282,7 +281,7 @@ TEST(PinLifetime, MidJoinEvictionFaultReleasesAllPins) {
   EXPECT_EQ(db->buffer_pool()->pinned_pages(), 0u);
   // The engine recovers: the same join now runs clean and matches the row
   // reference.
-  auto reference = MakeDb(/*columnar=*/false, /*late=*/true, BuildPinDb);
+  auto reference = MakeDb(/*columnar=*/false, BuildPinDb);
   EXPECT_EQ(QueryText(db.get(), kJoin), QueryText(reference.get(), kJoin));
   EXPECT_EQ(db->buffer_pool()->pinned_pages(), 0u);
 }
@@ -499,7 +498,7 @@ TEST(ClusterBy, CoWriteThroughUpdatesInvalidateGroupTags) {
   EXPECT_EQ(renum.rows[0][0].AsInt(), 1100);
 }
 
-// --- Bit-identity of late plans at every DOP -------------------------------
+// --- Bit-identity of columnar plans at every DOP ---------------------------
 
 TEST(LateExec, ColumnarLatePlansBitIdenticalAtEveryDop) {
   auto build = [](Database* db, const std::string& storage) {
@@ -526,18 +525,69 @@ TEST(LateExec, ColumnarLatePlansBitIdenticalAtEveryDop) {
       "SELECT f.id, f.v, d.tag FROM f, d WHERE f.s = d.s AND d.tag = 2",
       "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM f GROUP BY g",
       "SELECT d.s, SUM(f.v) FROM f, d WHERE f.s = d.s GROUP BY d.s"};
-  // Row engine at DOP 1 is the single source of truth; every (late, dop)
-  // combination must reproduce it byte-for-byte.
-  auto reference = MakeDb(/*columnar=*/false, /*late=*/true, build);
-  for (const std::string& sql : queries) {
-    const std::string expected = QueryText(reference.get(), sql);
-    for (int dop : {1, 2, 4, 8}) {
-      for (bool late : {false, true}) {
-        auto db = MakeDb(/*columnar=*/true, late, build, dop);
-        EXPECT_EQ(QueryText(db.get(), sql), expected)
-            << "dop=" << dop << " late=" << late << " sql=" << sql;
-      }
+  // Row engine at DOP 1 is the single source of truth; the columnar engine
+  // must reproduce it byte-for-byte at every DOP.
+  auto reference = MakeDb(/*columnar=*/false, build);
+  for (int dop : {1, 2, 4, 8}) {
+    auto db = MakeDb(/*columnar=*/true, build, dop);
+    for (const std::string& sql : queries) {
+      EXPECT_EQ(QueryText(db.get(), sql), QueryText(reference.get(), sql))
+          << "dop=" << dop << " sql=" << sql;
     }
+  }
+}
+
+TEST(LateExec, ScanPicksColumnBatchesOnlyWhenEveryFilterKernelizes) {
+  // Nothing forces the choice any more: a columnar scan under a hash join
+  // or a grouped aggregate hands up column batches (late=on in EXPLAIN
+  // ANALYZE) iff every pushed filter kernelized. Division keeps its
+  // divide-by-zero error path and stays scalar, so those scans gather rows.
+  // Either way the results match the row engine byte-for-byte.
+  auto build = [](Database* db, const std::string& storage) {
+    MustExecute(db, "CREATE TABLE f (id INT, g INT, s VARCHAR, v INT)" +
+                        storage);
+    MustExecute(db, "CREATE TABLE d (s VARCHAR, tag INT)" + storage);
+    std::vector<Row> f;
+    for (int i = 0; i < 600; ++i) {
+      f.push_back(Row{Value::Int(i), Value::Int(i % 16),
+                      Value::String("k" + std::to_string(i % 41)),
+                      Value::Int((i * 37) % 101)});
+    }
+    InsertRows(db, "f", std::move(f));
+    std::vector<Row> dim;
+    for (int i = 0; i < 30; ++i) {
+      dim.push_back(
+          Row{Value::String("k" + std::to_string(i)), Value::Int(i % 5)});
+    }
+    InsertRows(db, "d", std::move(dim));
+  };
+  struct Case {
+    std::string sql;
+    bool batches;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT g, COUNT(*), SUM(v) FROM f WHERE v > 50 GROUP BY g", true},
+      {"SELECT f.id, d.tag FROM f, d WHERE f.s = d.s AND f.v > 50 "
+       "AND d.tag = 2",
+       true},
+      {"SELECT g, COUNT(*), SUM(v) FROM f WHERE v / 2 > 25 GROUP BY g",
+       false},
+      {"SELECT f.id, d.tag FROM f, d WHERE f.s = d.s AND f.v / 2 > 25 "
+       "AND d.tag / 2 = 1",
+       false},
+  };
+  auto row = MakeDb(/*columnar=*/false, build);
+  auto col = MakeDb(/*columnar=*/true, build);
+  for (const Case& c : cases) {
+    EXPECT_EQ(QueryText(col.get(), c.sql), QueryText(row.get(), c.sql))
+        << c.sql;
+    const std::string plan = ExplainText(col.get(), "EXPLAIN ANALYZE " + c.sql);
+    EXPECT_EQ(plan.find("late=on") != std::string::npos, c.batches)
+        << c.sql << "\n" << plan;
+    // Row tables never take the batch path.
+    const std::string row_plan =
+        ExplainText(row.get(), "EXPLAIN ANALYZE " + c.sql);
+    EXPECT_EQ(row_plan.find("late=on"), std::string::npos) << row_plan;
   }
 }
 
@@ -563,16 +613,16 @@ TEST(TakePruning, SkipsUntakenColumnsAndReportsCounters) {
   const std::string take =
       "OUT OF w AS (SELECT * FROM wide WHERE b < 45) TAKE w(a, b)";
 
-  // Pruned evaluation matches the eager instance exactly.
-  auto eager = MakeDb(/*columnar=*/true, /*late=*/false, build);
-  auto late = MakeDb(/*columnar=*/true, /*late=*/true, build);
-  ASSERT_OK_AND_ASSIGN(co::CoInstance expected, eager->QueryCo(take));
-  ASSERT_OK_AND_ASSIGN(co::CoInstance pruned, late->QueryCo(take));
+  // Pruned evaluation matches the row engine's instance exactly.
+  auto row = MakeDb(/*columnar=*/false, build);
+  auto col = MakeDb(/*columnar=*/true, build);
+  ASSERT_OK_AND_ASSIGN(co::CoInstance expected, row->QueryCo(take));
+  ASSERT_OK_AND_ASSIGN(co::CoInstance pruned, col->QueryCo(take));
   EXPECT_EQ(pruned.ToString(), expected.ToString());
   EXPECT_FALSE(pruned.ToString().empty());
 
-  // The late engine reports skipped columns for the TAKE list...
-  std::string plan = ExplainText(late.get(), "EXPLAIN ANALYZE " + take);
+  // The columnar engine reports skipped columns for the TAKE list...
+  std::string plan = ExplainText(col.get(), "EXPLAIN ANALYZE " + take);
   auto pos = plan.find("scan columns: ");
   ASSERT_NE(pos, std::string::npos) << plan;
   uint64_t decoded = 0, skipped = 0;
@@ -584,9 +634,9 @@ TEST(TakePruning, SkipsUntakenColumnsAndReportsCounters) {
   EXPECT_GT(decoded, 0u) << plan;
   EXPECT_GT(skipped, decoded) << plan;  // 6 of 8 columns are never taken
 
-  // ...while TAKE * decodes everything.
+  // ...while TAKE * decodes everything and skips nothing.
   std::string star_plan = ExplainText(
-      late.get(), "EXPLAIN ANALYZE OUT OF w AS (SELECT * FROM wide "
+      col.get(), "EXPLAIN ANALYZE OUT OF w AS (SELECT * FROM wide "
                   "WHERE b < 45) TAKE *");
   auto star_pos = star_plan.find("scan columns: ");
   ASSERT_NE(star_pos, std::string::npos) << star_plan;
@@ -598,17 +648,6 @@ TEST(TakePruning, SkipsUntakenColumnsAndReportsCounters) {
       << star_plan;
   EXPECT_EQ(star_skipped, 0u) << star_plan;
   EXPECT_GT(star_decoded, decoded) << star_plan;
-
-  // The eager engine never skips.
-  std::string eager_plan = ExplainText(eager.get(), "EXPLAIN ANALYZE " + take);
-  if (auto p = eager_plan.find("scan columns: "); p != std::string::npos) {
-    uint64_t ed = 0, es = 0;
-    ASSERT_EQ(std::sscanf(eager_plan.c_str() + p,
-                          "scan columns: %lu decoded, %lu skipped", &ed, &es),
-              2)
-        << eager_plan;
-    EXPECT_EQ(es, 0u) << eager_plan;
-  }
 }
 
 TEST(TakePruning, RestrictionColumnsSurvivePruning) {
@@ -639,14 +678,11 @@ TEST(TakePruning, RestrictionColumnsSurvivePruning) {
       "OUT OF n0 AS p, n1 AS c, "
       "e AS (RELATE n0, n1 WHERE n0.a = n1.r) "
       "WHERE n0 z SUCH THAT z.b < 25 TAKE n0(a), n1(x), e";
-  auto eager = MakeDb(/*columnar=*/true, /*late=*/false, build);
-  auto late = MakeDb(/*columnar=*/true, /*late=*/true, build);
-  auto row = MakeDb(/*columnar=*/false, /*late=*/true, build);
+  auto col = MakeDb(/*columnar=*/true, build);
+  auto row = MakeDb(/*columnar=*/false, build);
   ASSERT_OK_AND_ASSIGN(co::CoInstance expected, row->QueryCo(take));
-  ASSERT_OK_AND_ASSIGN(co::CoInstance eager_co, eager->QueryCo(take));
-  ASSERT_OK_AND_ASSIGN(co::CoInstance late_co, late->QueryCo(take));
-  EXPECT_EQ(eager_co.ToString(), expected.ToString());
-  EXPECT_EQ(late_co.ToString(), expected.ToString());
+  ASSERT_OK_AND_ASSIGN(co::CoInstance col_co, col->QueryCo(take));
+  EXPECT_EQ(col_co.ToString(), expected.ToString());
   EXPECT_FALSE(expected.ToString().empty());
 }
 
@@ -684,12 +720,12 @@ TEST(TakePruning, NestedViewScansReportTheirColumns) {
   const std::string body =
       "OUT OF w AS (SELECT * FROM wide WHERE b < 30) "
       "WHERE w z SUCH THAT z.n > 2 TAKE w(a, b)";
-  auto late = MakeDb(/*columnar=*/true, /*late=*/true, build);
-  MustExecute(late.get(), "CREATE VIEW rv AS " + body);
+  auto col = MakeDb(/*columnar=*/true, build);
+  MustExecute(col.get(), "CREATE VIEW rv AS " + body);
   const auto direct =
-      ScanColumns(ExplainText(late.get(), "EXPLAIN ANALYZE " + body));
+      ScanColumns(ExplainText(col.get(), "EXPLAIN ANALYZE " + body));
   std::string plan =
-      ExplainText(late.get(), "EXPLAIN ANALYZE OUT OF rv TAKE *");
+      ExplainText(col.get(), "EXPLAIN ANALYZE OUT OF rv TAKE *");
   EXPECT_NE(plan.find("node w access=premade"), std::string::npos) << plan;
   EXPECT_GT(direct.first, 0u);
   EXPECT_GT(direct.second, 0u);  // s is never read

@@ -202,10 +202,10 @@ TEST(RegressionCorpus, TakeProjectionDropsWriteProvenance) {
 
 TEST(RegressionCorpus, ColumnarStringJoinDictCodesAgree) {
   // String equi-joins over columnar tables take the dictionary-code probe
-  // path when late materialization is on: a self-join compares codes of the
-  // same dictionary, a two-table join translates through per-table
-  // dictionaries, and NULL keys never match. The late-off matrix members
-  // pin the decode-at-scan baseline against the same scripts.
+  // path: a self-join compares codes of the same dictionary, a two-table
+  // join translates through per-table dictionaries, and NULL keys never
+  // match. The reference interpreter decodes every value, so it is the
+  // baseline the code path must agree with.
   ExpectAgreement({
       "CREATE TABLE a (a INT PRIMARY KEY, b INT, s VARCHAR) USING column",
       "CREATE TABLE b (a INT PRIMARY KEY, c INT, s VARCHAR) USING column",
