@@ -7,6 +7,7 @@
 #include "benchmark/benchmark.h"
 #include "sql/parser.h"
 #include "util.h"
+#include "xnf/cache.h"
 #include "xnf/path.h"
 
 namespace xnf::bench {
@@ -142,10 +143,60 @@ void BM_PathViaSqlJoin(benchmark::State& state) {
   state.SetLabel("one set-oriented join per path evaluation");
 }
 
+// Dependent-cursor rebind over a path with state.range(0) partners: one
+// group owning that many items, each with two parts. The diamond-free
+// fan-out still runs every partner through the first-seen dedup, so a
+// quadratic dedup shows up here as a per-partner cost that grows with the
+// argument.
+void BM_DependentCursorFanOut(benchmark::State& state) {
+  struct FanOut {
+    std::unique_ptr<Database> db;
+    std::unique_ptr<co::CoCache> cache;
+  };
+  static std::unordered_map<int64_t, FanOut> contexts;
+  const int64_t fan_out = state.range(0);
+  FanOut& ctx = contexts[fan_out];
+  if (ctx.db == nullptr) {
+    ctx.db = std::make_unique<Database>();
+    WorkingSetOptions options;
+    options.configurations = 1;
+    options.items_per_group = static_cast<int>(fan_out);
+    options.parts_per_item = 2;
+    BuildWorkingSetDatabase(ctx.db.get(), options);
+    ctx.cache = CheckResult(ctx.db->OpenCo(R"(
+      OUT OF g AS grp, i AS item, p AS part,
+        has_item AS (RELATE g, i WHERE g.gid = i.gid),
+        has_part AS (RELATE i, p WHERE i.iid = p.iid)
+      TAKE *
+    )"), "open cache");
+  }
+  co::Cursor group(ctx.cache.get(), ctx.cache->NodeIndex("g"));
+  if (!group.Next()) {
+    state.SkipWithError("no group tuple");
+    return;
+  }
+  auto cursor = CheckResult(
+      co::DependentCursor::Open(&group, {"has_item", "has_part"}),
+      "open dependent cursor");
+  size_t reached = 0;
+  for (auto _ : state) {
+    Check(cursor->Rebind(), "rebind");
+    reached = 0;
+    while (cursor->Next()) ++reached;
+    benchmark::DoNotOptimize(reached);
+  }
+  if (reached != static_cast<size_t>(2 * fan_out)) {
+    state.SkipWithError("dependent cursor reached the wrong part count");
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * fan_out);
+  state.SetLabel("rebind + drain, items then parts per group");
+}
+
 BENCHMARK(BM_PathOnInstance)->Arg(100)->Arg(1000);
 BENCHMARK(BM_PathOnCachePointers)->Arg(100)->Arg(1000);
 BENCHMARK(BM_PathViaSqlPerTuple)->Arg(100)->Arg(1000);
 BENCHMARK(BM_PathViaSqlJoin)->Arg(100)->Arg(1000);
+BENCHMARK(BM_DependentCursorFanOut)->Arg(10)->Arg(200)->Arg(2000);
 
 }  // namespace
 }  // namespace xnf::bench

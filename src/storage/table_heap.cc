@@ -48,6 +48,29 @@ Result<Row> TableHeap::Read(Rid rid) const {
   return *pages_[rid.page].slots[rid.slot];
 }
 
+Status TableHeap::ReadRids(
+    const std::vector<Rid>& rids,
+    const std::function<bool(Rid, const Row&)>& fn) const {
+  uint32_t touched_page = 0;
+  bool touched = false;
+  for (Rid rid : rids) {
+    XNF_FAILPOINT("heap.read");
+    if (!IsLive(rid)) {
+      return Status::NotFound("no live tuple at rid (" +
+                              std::to_string(rid.page) + ", " +
+                              std::to_string(rid.slot) + ")");
+    }
+    if (!touched || rid.page != touched_page) {
+      XNF_RETURN_IF_ERROR(TouchPage(rid.page));
+      touched_page = rid.page;
+      touched = true;
+    }
+    CounterAdd(reads_);
+    if (!fn(rid, *pages_[rid.page].slots[rid.slot])) break;
+  }
+  return Status::Ok();
+}
+
 bool TableHeap::IsLive(Rid rid) const {
   return rid.page < pages_.size() &&
          rid.slot < pages_[rid.page].slots.size() &&

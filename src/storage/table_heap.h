@@ -55,6 +55,14 @@ class TableHeap : public TableStorage {
   // Reads the row at `rid`. Fails with kNotFound for deleted/invalid rids.
   Result<Row> Read(Rid rid) const override;
 
+  // Per-rid Read semantics (the `heap.read` failpoint and the reads
+  // counter per row), but the buffer pool is touched once per run of
+  // consecutive rids on the same page, and `fn` sees the stored row
+  // without a copy.
+  Status ReadRids(const std::vector<Rid>& rids,
+                  const std::function<bool(Rid, const Row&)>& fn)
+      const override;
+
   // True iff `rid` refers to a live tuple.
   bool IsLive(Rid rid) const override;
 

@@ -85,6 +85,21 @@ class TableStorage {
   // Reads the row at `rid`. Fails with kNotFound for deleted/invalid rids.
   virtual Result<Row> Read(Rid rid) const = 0;
 
+  // Reads the rows at `rids` in the given order, calling `fn(rid, row)` for
+  // each; stops early if `fn` returns false. `row` is only valid for the
+  // duration of the call. Fails like Read on the first dead rid or fault;
+  // rows before it have been delivered. The default loops Read; storages
+  // with cheaper batched access override it.
+  virtual Status ReadRids(
+      const std::vector<Rid>& rids,
+      const std::function<bool(Rid, const Row&)>& fn) const {
+    for (Rid rid : rids) {
+      XNF_ASSIGN_OR_RETURN(Row row, Read(rid));
+      if (!fn(rid, row)) break;
+    }
+    return Status::Ok();
+  }
+
   // True iff `rid` refers to a live tuple.
   virtual bool IsLive(Rid rid) const = 0;
 

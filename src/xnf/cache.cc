@@ -43,7 +43,7 @@ Result<std::unique_ptr<CoCache>> CoCache::Build(CoInstance instance) {
     node.base_table = src.base_table;
     node.base_column_map = src.base_column_map;
     for (size_t t = 0; t < src.tuples.size(); ++t) {
-      Tuple tuple;
+      Tuple& tuple = node.tuples.emplace_back();
       tuple.values = std::move(src.tuples[t]);
       if (!src.rids.empty()) {
         tuple.rid = src.rids[t];
@@ -52,13 +52,13 @@ Result<std::unique_ptr<CoCache>> CoCache::Build(CoInstance instance) {
       tuple.node = static_cast<int>(n);
       tuple.out.resize(n_rels);
       tuple.in.resize(n_rels);
-      node.tuples.push_back(std::move(tuple));
     }
   }
 
   cache->rels_.resize(n_rels);
   cache->hash_nav_.resize(n_rels);
   cache->hash_nav_valid_.assign(n_rels, false);
+  std::vector<uint32_t> degree;
   for (size_t r = 0; r < n_rels; ++r) {
     XNF_FAILPOINT("cocache.fill");
     CoRelInstance& src = instance.rels[r];
@@ -76,9 +76,23 @@ Result<std::unique_ptr<CoCache>> CoCache::Build(CoInstance instance) {
     rel.parent_key_column = src.parent_key_column;
     rel.child_key_column = src.child_key_column;
     rel.attr_link_columns = src.attr_link_columns;
+    // Size every endpoint bucket at its exact degree so wiring never
+    // reallocates.
+    std::deque<Tuple>& parents = cache->nodes_[rel.parent_node].tuples;
+    std::deque<Tuple>& children = cache->nodes_[rel.child_node].tuples;
+    degree.assign(parents.size(), 0);
+    for (const CoConnection& c : src.connections) ++degree[c.parent];
+    for (size_t t = 0; t < parents.size(); ++t) {
+      if (degree[t] != 0) parents[t].out[r].reserve(degree[t]);
+    }
+    degree.assign(children.size(), 0);
+    for (const CoConnection& c : src.connections) ++degree[c.child];
+    for (size_t t = 0; t < children.size(); ++t) {
+      if (degree[t] != 0) children[t].in[r].reserve(degree[t]);
+    }
     for (CoConnection& c : src.connections) {
-      Tuple* parent = &cache->nodes_[rel.parent_node].tuples[c.parent];
-      Tuple* child = &cache->nodes_[rel.child_node].tuples[c.child];
+      Tuple* parent = &parents[c.parent];
+      Tuple* child = &children[c.child];
       cache->AddConnection(static_cast<int>(r), parent, child,
                            std::move(c.attrs));
       ++cache->stats_.connections_linked;
@@ -261,6 +275,14 @@ bool Cursor::Next() {
   }
 }
 
+namespace {
+
+Status NotPositioned() {
+  return Status::InvalidArgument("parent cursor is not positioned on a tuple");
+}
+
+}  // namespace
+
 Result<std::unique_ptr<DependentCursor>> DependentCursor::Open(
     Cursor* parent, const std::vector<std::string>& path) {
   if (path.empty()) {
@@ -275,6 +297,7 @@ Result<std::unique_ptr<DependentCursor>> DependentCursor::Open(
   }
   auto cursor = std::unique_ptr<DependentCursor>(
       new DependentCursor(parent, std::move(expr)));
+  XNF_RETURN_IF_ERROR(cursor->Resolve());
   XNF_RETURN_IF_ERROR(cursor->Rebind());
   return cursor;
 }
@@ -292,8 +315,53 @@ Result<std::unique_ptr<DependentCursor>> DependentCursor::OpenPath(
   }
   auto cursor = std::unique_ptr<DependentCursor>(
       new DependentCursor(parent, std::move(*expr->path)));
+  XNF_RETURN_IF_ERROR(cursor->Resolve());
   XNF_RETURN_IF_ERROR(cursor->Rebind());
   return cursor;
+}
+
+Status DependentCursor::Resolve() {
+  // An unpositioned parent is reported first, as Rebind reports it.
+  if (parent_->tuple() == nullptr) return NotPositioned();
+  const CoCache* cache = parent_->cache();
+  int current_node = parent_->node_index();
+  for (const sql::PathStep& path_step : path_.steps) {
+    Step step;
+    int r = cache->RelIndex(path_step.name);
+    if (r >= 0) {
+      const CoCache::Rel& rel = cache->rel(r);
+      bool forward = rel.parent_node == current_node;
+      bool backward = rel.child_node == current_node;
+      if (!forward && !backward) {
+        return Status::InvalidArgument(
+            "relationship '" + path_step.name + "' does not connect to '" +
+            cache->node(current_node).name + "'");
+      }
+      step.rel = r;
+      step.forward = forward;
+      current_node = forward ? rel.child_node : rel.parent_node;
+    } else {
+      int n = cache->NodeIndex(path_step.name);
+      if (n < 0) {
+        return Status::NotFound("path step '" + path_step.name +
+                                "' is neither a relationship nor a component "
+                                "table of this CO");
+      }
+      if (n != current_node) {
+        return Status::InvalidArgument(
+            "path step '" + path_step.name +
+            "' does not match current position '" +
+            cache->node(current_node).name + "'");
+      }
+      step.node = n;
+      step.predicate = path_step.predicate.get();
+      step.corr = path_step.corr.empty() ? cache->node(n).name
+                                         : ToLower(path_step.corr);
+    }
+    steps_.push_back(std::move(step));
+  }
+  target_node_ = current_node;
+  return Status::Ok();
 }
 
 Status DependentCursor::Rebind() {
@@ -301,75 +369,77 @@ Status DependentCursor::Rebind() {
   pos_ = 0;
   current_ = nullptr;
   CoCache::Tuple* start = parent_->tuple();
-  if (start == nullptr) {
-    return Status::InvalidArgument(
-        "parent cursor is not positioned on a tuple");
-  }
+  if (start == nullptr) return NotPositioned();
   CoCache* cache = parent_->cache();
-  int current_node = parent_->node_index();
-  std::vector<CoCache::Tuple*> frontier = {start};
+  reachable_.push_back(start);
 
-  for (const sql::PathStep& step : path_.steps) {
-    int r = cache->RelIndex(step.name);
-    if (r >= 0) {
-      const CoCache::Rel& rel = cache->rel(r);
-      bool forward = rel.parent_node == current_node;
-      bool backward = rel.child_node == current_node;
-      if (!forward && !backward) {
-        return Status::InvalidArgument(
-            "relationship '" + step.name + "' does not connect to '" +
-            cache->node(current_node).name + "'");
+  for (const Step& step : steps_) {
+    if (step.rel >= 0) {
+      size_t crossed = 0;
+      for (const CoCache::Tuple* t : reachable_) {
+        crossed += (step.forward ? t->out[step.rel] : t->in[step.rel]).size();
       }
-      std::vector<CoCache::Tuple*> next;
-      for (CoCache::Tuple* t : frontier) {
-        const auto& conns = forward ? t->out[r] : t->in[r];
+      next_.clear();
+      seen_.Reset(crossed);
+      for (CoCache::Tuple* t : reachable_) {
+        const auto& conns = step.forward ? t->out[step.rel] : t->in[step.rel];
         for (CoCache::Connection* c : conns) {
           if (!c->alive) continue;
-          CoCache::Tuple* partner = forward ? c->child : c->parent;
-          if (!partner->alive) continue;
-          next.push_back(partner);
+          CoCache::Tuple* partner = step.forward ? c->child : c->parent;
+          if (!partner->alive || !seen_.Insert(partner)) continue;
+          next_.push_back(partner);
         }
       }
-      // Deduplicate while keeping order.
-      std::vector<CoCache::Tuple*> dedup;
-      for (CoCache::Tuple* t : next) {
-        if (std::find(dedup.begin(), dedup.end(), t) == dedup.end()) {
-          dedup.push_back(t);
-        }
-      }
-      frontier = std::move(dedup);
-      current_node = forward ? rel.child_node : rel.parent_node;
+      reachable_.swap(next_);
       continue;
     }
-    int n = cache->NodeIndex(step.name);
-    if (n >= 0) {
-      if (n != current_node) {
-        return Status::InvalidArgument(
-            "path step '" + step.name + "' does not match current position "
-            "'" + cache->node(current_node).name + "'");
+    if (step.predicate == nullptr) continue;
+    const CoCache::Node& node = cache->node(step.node);
+    RowEvaluator eval({RowEvaluator::Binding{step.corr, &node.schema,
+                                             nullptr}});
+    size_t kept = 0;
+    for (CoCache::Tuple* t : reachable_) {
+      eval.set_row(0, &t->values);
+      Result<bool> keep = eval.EvalPredicate(*step.predicate);
+      if (!keep.ok()) {
+        reachable_.clear();
+        return keep.status();
       }
-      if (step.predicate != nullptr) {
-        std::string corr =
-            step.corr.empty() ? cache->node(n).name : ToLower(step.corr);
-        std::vector<CoCache::Tuple*> kept;
-        for (CoCache::Tuple* t : frontier) {
-          RowEvaluator eval({RowEvaluator::Binding{
-              corr, &cache->node(n).schema, &t->values}});
-          XNF_ASSIGN_OR_RETURN(bool keep,
-                               eval.EvalPredicate(*step.predicate));
-          if (keep) kept.push_back(t);
-        }
-        frontier = std::move(kept);
-      }
-      continue;
+      if (*keep) reachable_[kept++] = t;
     }
-    return Status::NotFound("path step '" + step.name +
-                            "' is neither a relationship nor a component "
-                            "table of this CO");
+    reachable_.resize(kept);
   }
-  target_node_ = current_node;
-  reachable_ = std::move(frontier);
   return Status::Ok();
+}
+
+void DependentCursor::SeenSet::Reset(size_t n) {
+  if (slots_.size() < 2 * n) {
+    size_t size = 16;
+    while (size < 2 * n) size *= 2;
+    slots_.assign(size, Slot{});
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) {  // wrapped: stale slots could match again
+    slots_.assign(slots_.size(), Slot{});
+    epoch_ = 1;
+  }
+}
+
+bool DependentCursor::SeenSet::Insert(const CoCache::Tuple* t) {
+  const size_t mask = slots_.size() - 1;
+  // Fibonacci hashing of the pointer (low bits are alignment zeros).
+  size_t i =
+      ((reinterpret_cast<uintptr_t>(t) >> 4) * 0x9E3779B97F4A7C15ull >> 32) &
+      mask;
+  while (true) {
+    Slot& slot = slots_[i];
+    if (slot.epoch != epoch_) {
+      slot = Slot{t, epoch_};
+      return true;
+    }
+    if (slot.tuple == t) return false;
+    i = (i + 1) & mask;
+  }
 }
 
 bool DependentCursor::Next() {

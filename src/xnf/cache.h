@@ -197,7 +197,9 @@ class DependentCursor {
   static Result<std::unique_ptr<DependentCursor>> OpenPath(
       Cursor* parent, const std::string& path_text);
 
-  // Re-evaluates the reachable set from the parent's current tuple.
+  // Re-evaluates the reachable set from the parent's current tuple: linear
+  // in the connections crossed. A tuple reached through several partners
+  // is kept once, at its first-seen position.
   Status Rebind();
   bool Next();
   CoCache::Tuple* tuple() const { return current_; }
@@ -205,13 +207,51 @@ class DependentCursor {
   int node_index() const { return target_node_; }
 
  private:
+  // One path step, resolved against the cache once at Open/OpenPath.
+  struct Step {
+    int rel = -1;         // relationship crossed; -1 for a node step
+    bool forward = true;  // relationship steps: parent -> child
+    int node = -1;        // node steps: the component the step names
+    std::string corr;     // node steps: correlation name of the predicate
+    const sql::Expr* predicate = nullptr;  // node steps; null = no filter
+  };
+
   DependentCursor(Cursor* parent, sql::PathExpr path)
       : parent_(parent), path_(std::move(path)) {}
 
+  // Resolves every path step to a relationship (and direction) or node
+  // index: kNotFound for an unknown name, kInvalidArgument for a step that
+  // does not start at the current position.
+  Status Resolve();
+
   Cursor* parent_;
-  sql::PathExpr path_;
+  sql::PathExpr path_;  // owns the step predicates
+  std::vector<Step> steps_;
   int target_node_ = -1;
   std::vector<CoCache::Tuple*> reachable_;
+  // First-seen filter for a relationship step: an insert-only
+  // open-addressing set of tuple pointers. Slots carry the epoch they were
+  // filled in, so starting a step is O(1), and a set reused across
+  // rebinds stops allocating once it has grown to the largest step.
+  class SeenSet {
+   public:
+    // Empties the set and makes room for up to `n` inserts.
+    void Reset(size_t n);
+    // True iff `t` was not in the set (and is now).
+    bool Insert(const CoCache::Tuple* t);
+
+   private:
+    struct Slot {
+      const CoCache::Tuple* tuple = nullptr;
+      uint32_t epoch = 0;
+    };
+    std::vector<Slot> slots_;
+    uint32_t epoch_ = 0;
+  };
+
+  // Rebind scratch, kept to reuse its storage across rebinds.
+  std::vector<CoCache::Tuple*> next_;
+  SeenSet seen_;
   size_t pos_ = 0;
   CoCache::Tuple* current_ = nullptr;
 };

@@ -254,10 +254,9 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
     exec_ctx.catalog = catalog_;
 
     auto emit = [&](Rid rid, const Row& row) {
-      Row out;
+      Row& out = node.tuples.emplace_back();
       out.reserve(node.base_column_map.size());
       for (int b : node.base_column_map) out.push_back(row[b]);
-      node.tuples.push_back(std::move(out));
       node.rids.push_back(rid);
     };
 
@@ -266,6 +265,8 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
     // this is what makes 1-in-10000 working-set extraction cheap.
     Index* index = nullptr;
     Value index_key;
+    const qgm::Expr* index_conjunct = nullptr;
+    size_t index_column = 0;
     if (pred != nullptr) {
       std::function<void(const qgm::Expr&)> find =
           [&](const qgm::Expr& e) {
@@ -292,6 +293,8 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
             if (idx != nullptr) {
               index = idx;
               index_key = lit->literal;
+              index_conjunct = &e;
+              index_column = static_cast<size_t>(col->slot);
             }
           };
       find(*pred);
@@ -318,11 +321,21 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
     };
 
     if (index != nullptr) {
-      for (Rid rid : index->Lookup({index_key})) {
-        XNF_ASSIGN_OR_RETURN(Row row, table->storage->Read(rid));
-        if (check(row)) emit(rid, row);
-        XNF_RETURN_IF_ERROR(status);
-      }
+      // Every hit satisfies the conjunct the index answered; when that
+      // conjunct is the whole predicate and needs no coercion, skip the
+      // per-row re-check.
+      const bool exact =
+          index_conjunct == pred.get() &&
+          index_key.type() == table->schema.column(index_column).type;
+      const std::vector<Rid> hits = index->Lookup({index_key});
+      node.tuples.reserve(hits.size());
+      node.rids.reserve(hits.size());
+      XNF_RETURN_IF_ERROR(table->storage->ReadRids(
+          hits, [&](Rid rid, const Row& row) {
+            if (!exact && !check(row)) return status.ok();
+            emit(rid, row);
+            return true;
+          }));
     } else {
       // Candidate scan: morsel-parallel when an executor pool is attached,
       // serial otherwise; output order matches the heap scan either way.

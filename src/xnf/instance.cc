@@ -1,6 +1,6 @@
 #include "xnf/instance.h"
 
-#include <deque>
+#include <cstdint>
 
 #include "common/str_util.h"
 
@@ -89,55 +89,67 @@ void PruneInstance(CoInstance* instance,
 }
 
 void ApplyReachability(CoInstance* instance) {
-  size_t n_nodes = instance->nodes.size();
+  const size_t n_nodes = instance->nodes.size();
 
-  // Roots: nodes without incoming relationships in the instance graph.
+  // Tuples are numbered globally: node n's tuple t is base[n] + t.
+  std::vector<size_t> base(n_nodes + 1, 0);
+  for (size_t n = 0; n < n_nodes; ++n) {
+    base[n + 1] = base[n] + instance->nodes[n].tuples.size();
+  }
+  const size_t n_tuples = base[n_nodes];
+
+  // Parent-to-child adjacency in CSR form: the children of tuple g are
+  // targets[offsets[g] .. offsets[g + 1]).
+  std::vector<uint32_t> offsets(n_tuples + 1, 0);
   std::vector<char> has_incoming(n_nodes, 0);
   for (const CoRelInstance& rel : instance->rels) {
     if (rel.child_node >= 0) has_incoming[rel.child_node] = 1;
-  }
-
-  // Adjacency: per parent node, connections grouped by parent tuple.
-  // (Semi-naive frontier expansion over tuple marks.)
-  std::vector<std::vector<char>> marked(n_nodes);
-  for (size_t n = 0; n < n_nodes; ++n) {
-    marked[n].assign(instance->nodes[n].tuples.size(), 0);
-  }
-
-  std::deque<std::pair<int, int>> frontier;  // (node, tuple)
-  for (size_t n = 0; n < n_nodes; ++n) {
-    if (has_incoming[n]) continue;
-    for (size_t t = 0; t < instance->nodes[n].tuples.size(); ++t) {
-      marked[n][t] = 1;
-      frontier.emplace_back(static_cast<int>(n), static_cast<int>(t));
-    }
-  }
-
-  // Index connections by (parent node, parent tuple) for the walk.
-  std::vector<std::vector<std::vector<std::pair<int, int>>>> out_edges(
-      n_nodes);  // [node][tuple] -> list of (child_node, child_tuple)
-  for (size_t n = 0; n < n_nodes; ++n) {
-    out_edges[n].resize(instance->nodes[n].tuples.size());
-  }
-  for (const CoRelInstance& rel : instance->rels) {
     for (const CoConnection& c : rel.connections) {
-      out_edges[rel.parent_node][c.parent].emplace_back(rel.child_node,
-                                                        c.child);
+      ++offsets[base[rel.parent_node] + c.parent + 1];
     }
   }
-
-  while (!frontier.empty()) {
-    auto [n, t] = frontier.front();
-    frontier.pop_front();
-    for (const auto& [cn, ct] : out_edges[n][t]) {
-      if (!marked[cn][ct]) {
-        marked[cn][ct] = 1;
-        frontier.emplace_back(cn, ct);
+  for (size_t g = 0; g < n_tuples; ++g) offsets[g + 1] += offsets[g];
+  std::vector<uint32_t> targets(offsets[n_tuples]);
+  {
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const CoRelInstance& rel : instance->rels) {
+      for (const CoConnection& c : rel.connections) {
+        targets[fill[base[rel.parent_node] + c.parent]++] =
+            static_cast<uint32_t>(base[rel.child_node] + c.child);
       }
     }
   }
 
-  PruneInstance(instance, marked);
+  // Roots: every tuple of a node without incoming relationships in the
+  // instance graph. The walk never visits a tuple twice, so cycles end.
+  std::vector<char> marked(n_tuples, 0);
+  std::vector<uint32_t> frontier;
+  for (size_t n = 0; n < n_nodes; ++n) {
+    if (has_incoming[n]) continue;
+    for (size_t g = base[n]; g < base[n + 1]; ++g) {
+      marked[g] = 1;
+      frontier.push_back(static_cast<uint32_t>(g));
+    }
+  }
+  size_t n_marked = frontier.size();
+  while (!frontier.empty()) {
+    const uint32_t g = frontier.back();
+    frontier.pop_back();
+    for (uint32_t e = offsets[g]; e < offsets[g + 1]; ++e) {
+      const uint32_t child = targets[e];
+      if (marked[child]) continue;
+      marked[child] = 1;
+      ++n_marked;
+      frontier.push_back(child);
+    }
+  }
+  if (n_marked == n_tuples) return;  // nothing to drop
+
+  std::vector<std::vector<char>> keep(n_nodes);
+  for (size_t n = 0; n < n_nodes; ++n) {
+    keep[n].assign(marked.begin() + base[n], marked.begin() + base[n + 1]);
+  }
+  PruneInstance(instance, keep);
 }
 
 }  // namespace xnf::co

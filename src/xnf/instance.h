@@ -87,7 +87,9 @@ struct CoInstance {
 // *current* instance graph. Dropped tuples take their incident connections
 // with them (well-formedness). Handles cyclic schema graphs (the fixpoint
 // simply never visits a tuple twice). Compacts tuple vectors and remaps
-// connection indices.
+// connection indices — only when some tuple is dropped; an instance whose
+// tuples are all reachable is left untouched. Linear in tuples plus
+// connections.
 void ApplyReachability(CoInstance* instance);
 
 // Removes connections whose endpoints were deleted (marked by tuple index

@@ -1,6 +1,7 @@
 #include "xnf/scalar_eval.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/str_util.h"
 
@@ -41,32 +42,36 @@ bool IsPathNode(const sql::Expr& e) {
 
 }  // namespace
 
-Result<Value> RowEvaluator::ResolveColumn(const std::string& table,
-                                          const std::string& column) const {
-  std::string tbl = ToLower(table);
-  std::string col = ToLower(column);
-  const Binding* found = nullptr;
-  size_t col_index = 0;
-  for (const Binding& b : bindings_) {
+Result<Value> RowEvaluator::ResolveColumn(const sql::Expr& ref) const {
+  for (const Resolved& r : resolved_) {
+    if (r.ref == &ref) return (*bindings_[r.binding].row)[r.column];
+  }
+  std::string tbl = ToLower(ref.table);
+  std::string col = ToLower(ref.column);
+  std::optional<Resolved> found;
+  for (size_t b = 0; b < bindings_.size(); ++b) {
+    const Binding& binding = bindings_[b];
     if (!tbl.empty()) {
-      if (b.name != tbl) continue;
-      XNF_ASSIGN_OR_RETURN(size_t i, b.schema->Resolve("", col));
-      return (*b.row)[i];
+      if (binding.name != tbl) continue;
+      XNF_ASSIGN_OR_RETURN(size_t i, binding.schema->Resolve("", col));
+      found = Resolved{&ref, b, i};
+      break;
     }
-    auto i = b.schema->Find(col);
+    auto i = binding.schema->Find(col);
     if (!i.has_value()) continue;
-    if (found != nullptr) {
-      return Status::InvalidArgument("ambiguous column '" + column + "'");
+    if (found.has_value()) {
+      return Status::InvalidArgument("ambiguous column '" + ref.column + "'");
     }
-    found = &b;
-    col_index = *i;
+    found = Resolved{&ref, b, *i};
   }
-  if (found == nullptr) {
-    return Status::NotFound("column '" +
-                            (table.empty() ? column : table + "." + column) +
-                            "' not found");
+  if (!found.has_value()) {
+    return Status::NotFound(
+        "column '" +
+        (ref.table.empty() ? ref.column : ref.table + "." + ref.column) +
+        "' not found");
   }
-  return (*found->row)[col_index];
+  resolved_.push_back(*found);
+  return (*bindings_[found->binding].row)[found->column];
 }
 
 Result<bool> RowEvaluator::EvalPredicate(const sql::Expr& expr) const {
@@ -91,7 +96,7 @@ Result<Value> RowEvaluator::Eval(const sql::Expr& expr) const {
     case K::kLiteral:
       return expr.literal;
     case K::kColumnRef:
-      return ResolveColumn(expr.table, expr.column);
+      return ResolveColumn(expr);
     case K::kBinary: {
       XNF_ASSIGN_OR_RETURN(Value l, Eval(*expr.args[0]));
       if (expr.bin_op == sql::BinOp::kAnd || expr.bin_op == sql::BinOp::kOr) {

@@ -33,17 +33,31 @@ class RowEvaluator {
                         PathHook path_hook = nullptr)
       : bindings_(std::move(bindings)), path_hook_(std::move(path_hook)) {}
 
+  // Re-points binding `i` at another row of the same schema, so one
+  // evaluator serves a whole scan.
+  void set_row(size_t i, const Row* row) { bindings_[i].row = row; }
+
   Result<Value> Eval(const sql::Expr& expr) const;
 
   // Predicate evaluation: NULL and FALSE both reject.
   Result<bool> EvalPredicate(const sql::Expr& expr) const;
 
  private:
-  Result<Value> ResolveColumn(const std::string& table,
-                              const std::string& column) const;
+  // Binding and column index of one resolved kColumnRef node.
+  struct Resolved {
+    const sql::Expr* ref = nullptr;
+    size_t binding = 0;
+    size_t column = 0;
+  };
+
+  Result<Value> ResolveColumn(const sql::Expr& ref) const;
 
   std::vector<Binding> bindings_;
   PathHook path_hook_;
+  // Resolution depends only on binding names and schemas, which set_row
+  // leaves alone, so an evaluator reused across rows resolves each column
+  // reference once. Failed resolutions are not kept.
+  mutable std::vector<Resolved> resolved_;
 };
 
 }  // namespace xnf::co

@@ -196,5 +196,181 @@ TEST_F(CacheTest, LiveCountsTrackRemovals) {
   }
 }
 
+// A design CO where one group owns kFanOut items and items share parts
+// through a link table, so a group -> item -> part path reaches each part
+// through many items (a diamond), some of them over duplicate links.
+constexpr int kFanOut = 2000;
+constexpr int kParts = 60;
+
+class FanOutCursorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExecute(&db_, R"(
+      CREATE TABLE G (gid INT PRIMARY KEY);
+      CREATE TABLE I (iid INT PRIMARY KEY, igid INT);
+      CREATE TABLE P (pid INT PRIMARY KEY, cost INT);
+      CREATE TABLE IP (ipiid INT, ippid INT);
+      INSERT INTO G VALUES (1), (2);
+    )");
+    std::string items, parts, links;
+    for (int i = 0; i < kFanOut + 3; ++i) {
+      items += (i ? ", (" : "(") + std::to_string(i) + ", " +
+               (i < kFanOut ? "1" : "2") + ")";
+      for (int p : {(i * 7 + 3) % kParts, (i * 13) % kParts, i % kParts}) {
+        links += (links.empty() ? "(" : ", (") + std::to_string(i) + ", " +
+                 std::to_string(p) + ")";
+      }
+    }
+    for (int p = 0; p < kParts; ++p) {
+      parts += (p ? ", (" : "(") + std::to_string(p) + ", " +
+               std::to_string(p % 7 * 10) + ")";
+    }
+    MustExecute(&db_, "INSERT INTO I VALUES " + items + ";" +
+                          "INSERT INTO P VALUES " + parts + ";" +
+                          "INSERT INTO IP VALUES " + links + ";");
+    ASSERT_OK_AND_ASSIGN(cache_, db_.OpenCo(R"(
+      OUT OF g AS G, i AS I, p AS P,
+        has_item AS (RELATE g, i WHERE g.gid = i.igid),
+        uses AS (RELATE i, p USING IP x
+                 WHERE i.iid = x.ipiid AND p.pid = x.ippid)
+      TAKE *
+    )"));
+  }
+
+  // The dependent-cursor walk as it was before steps were bound once: a
+  // std::find dedup per step. Its output, order included, is the contract.
+  std::vector<const co::CoCache::Tuple*> LegacyWalk(
+      const co::Cursor& parent, const std::vector<std::string>& rels) const {
+    std::vector<const co::CoCache::Tuple*> frontier = {parent.tuple()};
+    int node = parent.node_index();
+    for (const std::string& name : rels) {
+      const int r = cache_->RelIndex(name);
+      const co::CoCache::Rel& rel = cache_->rel(r);
+      const bool forward = rel.parent_node == node;
+      std::vector<const co::CoCache::Tuple*> next;
+      for (const co::CoCache::Tuple* t : frontier) {
+        for (const co::CoCache::Connection* c :
+             forward ? t->out[r] : t->in[r]) {
+          const co::CoCache::Tuple* partner = forward ? c->child : c->parent;
+          if (c->alive && partner->alive &&
+              std::find(next.begin(), next.end(), partner) == next.end()) {
+            next.push_back(partner);
+          }
+        }
+      }
+      frontier = std::move(next);
+      node = forward ? rel.child_node : rel.parent_node;
+    }
+    return frontier;
+  }
+
+  static std::vector<const co::CoCache::Tuple*> Drain(
+      co::DependentCursor* cursor) {
+    std::vector<const co::CoCache::Tuple*> out;
+    while (cursor->Next()) out.push_back(cursor->tuple());
+    return out;
+  }
+
+  Database db_;
+  std::unique_ptr<co::CoCache> cache_;
+};
+
+TEST_F(FanOutCursorTest, FanOutKeepsConnectionOrder) {
+  co::Cursor groups(cache_.get(), cache_->NodeIndex("g"));
+  ASSERT_TRUE(groups.Next());
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<co::DependentCursor> items,
+                       co::DependentCursor::Open(&groups, {"has_item"}));
+  auto got = Drain(items.get());
+  ASSERT_EQ(got.size(), static_cast<size_t>(kFanOut));
+  EXPECT_EQ(got, LegacyWalk(groups, {"has_item"}));
+}
+
+TEST_F(FanOutCursorTest, DiamondYieldsEachTupleOnceInFirstSeenOrder) {
+  co::Cursor groups(cache_.get(), cache_->NodeIndex("g"));
+  ASSERT_TRUE(groups.Next());
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<co::DependentCursor> parts,
+      co::DependentCursor::Open(&groups, {"has_item", "uses"}));
+  auto got = Drain(parts.get());
+  EXPECT_EQ(got.size(), static_cast<size_t>(kParts));
+  EXPECT_EQ(std::set<const co::CoCache::Tuple*>(got.begin(), got.end()).size(),
+            got.size());
+  EXPECT_EQ(got, LegacyWalk(groups, {"has_item", "uses"}));
+
+  // Backward across both relationships: every part reaches its groups
+  // through many items, and each group comes back once.
+  co::Cursor parts_cursor(cache_.get(), cache_->NodeIndex("p"));
+  std::unique_ptr<co::DependentCursor> owners;
+  while (parts_cursor.Next()) {
+    if (owners == nullptr) {
+      ASSERT_OK_AND_ASSIGN(owners, co::DependentCursor::Open(
+                                       &parts_cursor, {"uses", "has_item"}));
+    } else {
+      ASSERT_OK(owners->Rebind());
+    }
+    auto groups_seen = Drain(owners.get());
+    EXPECT_EQ(groups_seen, LegacyWalk(parts_cursor, {"uses", "has_item"}));
+    EXPECT_GE(groups_seen.size(), 1u);
+    EXPECT_LE(groups_seen.size(), 2u);
+  }
+}
+
+TEST_F(FanOutCursorTest, QualifiedStepFiltersInOrder) {
+  co::Cursor groups(cache_.get(), cache_->NodeIndex("g"));
+  ASSERT_TRUE(groups.Next());
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<co::DependentCursor> dear,
+      co::DependentCursor::OpenPath(
+          &groups, "has_item->uses->(p x WHERE x.cost > 30 AND pid < 50)"));
+  std::vector<const co::CoCache::Tuple*> want;
+  for (const co::CoCache::Tuple* t : LegacyWalk(groups, {"has_item", "uses"})) {
+    if (t->values[1].AsInt() > 30 && t->values[0].AsInt() < 50) {
+      want.push_back(t);
+    }
+  }
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(Drain(dear.get()), want);
+}
+
+TEST_F(FanOutCursorTest, RebindFollowsTheParentAcrossFanOuts) {
+  // One cursor rebound from the 2000-item group to the 3-item group and
+  // back: no state of an earlier walk leaks into a later one.
+  co::Cursor groups(cache_.get(), cache_->NodeIndex("g"));
+  ASSERT_TRUE(groups.Next());
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<co::DependentCursor> parts,
+      co::DependentCursor::Open(&groups, {"has_item", "uses"}));
+  ASSERT_TRUE(groups.Next());
+  ASSERT_OK(parts->Rebind());
+  auto small = Drain(parts.get());
+  EXPECT_EQ(small, LegacyWalk(groups, {"has_item", "uses"}));
+  EXPECT_LE(small.size(), 9u);
+  groups.Reset();
+  ASSERT_TRUE(groups.Next());
+  ASSERT_OK(parts->Rebind());
+  EXPECT_EQ(Drain(parts.get()), LegacyWalk(groups, {"has_item", "uses"}));
+}
+
+TEST_F(FanOutCursorTest, BadStepsFailAtOpen) {
+  co::Cursor groups(cache_.get(), cache_->NodeIndex("g"));
+  // An unpositioned parent is reported before the path is looked at.
+  EXPECT_EQ(co::DependentCursor::Open(&groups, {"nope"}).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(groups.Next());
+  EXPECT_EQ(co::DependentCursor::Open(&groups, {"nope"}).status().code(),
+            StatusCode::kNotFound);
+  // `uses` does not touch g.
+  EXPECT_EQ(co::DependentCursor::Open(&groups, {"uses"}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      co::DependentCursor::OpenPath(&groups, "has_item->p").status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(co::DependentCursor::OpenPath(
+                &groups, "has_item->(i y WHERE y.nope = 1)")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace xnf::testing

@@ -118,6 +118,50 @@ TEST_F(XnfFault, FailedCacheFillDiscardsPartialCo) {
   EXPECT_GT(navigated, 0u);
 }
 
+TEST_F(XnfFault, IndexFedNodeReadFaultDiscardsPartialCo) {
+  // Both nodes are index-fed: d reads one row, e three, all through the
+  // rid-list fetch, which still checks the layout's read failpoint once
+  // per row (row tables override it, columnar ones loop Read). A fault at
+  // any of the four rows fails OpenCo with no cache; the fifth hit never
+  // comes, so that schedule opens the full CO. Tables pin their layout so
+  // the default-storage lanes run both.
+  for (const auto& [layout, site] :
+       {std::pair<std::string, std::string>{"row", "heap.read"},
+        {"column", "column.read"}}) {
+    SCOPED_TRACE(layout);
+    Database db;
+    MustExecute(&db,
+                "CREATE TABLE D (dno INT PRIMARY KEY, loc VARCHAR) USING " +
+                    layout + ";" +
+                    "CREATE TABLE E (eno INT PRIMARY KEY, edno INT) USING " +
+                    layout + ";" +
+                    "CREATE INDEX e_edno ON E (edno);"
+                    "INSERT INTO D VALUES (1, 'NY'), (2, 'SF');"
+                    "INSERT INTO E VALUES (1, 1), (2, 2), (3, 2), (4, 1), "
+                    "(5, 2);");
+    const std::string query =
+        "OUT OF d AS (SELECT * FROM D WHERE dno = 2), "
+        "e AS (SELECT * FROM E WHERE edno = 2), "
+        "works AS (RELATE d, e WHERE d.dno = e.edno) TAKE *";
+    for (int k = 1; k <= 4; ++k) {
+      SCOPED_TRACE(site + " nth(" + std::to_string(k) + ")");
+      ASSERT_OK(Failpoints::Enable(site, "nth(" + std::to_string(k) + ")"));
+      auto r = db.OpenCo(query);
+      Failpoints::DisableAll();
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kFaultInjected);
+    }
+    ASSERT_OK(Failpoints::Enable(site, "nth(5)"));
+    auto opened = db.OpenCo(query);
+    Failpoints::DisableAll();
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const co::CoCache& cache = **opened;
+    EXPECT_EQ(cache.node(cache.NodeIndex("d")).live_count(), 1u);
+    EXPECT_EQ(cache.node(cache.NodeIndex("e")).live_count(), 3u);
+    EXPECT_EQ(cache.rel(cache.RelIndex("works")).live_count(), 3u);
+  }
+}
+
 TEST_F(XnfFault, CoUpdateWriteThroughRollsBackOnFault) {
   // CO-level UPDATE writes through to EMP row by row; a fault on the third
   // row's apply must roll back the first two.
