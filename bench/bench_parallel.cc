@@ -1,10 +1,11 @@
 // Intra-query parallelism scaling curves: the same queries executed by one
-// Database per thread setting (1/2/4/8). Three shapes: a filtered full scan
-// (morsel-driven SeqScan), a selective hash join (parallel build), and an
-// XNF extraction (concurrent node/edge derived queries). On a single-core
-// machine the curves are flat — the interesting CI signal there is that the
-// parallel paths add no correctness or overhead regressions; the speedups in
-// EXPERIMENTS.md were taken where cores were available.
+// Database per thread setting (1/2/4/8). Morsel-driven scans are the only
+// parallel operators, so the three shapes time them under different
+// consumers: a filtered full scan (the morsel-driven SeqScan alone), a
+// selective hash join (morsel scans of both inputs under a serial build and
+// probe), and an XNF extraction (morsel candidate scans under serial node
+// and edge phases). EXPERIMENTS.md records the curves and the host they
+// were taken on.
 
 #include <memory>
 #include <unordered_map>
@@ -46,6 +47,7 @@ Database& GetDb(int threads) {
   return ref;
 }
 
+// Morsel-driven filtered scan of `fact`.
 void BM_ParallelScan(benchmark::State& state) {
   Database& db = GetDb(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -57,6 +59,8 @@ void BM_ParallelScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 
+// Morsel scans of `fact` and `dim` feeding one serial hash-join build and
+// probe.
 void BM_ParallelHashJoin(benchmark::State& state) {
   Database& db = GetDb(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -70,6 +74,8 @@ void BM_ParallelHashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 
+// Two-node CO whose node queries are morsel candidate scans; the node and
+// edge phases run serially on the calling thread.
 void BM_ParallelXnfExtraction(benchmark::State& state) {
   Database& db = GetDb(static_cast<int>(state.range(0)));
   for (auto _ : state) {

@@ -71,9 +71,9 @@ class Database {
     // 0 = unbounded buffer pool (fault count == distinct pages touched).
     size_t buffer_pool_pages = 0;
     uint32_t tuples_per_page = 64;
-    // Worker threads for intra-query parallelism (morsel scans, hash-join
-    // build, concurrent XNF derived queries). 0 = hardware concurrency;
-    // 1 = serial execution.
+    // Degree of parallelism of morsel scans, the only intra-query
+    // parallelism (SQL scans and XNF candidate scans alike). 0 = hardware
+    // concurrency; 1 = serial execution.
     int threads = 0;
     // Failpoint spec ("site=trigger,..."; see common/failpoint.h) armed at
     // construction. The SQLXNF_FAILPOINTS environment variable is applied

@@ -212,8 +212,8 @@ class Catalog {
   };
 
   // Refreshes (if the epoch moved) and returns the named system view, or
-  // nullptr. Takes system_mu_: concurrent XNF node queries may resolve the
-  // same view from worker threads.
+  // nullptr. Takes system_mu_, which guards every access to system_views_,
+  // the per-epoch refresh included.
   TableInfo* GetSystemView(const std::string& lower_name) const;
 
   ExecConfig exec_config_;

@@ -17,16 +17,16 @@ namespace xnf {
 class Counter;
 class MetricsRegistry;
 
-// Fixed-size worker pool for intra-query parallelism (morsel-driven scans,
-// parallel hash-join build, concurrent XNF derived queries). One pool per
-// Database; operators reach it through the catalog.
+// Fixed-size worker pool for intra-query parallelism. Its only engine user
+// is the morsel driver of filtering scans (exec/parallel.h), which SQL
+// scans and XNF candidate scans share. One pool per Database; operators
+// reach it through the catalog.
 //
 // The unit of work is a *batch* of independent tasks submitted with
 // RunAll(). The submitting thread participates in its own batch — it claims
-// and runs tasks alongside the workers — so a task may itself call RunAll()
-// (an XNF node query running a parallel scan) without risk of deadlock:
-// every batch makes progress on its caller's thread even when all workers
-// are busy or the pool has zero workers.
+// and runs tasks alongside the workers — so every batch makes progress on
+// its caller's thread even when all workers are busy or the pool has zero
+// workers, and a task may itself call RunAll() without risk of deadlock.
 class ThreadPool {
  public:
   // `dop` is the degree of parallelism: 1 caller thread + (dop - 1)

@@ -187,7 +187,7 @@ class Operator {
   virtual void CloseImpl() {}
   virtual uint64_t EstimateRowsImpl(const Catalog* catalog) const = 0;
 
-  // Records the DOP an OpenImpl achieved (parallel scan / build). Latches
+  // Records the DOP an OpenImpl achieved (morsel-parallel scan). Latches
   // the maximum across re-opens.
   void RecordDop(int dop) {
     if (dop > stats_.dop) stats_.dop = dop;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "catalog/mvcc.h"
-#include "common/thread_pool.h"
 #include "exec/parallel.h"
 
 namespace xnf::exec {
@@ -484,7 +483,7 @@ Status NestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
-  partitions_.clear();
+  build_table_.clear();
   left_batch_.clear();
   left_key_cols_.clear();
   left_pos_ = 0;
@@ -561,158 +560,38 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
     return OpenBuildColumnar();
   }
 
-  ThreadPool* pool =
-      ctx->catalog != nullptr ? ctx->catalog->exec_pool() : nullptr;
-  const int dop =
-      (parallel_eligible_ && pool != nullptr) ? pool->dop() : 1;
-
-  // Appends `row` to the per-key match list; per-key order = call order.
-  auto insert = [](BuildTable* table, Row key, Row row) {
-    auto [it, inserted] = table->try_emplace(std::move(key));
-    (void)inserted;
-    it->second.push_back(std::move(row));
-  };
-
-  // Evaluates the right-key columns for `ptrs` into `key_cols`.
-  auto eval_keys = [&](const std::vector<const Row*>& ptrs, EvalContext* ectx,
-                       std::vector<std::vector<Value>>* key_cols) -> Status {
-    key_cols->clear();
-    key_cols->reserve(right_keys_.size());
+  // kRow: stream build batches into the table; per-key match order = build
+  // input order. Pre-sized from the build child's cardinality estimate so
+  // the build rarely rehashes.
+  build_table_.reserve(
+      static_cast<size_t>(right_->EstimateRows(ctx->catalog)) + 1);
+  EvalContext ectx;
+  ectx.exec = ctx_;
+  RowBatch batch;
+  std::vector<std::vector<Value>> key_cols;
+  while (true) {
+    XNF_RETURN_IF_ERROR(right_->NextBatch(&batch));
+    if (batch.empty()) break;
+    std::vector<const Row*> ptrs = BatchPtrs(batch);
+    key_cols.clear();
+    key_cols.reserve(right_keys_.size());
     for (const qgm::ExprPtr& k : right_keys_) {
       XNF_ASSIGN_OR_RETURN(std::vector<Value> col,
-                           EvalExprBatch(*k, ptrs, ectx));
-      key_cols->push_back(std::move(col));
+                           EvalExprBatch(*k, ptrs, &ectx));
+      key_cols.push_back(std::move(col));
     }
-    return Status::Ok();
-  };
-
-  // Assembles key i out of `key_cols` (moving the values out); returns false
-  // for keys with a NULL component, which never match.
-  auto make_key = [](std::vector<std::vector<Value>>& key_cols, size_t i,
-                     Row* key) {
-    key->clear();
-    key->reserve(key_cols.size());
-    bool has_null = false;
-    for (std::vector<Value>& col : key_cols) {
-      if (col[i].is_null()) has_null = true;
-      key->push_back(std::move(col[i]));
-    }
-    return !has_null;
-  };
-
-  if (dop <= 1) {
-    // Serial build: stream batches straight into one partition, no drain
-    // staging; insertion order = build input order. Pre-sized from the
-    // build child's cardinality estimate so the build rarely rehashes.
-    partitions_.resize(1);
-    partitions_[0].reserve(
-        static_cast<size_t>(right_->EstimateRows(ctx->catalog)) + 1);
-    EvalContext ectx;
-    ectx.exec = ctx_;
-    RowBatch batch;
-    std::vector<std::vector<Value>> key_cols;
-    while (true) {
-      XNF_RETURN_IF_ERROR(right_->NextBatch(&batch));
-      if (batch.empty()) break;
-      std::vector<const Row*> ptrs = BatchPtrs(batch);
-      XNF_RETURN_IF_ERROR(eval_keys(ptrs, &ectx, &key_cols));
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Row key;
-        if (!make_key(key_cols, i, &key)) continue;
-        insert(&partitions_[0], std::move(key), std::move(batch.rows[i]));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Row key;
+      key.reserve(key_cols.size());
+      bool has_null = false;  // NULL key components never match
+      for (std::vector<Value>& col : key_cols) {
+        if (col[i].is_null()) has_null = true;
+        key.push_back(std::move(col[i]));
       }
+      if (has_null) continue;
+      build_table_[std::move(key)].push_back(std::move(batch.rows[i]));
     }
-    RecordDop(1);
-    return Status::Ok();
   }
-
-  // Parallel-capable: drain the build side single-threaded (child operators
-  // are not thread-safe); workers take over per-morsel key evaluation below.
-  std::vector<Row> build_rows;
-  XNF_RETURN_IF_ERROR(DrainChild(right_.get(), &build_rows));
-  const size_t n = build_rows.size();
-  // Pre-size buckets from the build child's cardinality estimate (clamped
-  // up by the actual drain) so the build never rehashes mid-insert.
-  const size_t estimate = static_cast<size_t>(
-      std::max<uint64_t>(right_->EstimateRows(ctx->catalog), n));
-  // Rows per build morsel: at least one batch so the key kernels amortize.
-  const size_t morsel_rows =
-      std::max<size_t>(kBatchSize, n / (static_cast<size_t>(dop) * 4 + 1));
-  const bool parallel_build = n >= 2 * morsel_rows;
-  const size_t n_parts =
-      parallel_build ? std::min<size_t>(static_cast<size_t>(dop), 16) : 1;
-
-  // Evaluates right-key columns for build_rows[begin, end) and hands every
-  // non-NULL (key, row) to `emit(partition, key, row)`. Rows move out of
-  // build_rows; each index is owned by exactly one morsel.
-  auto bucket_morsel = [&](size_t begin, size_t end, auto&& emit) -> Status {
-    EvalContext ectx;
-    ectx.exec = ctx_;
-    std::vector<std::vector<Value>> key_cols;
-    for (size_t b = begin; b < end; b += kBatchSize) {
-      const size_t e = std::min(end, b + kBatchSize);
-      std::vector<const Row*> ptrs;
-      ptrs.reserve(e - b);
-      for (size_t i = b; i < e; ++i) ptrs.push_back(&build_rows[i]);
-      XNF_RETURN_IF_ERROR(eval_keys(ptrs, &ectx, &key_cols));
-      for (size_t i = b; i < e; ++i) {
-        Row key;
-        if (!make_key(key_cols, i - b, &key)) continue;
-        const size_t p = n_parts == 1 ? 0 : HashRow(key) % n_parts;
-        emit(p, std::move(key), std::move(build_rows[i]));
-      }
-    }
-    return Status::Ok();
-  };
-
-  partitions_.resize(n_parts);
-  for (BuildTable& part : partitions_) part.reserve(estimate / n_parts + 1);
-
-  if (!parallel_build) {
-    // Too few rows to fan out: same code path, single partition.
-    XNF_RETURN_IF_ERROR(bucket_morsel(0, n, [&](size_t, Row key, Row row) {
-      insert(&partitions_[0], std::move(key), std::move(row));
-    }));
-    RecordDop(1);
-    return Status::Ok();
-  }
-
-  // Phase A: workers bucket morsels into per-morsel per-partition slots.
-  const size_t n_morsels = (n + morsel_rows - 1) / morsel_rows;
-  std::vector<std::vector<std::vector<std::pair<Row, Row>>>> staged(
-      n_morsels);
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(n_morsels);
-  for (size_t m = 0; m < n_morsels; ++m) {
-    staged[m].resize(n_parts);
-    const size_t begin = m * morsel_rows;
-    const size_t end = std::min(n, begin + morsel_rows);
-    tasks.push_back([&bucket_morsel, begin, end, slots = &staged[m]] {
-      return bucket_morsel(begin, end, [slots](size_t p, Row key, Row row) {
-        (*slots)[p].emplace_back(std::move(key), std::move(row));
-      });
-    });
-  }
-  XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-
-  // Phase B: one worker per partition merges morsel slots in morsel order.
-  // Equal keys always hash to the same partition, so their match-list order
-  // is build input order — identical to the serial build at any DOP.
-  std::vector<std::function<Status()>> merges;
-  merges.reserve(n_parts);
-  for (size_t p = 0; p < n_parts; ++p) {
-    merges.push_back([this, p, &staged, &insert] {
-      for (auto& slots : staged) {
-        for (auto& [key, row] : slots[p]) {
-          insert(&partitions_[p], std::move(key), std::move(row));
-        }
-      }
-      return Status::Ok();
-    });
-  }
-  XNF_RETURN_IF_ERROR(pool->RunAll(std::move(merges)));
-  RecordDop(static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(dop), n_morsels)));
   return Status::Ok();
 }
 
@@ -753,7 +632,6 @@ Status HashJoinOp::OpenBuildColumnar() {
         if (bc.has_value()) probe_code_map_[pc] = *bc;
       }
     }
-    RecordDop(1);
     return Status::Ok();
   }
   // kRef: hash build rows by key values read from the column views; the
@@ -786,7 +664,6 @@ Status HashJoinOp::OpenBuildColumnar() {
           {static_cast<uint32_t>(bi), static_cast<uint32_t>(i)});
     }
   }
-  RecordDop(1);
   return Status::Ok();
 }
 
@@ -834,13 +711,9 @@ void HashJoinOp::LookupMatches(const Row& key) {
   if (build_mode_ == BuildMode::kRef) {
     auto it = ref_table_.find(key);
     if (it != ref_table_.end()) ref_matches_ = &it->second;
-  } else if (!partitions_.empty()) {
-    const BuildTable& part =
-        partitions_.size() == 1
-            ? partitions_[0]
-            : partitions_[HashRow(key) % partitions_.size()];
-    auto it = part.find(key);
-    if (it != part.end()) matches_ = &it->second;
+  } else {
+    auto it = build_table_.find(key);
+    if (it != build_table_.end()) matches_ = &it->second;
   }
 }
 

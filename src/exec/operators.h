@@ -284,20 +284,15 @@ class HashJoinOp : public Operator {
     out->push_back(right_.get());
   }
 
-  // Planner decision: parallel partitioned build allowed (key expressions
-  // verified subquery-free).
-  void set_parallel_eligible(bool eligible) { parallel_eligible_ = eligible; }
-
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextBatchImpl(RowBatch* out) override;
   uint64_t EstimateRowsImpl(const Catalog* catalog) const override;
 
  private:
-  // Build table partition: key -> build rows in build-input order. The
-  // per-key vector makes the match order an explicit invariant (input
-  // order) instead of relying on unordered_multimap iteration, which is
-  // what keeps join output independent of the build DOP.
+  // Row build table: key -> build rows in build-input order. The per-key
+  // vector makes the match order an explicit invariant (input order)
+  // instead of relying on unordered_multimap iteration.
   using BuildTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 
   // A build row kept in place inside a scan's column batch: decoded only
@@ -341,16 +336,12 @@ class HashJoinOp : public Operator {
   std::vector<qgm::ExprPtr> right_keys_;
   std::vector<qgm::ExprPtr> residual_;
   bool left_outer_;
-  bool parallel_eligible_ = false;
   ExecContext* ctx_ = nullptr;
-  // Keys are partitioned by hash so parallel build workers never share a
-  // partition; equal keys always land in the same partition, making probe
-  // results identical at any partition count. Serial builds use 1 partition.
-  std::vector<BuildTable> partitions_;
+  BuildTable build_table_;  // kRow
   BuildMode build_mode_ = BuildMode::kRow;
   LateScan* build_scan_ = nullptr;  // owned by right_'s SeqScan
   LateScan* probe_scan_ = nullptr;  // owned by left_'s SeqScan
-  RefTable ref_table_;              // kRef (always single-partition)
+  RefTable ref_table_;              // kRef
   std::vector<std::vector<BuildRef>> code_table_;  // kCode: build code -> refs
   std::vector<uint32_t> probe_code_map_;  // kCode: probe code -> build code
   bool code_identity_ = false;  // kCode self-join: codes shared, skip the map

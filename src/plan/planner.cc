@@ -526,15 +526,10 @@ Result<OperatorPtr> Planner::PlanSelect(const QueryGraph& graph,
         rk->type = qi.schema.column(m->column).type;
         right_keys.push_back(std::move(rk));
       }
-      auto join = std::make_unique<exec::HashJoinOp>(
+      plan = std::make_unique<exec::HashJoinOp>(
           combined_schema, std::move(plan), std::move(sources[i]),
           std::move(left_keys), std::move(right_keys),
           std::move(compiled_residual), outer_step);
-      // Build keys are equi conjuncts, which never carry subqueries (those
-      // stay in `residual` above), so the build side can be hashed by
-      // multiple workers.
-      join->set_parallel_eligible(true);
-      plan = std::move(join);
       planned = true;
     }
 

@@ -9,7 +9,6 @@
 #include "catalog/mvcc.h"
 #include "common/failpoint.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "exec/eval.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
@@ -764,50 +763,19 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
     }
   } temps_guard{this};
 
-  // The phase structure below is also the dependency order for concurrent
-  // evaluation: every node query is independent of every other node query,
-  // and every edge depends only on the node results (directly for a node
-  // join, through the CSE temps for an edge query), so nodes run
-  // concurrently within phase 1 and edges within phase 3, with a barrier
-  // between phases (pool->RunAll is the barrier). Results land in per-task
-  // slots and are merged in definition order, so instance layout, counters,
-  // and profile order are identical at any DOP. CollectingTraceSink is not
-  // thread-safe, so tracing forces serial evaluation.
-  ThreadPool* pool = catalog_ != nullptr ? catalog_->exec_pool() : nullptr;
-  const bool concurrent =
-      pool != nullptr && pool->dop() > 1 && trace_sink_ == nullptr;
+  // Each derived query collects its counters in its own Stats, merged only
+  // on success: a failed query must not leave its partial counters (temp
+  // reuses, CSE hits) in the reported stats.
 
   // Phase 1: node candidates.
   {
     TraceScope span(trace_sink_, "materialize-nodes");
-    if (concurrent && def.nodes.size() > 1) {
-      std::vector<CoNodeInstance> slots(def.nodes.size());
-      std::vector<Stats> task_stats(def.nodes.size());
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(def.nodes.size());
-      for (size_t i = 0; i < def.nodes.size(); ++i) {
-        tasks.push_back([this, &def, &slots, &task_stats, i]() -> Status {
-          XNF_ASSIGN_OR_RETURN(slots[i],
-                               MaterializeNode(def.nodes[i], &task_stats[i]));
-          return Status::Ok();
-        });
-      }
-      XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-      for (size_t i = 0; i < def.nodes.size(); ++i) {
-        MergeStats(task_stats[i], &stats_);
-        instance.nodes.push_back(std::move(slots[i]));
-      }
-    } else {
-      for (const CoNodeDef& node_def : def.nodes) {
-        // Per-node Stats merged only on success, like the concurrent path:
-        // a failed query must not leave its partial counters (temp reuses,
-        // CSE hits) in the reported stats.
-        Stats task_stats;
-        XNF_ASSIGN_OR_RETURN(CoNodeInstance node,
-                             MaterializeNode(node_def, &task_stats));
-        MergeStats(task_stats, &stats_);
-        instance.nodes.push_back(std::move(node));
-      }
+    for (const CoNodeDef& node_def : def.nodes) {
+      Stats query_stats;
+      XNF_ASSIGN_OR_RETURN(CoNodeInstance node,
+                           MaterializeNode(node_def, &query_stats));
+      MergeStats(query_stats, &stats_);
+      instance.nodes.push_back(std::move(node));
     }
     if (!options_.use_cse) {
       for (const CoNodeDef& node_def : def.nodes) {
@@ -922,53 +890,27 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
     }
   }
 
-  // Phase 3: edges. Each edge task reads the (now frozen) nodes and temps
-  // only; AnalyzeRelWrite is read-only against instance and catalog, so it
-  // runs inside the task too.
+  // Phase 3: edges, over the now frozen nodes and temps.
   {
     TraceScope span(trace_sink_, "materialize-edges");
-    auto materialize_rel = [&](size_t i,
-                               Stats* stats) -> Result<CoRelInstance> {
+    for (size_t i = 0; i < def.rels.size(); ++i) {
       const CoRelDef& rel_def = def.rels[i];
+      Stats query_stats;
       CoRelInstance rel;
       if (rel_def.premade != nullptr || options_.use_cse) {
         XNF_ASSIGN_OR_RETURN(
             rel, MaterializeRel(rel_def, instance,
                                 node_join[i] ? &*node_join[i] : nullptr,
-                                stats));
+                                &query_stats));
       } else {
-        XNF_ASSIGN_OR_RETURN(rel,
-                             MaterializeRelNoCse(rel_def, instance, stats));
+        XNF_ASSIGN_OR_RETURN(
+            rel, MaterializeRelNoCse(rel_def, instance, &query_stats));
       }
       if (rel_def.premade == nullptr) {
         AnalyzeRelWrite(rel_def, instance, &rel);
       }
-      return rel;
-    };
-    if (concurrent && def.rels.size() > 1) {
-      std::vector<CoRelInstance> slots(def.rels.size());
-      std::vector<Stats> task_stats(def.rels.size());
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(def.rels.size());
-      for (size_t i = 0; i < def.rels.size(); ++i) {
-        tasks.push_back([&materialize_rel, &slots, &task_stats, i]() -> Status {
-          XNF_ASSIGN_OR_RETURN(slots[i], materialize_rel(i, &task_stats[i]));
-          return Status::Ok();
-        });
-      }
-      XNF_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-      for (size_t i = 0; i < def.rels.size(); ++i) {
-        MergeStats(task_stats[i], &stats_);
-        instance.rels.push_back(std::move(slots[i]));
-      }
-    } else {
-      for (size_t i = 0; i < def.rels.size(); ++i) {
-        Stats task_stats;
-        XNF_ASSIGN_OR_RETURN(CoRelInstance rel,
-                             materialize_rel(i, &task_stats));
-        MergeStats(task_stats, &stats_);
-        instance.rels.push_back(std::move(rel));
-      }
+      MergeStats(query_stats, &stats_);
+      instance.rels.push_back(std::move(rel));
     }
   }
 

@@ -102,10 +102,8 @@ class Evaluator {
 
  private:
   // The Materialize* / RunSelect helpers write their counters and profiles
-  // into an explicit `stats` sink rather than stats_ directly so that
-  // independent derived queries can run on pool workers, each into a private
-  // Stats, merged into stats_ in definition order afterwards (keeps profile
-  // order and counter totals identical at any DOP).
+  // into an explicit `stats` sink rather than stats_ directly, so each
+  // derived query's Stats is merged into stats_ only when it succeeds.
 
   // Node column indices of a relationship predicate that is a conjunction
   // of `parent_corr.col = child_corr.col` equalities (see AnalyzeEquiKeys);
@@ -144,9 +142,8 @@ class Evaluator {
 
   Result<ResultSet> RunSelect(const sql::SelectStmt& stmt, Stats* stats);
 
-  // Folds a worker task's counters and profiles into `into` (appends
-  // profiles in the order given, so callers merge tasks in definition
-  // order).
+  // Folds one derived query's (or a nested evaluation's) counters and
+  // profiles into `into`, appending profiles in the order given.
   static void MergeStats(const Stats& from, Stats* into);
 
   Status ApplyRestrictions(const std::vector<Restriction>& restrictions,
@@ -169,8 +166,7 @@ class Evaluator {
   TraceSink* trace_sink_ = nullptr;
   // TAKE pruning state for the Evaluate() in flight (reset on entry). Keyed
   // by lower-cased node name; a present entry lists the node OUTPUT columns
-  // that must carry real values — absent entry = decode full width. Read
-  // concurrently (read-only) by phase-1 node tasks.
+  // that must carry real values — absent entry = decode full width.
   std::map<std::string, std::set<std::string>> take_needed_;
   bool take_pruning_ = false;
   // CSE temp store: node name -> materialized candidates (+ __tid column).

@@ -4,6 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "exec/operator.h"
+#include "exec/parallel.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -11,8 +14,7 @@ namespace xnf::testing {
 namespace {
 
 // Deterministic synthetic data large enough to cross the parallel-scan
-// threshold (>= 8 pages at 64 tuples/page) and the parallel hash-join build
-// threshold (>= 2 * 1024 build rows).
+// threshold (>= 8 pages at 64 tuples/page).
 constexpr int kBigRows = 4096;
 constexpr int kDimRows = 3000;
 
@@ -134,8 +136,8 @@ TEST(ParallelExec, SetThreadsSwapsThePoolBetweenQueries) {
 }
 
 TEST(ParallelExec, XnfEvaluationIdenticalAtAnyDop) {
-  // Concurrent node/edge derived queries must produce the same instance
-  // (tuple order, connection order, profile order) as serial evaluation.
+  // The instance (tuple order, connection order, profile order) and the
+  // counter totals must not depend on the pool's DOP.
   const std::string xnf = R"(
       OUT OF Xdept AS DEPT, Xemp AS EMP, Xproj AS PROJ,
         employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
@@ -190,12 +192,105 @@ TEST(ParallelExec, ExplainAnalyzeReportsDopAndMergedCounters) {
 }
 
 TEST(ParallelExec, ExplainAnalyzeHashJoinBuildDop) {
+  // Morsel scans are the only parallel operators: the join's build is a
+  // serial streaming loop and reports no DOP, while the scans under it
+  // (both tables well past the morsel threshold) still run parallel.
   auto db = MakeDb(8);
   std::string plan = ExplainText(
       db.get(),
       "EXPLAIN ANALYZE SELECT b.id FROM big b, dim d WHERE b.grp = d.grp");
-  EXPECT_NE(plan.find("HashJoin"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("dop="), std::string::npos) << plan;
+  int joins = 0;
+  int scans = 0;
+  size_t begin = 0;
+  while (begin < plan.size()) {
+    size_t end = plan.find('\n', begin);
+    const std::string line = plan.substr(begin, end - begin);
+    begin = end + 1;
+    const bool has_dop = line.find("dop=") != std::string::npos;
+    if (line.find("HashJoin") != std::string::npos) {
+      ++joins;
+      EXPECT_FALSE(has_dop) << line;
+    } else if (line.find("SeqScan") != std::string::npos) {
+      ++scans;
+      EXPECT_TRUE(has_dop) << line;
+    }
+  }
+  EXPECT_EQ(joins, 1) << plan;
+  EXPECT_EQ(scans, 2) << plan;
+}
+
+// Small tables: every derived XNF query and both join inputs stay below
+// the morsel threshold, so nothing may dispatch a pool task even at DOP 4.
+// Tasks that do dispatch fail on the armed `threadpool.task` failpoint.
+std::unique_ptr<Database> MakeSmallDb(int threads) {
+  Database::Options options;
+  options.threads = threads;
+  // Fits each join input into few pages; row layout keeps the join on its
+  // row-mode build under any SQLXNF_STORAGE setting.
+  options.tuples_per_page = 1024;
+  options.default_storage = StorageKind::kRow;
+  auto db = std::make_unique<Database>(options);
+  CreateCompanyDb(db.get());
+  MustExecute(db.get(), "CREATE TABLE l (id INT, k INT)");
+  MustExecute(db.get(), "CREATE TABLE r (id INT, k INT)");
+  for (const std::string table : {"l", "r"}) {
+    for (int base = 0; base < 3 * static_cast<int>(exec::kBatchSize);
+         base += 512) {
+      std::string stmt = "INSERT INTO " + table + " VALUES ";
+      for (int i = base; i < base + 512; ++i) {
+        if (i != base) stmt += ",";
+        stmt.append("(").append(std::to_string(i)).append(",");
+        stmt.append(std::to_string(i % 97)).append(")");
+      }
+      MustExecute(db.get(), stmt);
+    }
+  }
+  for (const std::string table : {"l", "r"}) {
+    const TableInfo* info = db->catalog()->GetTable(table);
+    EXPECT_GE(info->storage->live_count(), 2 * exec::kBatchSize);
+    EXPECT_LT(info->storage->page_count(), 2 * exec::kMinMorselPages);
+  }
+  return db;
+}
+
+TEST(ParallelExec, XnfPhasesAndJoinBuildsNeverTouchThePool) {
+  const std::string xnf = R"(
+      OUT OF Xdept AS DEPT, Xemp AS EMP, Xproj AS PROJ, Xskill AS SKILLS,
+        employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
+        ownership AS (RELATE Xdept, Xproj WHERE Xdept.dno = Xproj.pdno),
+        empskill AS (RELATE Xemp, Xskill USING EMPSKILL es
+                     WHERE Xemp.eno = es.eseno AND es.essno = Xskill.sno)
+      TAKE *
+    )";
+  const std::string join =
+      "SELECT l.id, r.id FROM l, r WHERE l.k = r.k AND l.id < 300";
+  std::string co_serial;
+  std::string join_serial;
+  {
+    auto db = MakeSmallDb(1);
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<co::CoCache> cache, db->OpenCo(xnf));
+    co_serial = cache->Snapshot().ToString();
+    join_serial = QueryText(db.get(), join);
+  }
+  ASSERT_FALSE(co_serial.empty());
+  ASSERT_FALSE(join_serial.empty());
+
+  auto db = MakeSmallDb(4);
+  ASSERT_EQ(db->threads(), 4);
+  ASSERT_OK(Failpoints::Enable("threadpool.task", "always"));
+  auto cache = db->OpenCo(xnf);
+  auto joined = db->Query(join);
+  const uint64_t hits = Failpoints::hits("threadpool.task");
+  Failpoints::DisableAll();
+  EXPECT_EQ(hits, 0u);
+  EXPECT_TRUE(cache.ok()) << cache.status().ToString();
+  if (cache.ok()) {
+    EXPECT_EQ((*cache)->Snapshot().ToString(), co_serial);
+  }
+  EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+  if (joined.ok()) {
+    EXPECT_EQ(joined->ToString(), join_serial);
+  }
 }
 
 }  // namespace

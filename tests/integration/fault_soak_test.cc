@@ -148,7 +148,7 @@ class Workload {
       case 6:
         return "DELETE FROM empproj WHERE pno = " +
                std::to_string(10 + rng_() % 4 * 10);
-      case 7:  // parallel join SELECT
+      case 7:  // join SELECT
         return "SELECT COUNT(*), SUM(e.sal) FROM emp e, dept d "
                "WHERE e.edno = d.dno AND d.loc = 'NY'";
       case 8:  // XNF materialization
