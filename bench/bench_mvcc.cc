@@ -5,6 +5,13 @@
 // fourth rolled back, a read, and a cleanup delete — timed over several
 // passes; the median pass lands in BENCH_results.json as "txn_workload".
 //
+// Indexed reads: prepared `SELECT ... FROM t WHERE b = ?` lookups through
+// t's secondary index, timed with no other transaction open and while a
+// second session holds an open transaction that has updated rows of t (so
+// every read merges that writer's pre-images). Per-read medians land in
+// BENCH_results.json as "indexed_read" with config "no-writer" /
+// "open-writer".
+//
 // Scaling: 1/2/4/8 concurrent reader sessions run snapshot transactions
 // (BEGIN; aggregate + point reads; COMMIT) against one transfer-writer
 // session; aggregate reader statements/sec per width lands in
@@ -12,7 +19,7 @@
 // so the interesting signal is that throughput stays flat-ish while the
 // writer forces version retention, not that it scales linearly.
 //
-// Neither number is gated. Takes no flags.
+// No number is gated. Takes no flags.
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/database.h"
@@ -36,6 +44,9 @@ constexpr int kTxnBlocks = 25;
 constexpr int kStatementsPerBlock = 4;
 
 constexpr int kPasses = 9;
+
+constexpr int kIndexedReads = 500;   // per timed pass
+constexpr int kWriterUpdates = 64;   // rows of t the open writer updates
 
 std::unique_ptr<Database> MakeDb() {
   Database::Options o;
@@ -88,6 +99,45 @@ double RunWorkload(Database* db) {
   Check(db->Execute("DELETE FROM t WHERE a >= 1000000").status(), "delete");
   auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double>(elapsed).count();
+}
+
+// One timed pass of indexed point reads; returns seconds.
+double IndexedReadPass(Session* reader) {
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIndexedReads; ++i) {
+    Check(reader
+              ->QueryPrepared("SELECT a, s FROM t WHERE b = ?",
+                              {Value::Int(i % 89)})
+              .status(),
+          "indexed read");
+  }
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  return std::chrono::duration<double>(elapsed).count();
+}
+
+// Median per-read seconds of indexed reads without and with an open writer
+// on t, passes alternating between the two.
+std::pair<double, double> IndexedReadMedians(Database* db) {
+  auto reader = db->OpenSession();
+  auto writer = db->OpenSession();
+  IndexedReadPass(reader.get());  // warmup: prepare, fault pages in
+  std::vector<double> alone;
+  std::vector<double> with_writer;
+  for (int i = 0; i < kPasses; ++i) {
+    alone.push_back(IndexedReadPass(reader.get()));
+    Check(writer->Execute("BEGIN").status(), "writer begin");
+    Check(writer->Execute("UPDATE t SET b = b + 1, s = 'u' WHERE a < " +
+                          std::to_string(kWriterUpdates))
+              .status(),
+          "writer update");
+    with_writer.push_back(IndexedReadPass(reader.get()));
+    Check(writer->Execute("ROLLBACK").status(), "writer rollback");
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2] / kIndexedReads;
+  };
+  return {median(alone), median(with_writer)};
 }
 
 // Reader scaling: `readers` sessions each run snapshot transactions against
@@ -176,6 +226,22 @@ int Main(int argc, char** argv) {
   w.rows_per_sec = stmts / median_s;
   w.iterations = kPasses;
   results.push_back(w);
+
+  const auto [alone_s, writer_s] = IndexedReadMedians(db.get());
+  std::printf("indexed_read: median %.2f us no writer, %.2f us open writer "
+              "(%.2fx)\n",
+              alone_s * 1e6, writer_s * 1e6, writer_s / alone_s);
+  for (const auto& [config, per_read_s] :
+       {std::pair<const char*, double>{"no-writer", alone_s},
+        std::pair<const char*, double>{"open-writer", writer_s}}) {
+    BenchResult r;
+    r.name = "indexed_read";
+    r.config = config;
+    r.median_real_ns = per_read_s * 1e9;
+    r.rows_per_sec = 1.0 / per_read_s;
+    r.iterations = kPasses;
+    results.push_back(r);
+  }
 
   // Reader scaling against a concurrent writer.
   std::printf("reader sessions vs one writer:");

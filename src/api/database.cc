@@ -1168,22 +1168,12 @@ Result<ExecResult> Database::ExecuteCoDelete(const co::CoInstance& instance) {
     for (const co::CoConnection& c : rel.connections) {
       const Value& pkey = parent.tuples[c.parent][rel.parent_key_column];
       const Value& ckey = child.tuples[c.child][rel.child_key_column];
-      std::optional<Rid> victim;
-      // Visible scan: another session's uncommitted link row must not be
-      // picked as the deletion victim.
-      Status scanned = ScanVisible(
-          catalog_.txn_manager(), *link, [&](Rid rid, const Row& row) {
-            if (row[rel.link_parent_column].CompareEq(pkey) ==
-                    Tribool::kTrue &&
-                row[rel.link_child_column].CompareEq(ckey) == Tribool::kTrue) {
-              victim = rid;
-              return false;
-            }
-            return true;
-          });
-      if (!scanned.ok()) return abort_with(scanned);
-      if (victim.has_value()) {
-        Status deleted = dml.DeleteRow(link, *victim);
+      Result<std::optional<Rid>> victim =
+          co::FindVisibleLinkRow(catalog_, *link, rel.link_parent_column, pkey,
+                                 rel.link_child_column, ckey);
+      if (!victim.ok()) return abort_with(victim.status());
+      if (victim->has_value()) {
+        Status deleted = dml.DeleteRow(link, **victim);
         if (!deleted.ok()) return abort_with(deleted);
         ++affected;
       }

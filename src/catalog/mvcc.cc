@@ -3,22 +3,9 @@
 #include <algorithm>
 #include <map>
 
+#include "storage/index.h"
+
 namespace xnf {
-
-namespace {
-
-// Applies one undo entry to an overlay map: the pre-image the rest of the
-// world sees while (or because) the writing transaction is invisible.
-void ApplyPreImage(const UndoLog::Entry& e,
-                   std::map<Rid, std::optional<Row>>* m) {
-  if (e.kind == UndoLog::Entry::Kind::kInsert) {
-    (*m)[e.rid] = std::nullopt;  // did not exist before the write
-  } else {
-    (*m)[e.rid] = e.old_row;
-  }
-}
-
-}  // namespace
 
 TransactionManager::Transaction* TransactionManager::Begin(bool ephemeral) {
   auto txn = std::make_unique<Transaction>();
@@ -135,69 +122,47 @@ TransactionManager::Overlay TransactionManager::BuildOverlay(
     const std::string& table) const {
   Overlay overlay;
   if (PhysicalReadsSafe(table)) return overlay;
-  std::map<Rid, std::optional<Row>> m;
-  // In-flight others first: their pre-images stand in for the physical
-  // rows. First entry per (txn, rid) wins; rids never collide across
-  // transactions (first-updater-wins).
+  // Every pre-image the snapshot may need, highest precedence first:
+  // committed deltas newer than the snapshot, oldest first (the oldest
+  // relevant one is the visible image), then other in-flight transactions'
+  // undo entries in log order (a transaction's first write of a rid
+  // recorded its pre-image; rids never collide across in-flight
+  // transactions, first-updater-wins). Null: absent before that write.
+  std::vector<std::pair<Rid, const Row*>> images;
+  auto add = [&](UndoLog::Entry::Kind kind, Rid rid, const Row& old_row) {
+    images.emplace_back(
+        rid, kind == UndoLog::Entry::Kind::kInsert ? nullptr : &old_row);
+  };
+  const uint64_t snapshot = view_snapshot();
+  if (auto it = committed_deltas_.find(table); it != committed_deltas_.end()) {
+    for (const Delta& d : it->second) {
+      if (d.epoch > snapshot) add(d.kind, d.rid, d.old_row);
+    }
+  }
   for (const auto& t : active_) {
     if (t.get() == current_ || t->undo == nullptr) continue;
-    std::unordered_set<Rid, RidHash> seen;
     for (const UndoLog::Entry& e : t->undo->entries()) {
-      if (e.table != table) continue;
-      if (!seen.insert(e.rid).second) continue;
-      ApplyPreImage(e, &m);
+      if (e.table == table) add(e.kind, e.rid, e.old_row);
     }
   }
-  // Committed deltas newer than the snapshot, newest to oldest with
-  // overwrite: the oldest relevant pre-image is the visible one.
-  const uint64_t snapshot = view_snapshot();
-  auto it = committed_deltas_.find(table);
-  if (it != committed_deltas_.end()) {
-    const std::vector<Delta>& deltas = it->second;
-    for (size_t i = deltas.size(); i-- > 0;) {
-      if (deltas[i].epoch <= snapshot) break;
-      if (deltas[i].kind == UndoLog::Entry::Kind::kInsert) {
-        m[deltas[i].rid] = std::nullopt;
-      } else {
-        m[deltas[i].rid] = deltas[i].old_row;
-      }
+  std::stable_sort(
+      images.begin(), images.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [rid, img] : images) {
+    if (!overlay.entries.empty() && overlay.entries.back().first == rid) {
+      continue;  // a higher-precedence image of this rid is already in
     }
-  }
-  overlay.entries.reserve(m.size());
-  for (auto& [rid, img] : m) {
-    overlay.entries.emplace_back(rid, std::move(img));
+    overlay.entries.emplace_back(
+        rid, img != nullptr ? std::optional<Row>(*img) : std::nullopt);
   }
   return overlay;
 }
 
-std::optional<std::optional<Row>> TransactionManager::LookupVersion(
-    const std::string& table, Rid rid) const {
-  // Point-read equivalent of BuildOverlay for one rid; same precedence,
-  // resolved cheapest-first: the oldest relevant committed delta wins, so
-  // scan those ascending and take the first newer than the snapshot.
-  const uint64_t snapshot = view_snapshot();
-  auto it = committed_deltas_.find(table);
-  if (it != committed_deltas_.end()) {
-    for (const Delta& d : it->second) {
-      if (d.epoch <= snapshot || !(d.rid == rid)) continue;
-      if (d.kind == UndoLog::Entry::Kind::kInsert) {
-        return std::optional<std::optional<Row>>(std::nullopt);
-      }
-      return std::optional<std::optional<Row>>(d.old_row);
-    }
-  }
-  for (const auto& t : active_) {
-    if (t.get() == current_ || t->undo == nullptr) continue;
-    if (t->touched.count(table) == 0) continue;
-    for (const UndoLog::Entry& e : t->undo->entries()) {
-      if (e.table != table || !(e.rid == rid)) continue;
-      if (e.kind == UndoLog::Entry::Kind::kInsert) {
-        return std::optional<std::optional<Row>>(std::nullopt);
-      }
-      return std::optional<std::optional<Row>>(e.old_row);
-    }
-  }
-  return std::nullopt;
+const std::optional<Row>* TransactionManager::Overlay::Find(Rid rid) const {
+  auto it = std::lower_bound(
+      entries.begin(), entries.end(), rid,
+      [](const auto& e, const Rid& r) { return e.first < r; });
+  return it != entries.end() && it->first == rid ? &it->second : nullptr;
 }
 
 namespace {
@@ -347,28 +312,56 @@ size_t TransactionManager::versions_retained() const {
   return n;
 }
 
+TransactionManager::Overlay OverlayFor(const TransactionManager* mgr,
+                                       const TableInfo& table) {
+  return mgr != nullptr ? mgr->BuildOverlay(table.name)
+                        : TransactionManager::Overlay{};
+}
+
 Status ScanVisible(const TransactionManager* mgr, const TableInfo& table,
                    const std::function<bool(Rid, const Row&)>& fn) {
-  if (mgr == nullptr || mgr->PhysicalReadsSafe(table.name)) {
-    return table.storage->Scan(fn);
-  }
-  TransactionManager::Overlay overlay = mgr->BuildOverlay(table.name);
-  return TransactionManager::VisibleScan(*table.storage, overlay, fn);
+  return TransactionManager::VisibleScan(*table.storage,
+                                         OverlayFor(mgr, table), fn);
 }
 
 Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,
                         Rid rid) {
-  if (mgr == nullptr || mgr->PhysicalReadsSafe(table.name)) {
-    return table.storage->Read(rid);
+  const TransactionManager::Overlay overlay = OverlayFor(mgr, table);
+  const std::optional<Row>* img = overlay.Find(rid);
+  if (img == nullptr) return table.storage->Read(rid);
+  if (!img->has_value()) {
+    return Status::NotFound("row is not visible at this snapshot");
   }
-  std::optional<std::optional<Row>> v = mgr->LookupVersion(table.name, rid);
-  if (v.has_value()) {
-    if (!v->has_value()) {
-      return Status::NotFound("row is not visible at this snapshot");
+  return **img;
+}
+
+Status LookupVisible(const TableInfo& table, const Index& index,
+                     const TransactionManager::Overlay& overlay,
+                     const Row& key,
+                     const std::function<bool(Rid, const Row&)>& fn) {
+  std::vector<Rid> hits = index.Lookup(key);
+  if (overlay.empty()) return table.storage->ReadRids(hits, fn);
+  for (const Value& v : key) {
+    if (v.is_null()) return Status::Ok();
+  }
+  // The overlay decides every rid it covers: read only the uncovered hits,
+  // add the covered rows' visible images that match, emit by rid.
+  std::erase_if(hits, [&](Rid rid) { return overlay.Find(rid) != nullptr; });
+  std::map<Rid, Row> visible;
+  XNF_RETURN_IF_ERROR(
+      table.storage->ReadRids(hits, [&](Rid rid, const Row& row) {
+        visible.emplace(rid, row);
+        return true;
+      }));
+  for (const auto& [rid, img] : overlay.entries) {
+    if (img.has_value() && RowsEqual(index.ExtractKey(*img), key)) {
+      visible.emplace(rid, *img);
     }
-    return **v;
   }
-  return table.storage->Read(rid);
+  for (const auto& [rid, row] : visible) {
+    if (!fn(rid, row)) break;
+  }
+  return Status::Ok();
 }
 
 }  // namespace xnf

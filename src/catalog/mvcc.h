@@ -16,6 +16,7 @@
 
 namespace xnf {
 
+class Index;
 struct TableInfo;
 
 // Multi-version concurrency control over the existing undo machinery (see
@@ -82,6 +83,8 @@ class TransactionManager {
   struct Overlay {
     std::vector<std::pair<Rid, std::optional<Row>>> entries;
     bool empty() const { return entries.empty(); }
+    // The image held for `rid`, or null when the overlay does not cover it.
+    const std::optional<Row>* Find(Rid rid) const;
   };
 
   struct Stats {
@@ -153,21 +156,16 @@ class TransactionManager {
 
   // --- read path ----------------------------------------------------------
 
-  // True iff reads of `table`'s physical state (indexes, columnar
-  // kernels, late materialization) are exact at the current snapshot: no
-  // other in-flight transaction has touched the table and no retained
-  // committed delta on it is newer than the snapshot.
+  // True iff reads of `table`'s physical state (columnar kernels, late
+  // materialization) are exact at the current snapshot: no other in-flight
+  // transaction has touched the table and no retained committed delta on it
+  // is newer than the snapshot. Index reads go through LookupVisible, which
+  // is exact at any snapshot.
   bool PhysicalReadsSafe(const std::string& table) const;
 
   // Builds the overlay for `table` at the current snapshot. Empty when
   // physical reads are safe.
   Overlay BuildOverlay(const std::string& table) const;
-
-  // The image of `rid` visible at the current snapshot: outer nullopt =
-  // no version info, read the physical row; inner nullopt = the row does
-  // not exist at the snapshot.
-  std::optional<std::optional<Row>> LookupVersion(const std::string& table,
-                                                  Rid rid) const;
 
   // Scan of `table` as visible at the current snapshot: physical rows
   // merged with `overlay` in rid order (pre-images substituted, invisible
@@ -241,14 +239,27 @@ class TransactionManager {
   Stats stats_;
 };
 
-// Free-standing read helpers for the DML/exec layers: a scan / point read
-// of `table` as visible at the current snapshot. `mgr` may be null (MVCC
-// off) — reads are then physical. Both take the fast path (no overlay,
-// plain storage access) whenever physical reads are exact.
+// Free-standing read helpers for the DML/exec/XNF layers: `table`'s overlay,
+// a scan, a point read and an index equality read, all as visible at the
+// current snapshot. `mgr` may be null — reads are then physical. All take
+// the plain storage path whenever physical reads are exact.
+TransactionManager::Overlay OverlayFor(const TransactionManager* mgr,
+                                       const TableInfo& table);
 Status ScanVisible(const TransactionManager* mgr, const TableInfo& table,
                    const std::function<bool(Rid, const Row&)>& fn);
 Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,
                         Rid rid);
+
+// Calls `fn(rid, row)` in rid order for every row visible at `overlay`'s
+// snapshot whose `index` key equals `key` (index equality; NULL matches
+// nothing): the index hits the overlay does not cover, read through
+// ReadRids, merged with the overlay images whose key equals `key`. Equals
+// ScanVisible filtered by the key, in O(hits + overlay); with an empty
+// overlay it is exactly ReadRids(index.Lookup(key)).
+Status LookupVisible(const TableInfo& table, const Index& index,
+                     const TransactionManager::Overlay& overlay,
+                     const Row& key,
+                     const std::function<bool(Rid, const Row&)>& fn);
 
 }  // namespace xnf
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <tuple>
 #include <utility>
 
 #include "catalog/mvcc.h"
@@ -295,23 +296,33 @@ void SeqScanOp::CloseImpl() {
 
 // --- IndexLookupOp ----------------------------------------------------------
 
+namespace {
+
+// The index an index operator was planned against, and its table; NotFound
+// when DDL dropped either since planning.
+Result<std::pair<TableInfo*, Index*>> FindPlannedIndex(
+    const Catalog* catalog, const std::string& table_name,
+    const std::string& index_name) {
+  TableInfo* table = catalog->GetTable(table_name);
+  if (table == nullptr) {
+    return Status::NotFound("table '" + table_name + "' vanished");
+  }
+  for (const auto& idx : table->indexes) {
+    if (idx->name() == index_name) {
+      return std::make_pair(table, idx.get());
+    }
+  }
+  return Status::NotFound("index '" + index_name + "' vanished");
+}
+
+}  // namespace
+
 Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
   buffered_.clear();
   pos_ = 0;
-  TableInfo* table = ctx->catalog->GetTable(table_name_);
-  if (table == nullptr) {
-    return Status::NotFound("table '" + table_name_ + "' vanished");
-  }
-  Index* index = nullptr;
-  for (const auto& idx : table->indexes) {
-    if (idx->name() == index_name_) {
-      index = idx.get();
-      break;
-    }
-  }
-  if (index == nullptr) {
-    return Status::NotFound("index '" + index_name_ + "' vanished");
-  }
+  XNF_ASSIGN_OR_RETURN(auto found, FindPlannedIndex(ctx->catalog, table_name_,
+                                                    index_name_));
+  const auto [table, index] = found;
   Row key;
   key.reserve(keys_.size());
   EvalContext ectx;
@@ -322,34 +333,14 @@ Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
     XNF_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, &ectx));
     key.push_back(std::move(v));
   }
-  const TransactionManager* mgr = ctx->catalog->txn_manager();
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table_name_)) {
-    // MVCC: the index maps the *physical* state — at this snapshot some of
-    // its rids point at rows the transaction must not see, and rows it must
-    // see may be missing. Equality-scan the visible rows instead, with the
-    // index's own key semantics (NULL keys never match).
-    for (const Value& v : key) {
-      if (v.is_null()) return Status::Ok();
-    }
-    Status status = Status::Ok();
-    XNF_RETURN_IF_ERROR(ScanVisible(mgr, *table, [&](Rid, const Row& row) {
-      if (!RowsEqual(index->ExtractKey(row), key)) return true;
-      auto keep = PassesFilters(filters_, row, ctx);
-      if (!keep.ok()) {
-        status = keep.status();
-        return false;
-      }
-      if (*keep) buffered_.push_back(row);
-      return true;
-    }));
-    return status;
-  }
-  for (Rid rid : index->Lookup(key)) {
-    XNF_ASSIGN_OR_RETURN(Row row, table->storage->Read(rid));
-    XNF_ASSIGN_OR_RETURN(bool keep, PassesFilters(filters_, row, ctx));
-    if (keep) buffered_.push_back(std::move(row));
-  }
-  return Status::Ok();
+  std::vector<Row> rows;
+  XNF_RETURN_IF_ERROR(LookupVisible(
+      *table, *index, OverlayFor(ctx->catalog->txn_manager(), *table), key,
+      [&](Rid, const Row& row) {
+        rows.push_back(row);
+        return true;
+      }));
+  return FilterAppend(filters_, &rows, &ectx, &buffered_);
 }
 
 Status IndexLookupOp::NextBatchImpl(RowBatch* out) {
@@ -839,41 +830,12 @@ Status IndexNLJoinOp::OpenImpl(ExecContext* ctx) {
   left_batch_.clear();
   left_key_cols_.clear();
   left_pos_ = 0;
-  rids_.clear();
-  rid_pos_ = 0;
-  table_ = ctx->catalog->GetTable(table_name_);
-  if (table_ == nullptr) {
-    return Status::NotFound("table '" + table_name_ + "' vanished");
-  }
-  index_ = nullptr;
-  for (const auto& idx : table_->indexes) {
-    if (idx->name() == index_name_) {
-      index_ = idx.get();
-      break;
-    }
-  }
-  if (index_ == nullptr) {
-    return Status::NotFound("index '" + index_name_ + "' vanished");
-  }
-  visible_map_.reset();
   matched_.clear();
   match_pos_ = 0;
-  const TransactionManager* mgr = ctx->catalog->txn_manager();
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table_name_)) {
-    // MVCC: index rids reflect the physical state, not this snapshot. Hash
-    // the visible inner rows by index key once; probes hit the map instead
-    // of the index. Rows whose key contains NULL are unreachable through
-    // the real index, so they are left out here too.
-    visible_map_.emplace();
-    XNF_RETURN_IF_ERROR(ScanVisible(mgr, *table_, [&](Rid, const Row& row) {
-      Row key = index_->ExtractKey(row);
-      for (const Value& v : key) {
-        if (v.is_null()) return true;
-      }
-      visible_map_->emplace(std::move(key), row);
-      return true;
-    }));
-  }
+  XNF_ASSIGN_OR_RETURN(auto found, FindPlannedIndex(ctx->catalog, table_name_,
+                                                    index_name_));
+  std::tie(table_, index_) = found;
+  overlay_ = OverlayFor(ctx->catalog->txn_manager(), *table_);
   return left_->Open(ctx);
 }
 
@@ -904,21 +866,13 @@ Result<bool> IndexNLJoinOp::AdvanceLeft() {
   for (std::vector<Value>& col : left_key_cols_) {
     key.push_back(std::move(col[i]));
   }
-  if (visible_map_.has_value()) {
-    matched_.clear();
-    match_pos_ = 0;
-    bool null_key = false;
-    for (const Value& v : key) null_key |= v.is_null();
-    if (!null_key) {
-      auto range = visible_map_->equal_range(key);
-      for (auto it = range.first; it != range.second; ++it) {
-        matched_.push_back(it->second);
-      }
-    }
-    return true;
-  }
-  rids_ = index_->Lookup(key);
-  rid_pos_ = 0;
+  matched_.clear();
+  match_pos_ = 0;
+  XNF_RETURN_IF_ERROR(LookupVisible(*table_, *index_, overlay_, key,
+                                    [&](Rid, const Row& row) {
+                                      matched_.push_back(row);
+                                      return true;
+                                    }));
   return true;
 }
 
@@ -929,24 +883,12 @@ Status IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
       XNF_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
       if (!more) return Status::Ok();
     }
-    if (visible_map_.has_value()) {
-      while (match_pos_ < matched_.size() && !out->full()) {
-        Row combined = ConcatRows(*current_left_, matched_[match_pos_++]);
-        XNF_ASSIGN_OR_RETURN(bool ok,
-                             PassesFilters(residual_, combined, ctx_));
-        if (ok) out->Add(std::move(combined));
-      }
-      if (match_pos_ >= matched_.size()) current_left_.reset();
-      continue;
-    }
-    while (rid_pos_ < rids_.size() && !out->full()) {
-      Rid rid = rids_[rid_pos_++];
-      XNF_ASSIGN_OR_RETURN(Row right, table_->storage->Read(rid));
-      Row combined = ConcatRows(*current_left_, right);
+    while (match_pos_ < matched_.size() && !out->full()) {
+      Row combined = ConcatRows(*current_left_, matched_[match_pos_++]);
       XNF_ASSIGN_OR_RETURN(bool ok, PassesFilters(residual_, combined, ctx_));
       if (ok) out->Add(std::move(combined));
     }
-    if (rid_pos_ >= rids_.size()) current_left_.reset();
+    if (match_pos_ >= matched_.size()) current_left_.reset();
   }
   return Status::Ok();
 }
@@ -1381,12 +1323,8 @@ uint64_t TableRows(const Catalog* catalog, const std::string& table_name) {
 bool IndexIsUnique(const Catalog* catalog, const std::string& table_name,
                    const std::string& index_name) {
   if (catalog == nullptr) return false;
-  TableInfo* table = catalog->GetTable(table_name);
-  if (table == nullptr) return false;
-  for (const auto& idx : table->indexes) {
-    if (idx->name() == index_name) return idx->unique();
-  }
-  return false;
+  auto found = FindPlannedIndex(catalog, table_name, index_name);
+  return found.ok() && found->second->unique();
 }
 
 }  // namespace

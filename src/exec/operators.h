@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "catalog/mvcc.h"
 #include "exec/eval.h"
 #include "exec/operator.h"
 #include "exec/parallel.h"
@@ -112,6 +113,7 @@ class SeqScanOp : public Operator {
 };
 
 // Point lookup through an index; keys are constants or correlation params.
+// Reads through LookupVisible: exact at the statement's snapshot, rid order.
 class IndexLookupOp : public Operator {
  public:
   IndexLookupOp(Schema schema, std::string table_name, std::string index_name,
@@ -365,8 +367,9 @@ class HashJoinOp : public Operator {
 };
 
 // Index nested-loop join: for each left row, evaluates `keys` (over the left
-// row, column-wise per batch) and probes `index_name` on `table_name`.
-// Output = left ++ table row.
+// row, column-wise per batch) and probes `index_name` on `table_name` through
+// LookupVisible, so matches are the rows visible at the statement's snapshot,
+// in rid order. Output = left ++ table row.
 class IndexNLJoinOp : public Operator {
  public:
   IndexNLJoinOp(Schema schema, OperatorPtr left, std::string table_name,
@@ -406,13 +409,10 @@ class IndexNLJoinOp : public Operator {
   std::vector<std::vector<Value>> left_key_cols_;
   size_t left_pos_ = 0;
   std::optional<Row> current_left_;
-  std::vector<Rid> rids_;
-  size_t rid_pos_ = 0;
-  // MVCC fallback (see OpenImpl): when the snapshot cannot trust the
-  // index's physical rids, the visible inner rows are hashed by index key
-  // at Open and probed instead. Same key semantics as the index itself.
-  std::optional<std::unordered_multimap<Row, Row, RowHash, RowEq>>
-      visible_map_;
+  // The inner table's overlay at the statement's snapshot, built once per
+  // Open: every probe is an exact LookupVisible, concurrent writers or not.
+  TransactionManager::Overlay overlay_;
+  // The current left row's visible inner matches, in rid order.
   std::vector<Row> matched_;
   size_t match_pos_ = 0;
 };

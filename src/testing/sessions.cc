@@ -109,10 +109,9 @@ struct SessState {
       own;
   std::vector<std::string> buffer;  // engine-accepted effective DML, in order
   struct Recorded {
-    std::string sql;
-    std::string table;
+    SessionStep step;
     std::string rendered;
-    bool valid = true;  // invalidated when the session writes the table
+    bool valid = true;  // invalidated when the session writes a table it read
   };
   std::vector<Recorded> recorded;
 };
@@ -140,7 +139,9 @@ TableMap VisibleTable(const ModelState& committed, const SessState& s,
   return view;
 }
 
-std::string ExpectedRows(const TableMap& view, const SessionStep& step) {
+std::string ExpectedRows(const ModelState& committed, const SessState& s,
+                         const SessionStep& step) {
+  const TableMap view = VisibleTable(committed, s, step.table);
   std::vector<Row> rows;
   switch (step.kind) {
     case SessionStep::Kind::kSelectPoint: {
@@ -160,6 +161,24 @@ std::string ExpectedRows(const TableMap& view, const SessionStep& step) {
                         Value::Int(val.second)});
       }
       break;
+    case SessionStep::Kind::kSelectByB:
+      for (const auto& [pk, val] : view) {
+        if (val.first == step.v1) {
+          rows.push_back({Value::Int(pk), Value::Int(val.second)});
+        }
+      }
+      break;
+    case SessionStep::Kind::kSelectJoin: {
+      const TableMap m1 = VisibleTable(committed, s, "m1");
+      for (const auto& [pk, val] : VisibleTable(committed, s, "m0")) {
+        auto it = m1.find(val.second * 1000 + val.first);
+        if (it == m1.end()) continue;
+        rows.push_back({Value::Int(pk), Value::Int(it->first),
+                        Value::Int(it->second.first),
+                        Value::Int(it->second.second)});
+      }
+      break;
+    }
     default:
       break;
   }
@@ -217,14 +236,15 @@ void PrologueModel(ModelState* model) {
 std::string RecheckStability(SessState& s) {
   for (const SessState::Recorded& rec : s.recorded) {
     if (!rec.valid) continue;
-    Result<ExecResult> r = s.session->Execute(rec.sql);
+    const std::string sql = rec.step.Sql();
+    Result<ExecResult> r = s.session->Execute(sql);
     if (!r.ok()) {
-      return "snapshot-stability re-read failed: " + rec.sql + ": " +
+      return "snapshot-stability re-read failed: " + sql + ": " +
              r.status().ToString();
     }
     std::string got = SortedRendered(r->rows.rows);
     if (got != rec.rendered) {
-      return "snapshot instability: '" + rec.sql + "' first returned " +
+      return "snapshot instability: '" + sql + "' first returned " +
              Preview(rec.rendered) + " but re-reading inside the same "
              "transaction returned " + Preview(got);
     }
@@ -236,7 +256,11 @@ std::string RecheckStability(SessState& s) {
 // effective (affected > 0) DML statement.
 void ApplyWrite(Harness* h, SessState& s, const SessionStep& step) {
   for (SessState::Recorded& rec : s.recorded) {
-    if (rec.table == step.table) rec.valid = false;
+    // The join reads both tables.
+    if (rec.step.table == step.table ||
+        rec.step.kind == SessionStep::Kind::kSelectJoin) {
+      rec.valid = false;
+    }
   }
   std::optional<std::pair<int64_t, int64_t>> val;
   if (step.kind != SessionStep::Kind::kDelete) val = {step.v1, step.v2};
@@ -390,15 +414,16 @@ std::optional<SessionDivergence> RunSteps(
 
       case SessionStep::Kind::kSelectPoint:
       case SessionStep::Kind::kSelectCount:
-      case SessionStep::Kind::kSelectAll: {
+      case SessionStep::Kind::kSelectAll:
+      case SessionStep::Kind::kSelectByB:
+      case SessionStep::Kind::kSelectJoin: {
         Result<ExecResult> r = s.session->Execute(sql);
         if (!r.ok()) {
           return diverge(idx, &step,
                          "SELECT failed: " + r.status().ToString());
         }
         std::string got = SortedRendered(r->rows.rows);
-        const TableMap view = VisibleTable(h->committed, s, step.table);
-        std::string want = ExpectedRows(view, step);
+        std::string want = ExpectedRows(h->committed, s, step);
         if (got != want) {
           return diverge(idx, &step,
                          "visibility disagreement: model expects " +
@@ -406,7 +431,7 @@ std::optional<SessionDivergence> RunSteps(
                              Preview(got));
         }
         if (s.in_txn) {
-          s.recorded.push_back({sql, step.table, got, true});
+          s.recorded.push_back({step, got, true});
         } else {
           Result<ExecResult> rr = h->replay->Execute(sql);
           if (!rr.ok()) {
@@ -529,6 +554,13 @@ std::string SessionStep::Sql() const {
     case Kind::kSelectAll:
       os << "SELECT a, b, c FROM " << table;
       break;
+    case Kind::kSelectByB:
+      os << "SELECT a, c FROM " << table << " WHERE b = " << v1;
+      break;
+    case Kind::kSelectJoin:
+      os << "SELECT m0.a, m1.a, m1.b, m1.c FROM m0 JOIN m1 "
+            "ON m0.c * 1000 + m0.b = m1.a";
+      break;
     case Kind::kCreateIndex:
       os << "CREATE INDEX idx_" << table << "_" << pk << " ON " << table
          << " (b)";
@@ -598,15 +630,20 @@ std::vector<SessionStep> GenerateSessionCase(uint64_t seed,
     };
     auto gen_select = [&] {
       const int q = rng.Int(0, 99);
-      if (q < 45) {
+      if (q < 35) {
         step.kind = SessionStep::Kind::kSelectPoint;
         const int target = rng.Int(1, k);
         const std::vector<int64_t>& pool = own_pks[{target, step.table}];
         step.pk = pool[rng.Next() % pool.size()];
-      } else if (q < 75) {
+      } else if (q < 55) {
         step.kind = SessionStep::Kind::kSelectCount;
-      } else {
+      } else if (q < 70) {
         step.kind = SessionStep::Kind::kSelectAll;
+      } else if (q < 85) {
+        step.kind = SessionStep::Kind::kSelectByB;
+        step.v1 = rng.Int(0, 9);
+      } else {
+        step.kind = SessionStep::Kind::kSelectJoin;
       }
     };
 

@@ -26,6 +26,10 @@ namespace xnf::testing {
 //   - All DML is row-local with constant expressions (WHERE a = <pk>), so a
 //     commit-order serial replay on a second engine reproduces the exact
 //     committed state.
+//   - Reads cover every indexed access path under concurrent writers: the
+//     primary-key point lookup, the duplicate-returning lookup on b once a
+//     kCreateIndex step has indexed it, and an index nested-loop join into
+//     m1's primary key (a prologue row's c * 1000 + b is its own key).
 struct SessionStep {
   enum class Kind {
     kBegin,
@@ -37,6 +41,9 @@ struct SessionStep {
     kSelectPoint,  // SELECT b, c FROM <table> WHERE a = <pk>
     kSelectCount,  // SELECT COUNT(*) FROM <table>
     kSelectAll,    // SELECT a, b, c FROM <table>
+    kSelectByB,    // SELECT a, c FROM <table> WHERE b = <v1>
+    kSelectJoin,   // SELECT m0.a, m1.a, m1.b, m1.c FROM m0 JOIN m1
+                   //   ON m0.c * 1000 + m0.b = m1.a
     kCreateIndex,  // CREATE INDEX idx_<table>_<pk> ON <table> (b)
   };
 

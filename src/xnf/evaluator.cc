@@ -261,7 +261,9 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
 
     // Fast extraction (§4 "fast extraction of data"): an equality conjunct
     // on an indexed column turns the candidate scan into an index lookup —
-    // this is what makes 1-in-10000 working-set extraction cheap.
+    // this is what makes 1-in-10000 working-set extraction cheap. The
+    // lookup merges the snapshot's overlay, so concurrent writers on the
+    // table do not take the index away.
     Index* index = nullptr;
     Value index_key;
     const qgm::Expr* index_conjunct = nullptr;
@@ -298,13 +300,6 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
           };
       find(*pred);
     }
-    // MVCC: index rids map the physical state; when the snapshot differs,
-    // take the scan path below — ParallelFilterScan merges the overlay.
-    if (index != nullptr && catalog_->txn_manager() != nullptr &&
-        !catalog_->txn_manager()->PhysicalReadsSafe(table->name)) {
-      index = nullptr;
-    }
-
     Status status = Status::Ok();
     auto check = [&](const Row& row) -> bool {
       if (pred == nullptr) return true;
@@ -326,11 +321,9 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
       const bool exact =
           index_conjunct == pred.get() &&
           index_key.type() == table->schema.column(index_column).type;
-      const std::vector<Rid> hits = index->Lookup({index_key});
-      node.tuples.reserve(hits.size());
-      node.rids.reserve(hits.size());
-      XNF_RETURN_IF_ERROR(table->storage->ReadRids(
-          hits, [&](Rid rid, const Row& row) {
+      XNF_RETURN_IF_ERROR(LookupVisible(
+          *table, *index, OverlayFor(catalog_->txn_manager(), *table),
+          {index_key}, [&](Rid rid, const Row& row) {
             if (!exact && !check(row)) return status.ok();
             emit(rid, row);
             return true;

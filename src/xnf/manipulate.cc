@@ -245,19 +245,10 @@ Status Manipulator::Disconnect(CoCache::Connection* conn) {
       }
       const Value& pkey = conn->parent->values[rel.parent_key_column];
       const Value& ckey = conn->child->values[rel.child_key_column];
-      // Delete one matching *visible* link row: another session's
-      // uncommitted link must not be picked as the victim.
-      std::optional<Rid> victim;
-      XNF_RETURN_IF_ERROR(ScanVisible(
-          catalog_->txn_manager(), *link, [&](Rid rid, const Row& row) {
-            if (row[rel.link_parent_column].CompareEq(pkey) ==
-                    Tribool::kTrue &&
-                row[rel.link_child_column].CompareEq(ckey) == Tribool::kTrue) {
-              victim = rid;
-              return false;
-            }
-            return true;
-          }));
+      XNF_ASSIGN_OR_RETURN(
+          std::optional<Rid> victim,
+          FindVisibleLinkRow(*catalog_, *link, rel.link_parent_column, pkey,
+                             rel.link_child_column, ckey));
       if (!victim.has_value()) {
         return Status::NotFound(
             "no link tuple found for this connection in '" + rel.link_table +
@@ -270,6 +261,22 @@ Status Manipulator::Disconnect(CoCache::Connection* conn) {
     }
   }
   return Status::Internal("unhandled relationship write kind");
+}
+
+Result<std::optional<Rid>> FindVisibleLinkRow(
+    const Catalog& catalog, const TableInfo& link, int parent_column,
+    const Value& pkey, int child_column, const Value& ckey) {
+  std::optional<Rid> found;
+  XNF_RETURN_IF_ERROR(ScanVisible(
+      catalog.txn_manager(), link, [&](Rid rid, const Row& row) {
+        if (row[parent_column].CompareEq(pkey) == Tribool::kTrue &&
+            row[child_column].CompareEq(ckey) == Tribool::kTrue) {
+          found = rid;
+          return false;
+        }
+        return true;
+      }));
+  return found;
 }
 
 }  // namespace xnf::co

@@ -1,6 +1,7 @@
 #ifndef XNF_XNF_MANIPULATE_H_
 #define XNF_XNF_MANIPULATE_H_
 
+#include <optional>
 #include <string>
 
 #include "catalog/catalog.h"
@@ -62,6 +63,13 @@ class Manipulator {
   CoCache* cache_;
   Catalog* catalog_;
 };
+
+// The first link row (rid order) visible at the current snapshot with
+// `pkey` in `parent_column` and `ckey` in `child_column`, or nullopt: the row
+// a removed connection deletes, never another session's uncommitted one.
+Result<std::optional<Rid>> FindVisibleLinkRow(
+    const Catalog& catalog, const TableInfo& link, int parent_column,
+    const Value& pkey, int child_column, const Value& ckey);
 
 }  // namespace xnf::co
 

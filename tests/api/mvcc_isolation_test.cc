@@ -1,9 +1,9 @@
 // MVCC snapshot-isolation anomaly tests, run against both storage layouts:
 // repeatable reads, read-your-own-writes, no dirty reads, first-committer-
-// wins lost-update prevention, CoCache::Build snapshot consistency, and
-// crash recovery of the visibility horizon (uncommitted work never survives
-// a reopen; the commit epoch floor is restored from checkpoint meta and WAL
-// commit markers).
+// wins lost-update prevention, CoCache::Build snapshot consistency, indexed
+// reads (SQL and XNF) under an open writer, and crash recovery of the
+// visibility horizon (uncommitted work never survives a reopen; the commit
+// epoch floor is restored from checkpoint meta and WAL commit markers).
 
 #include <unistd.h>
 
@@ -219,6 +219,127 @@ TEST_P(MvccIsolationTest, TransactionsViewReflectsActivity) {
                      "SELECT txns_committed FROM sqlxnf_transactions"), 2);
 }
 
+// Indexed reads while another session holds an open writer on the table.
+// The writer has moved row 5's indexed key b from 5 to 5000, changed a
+// non-key column of row 3005, deleted row 1005 and inserted row 100000, all
+// on b = 5 rows of a 4 000-row table. The reader's snapshot predates all of
+// it, so each indexed read path (point lookup, index nested-loop join,
+// index-fed CO node) must return the original four b = 5 rows in rid order,
+// nothing for b = 5000, and the same rows as an index-free scan — while
+// touching O(hits + overlay) pages, not the table.
+class IndexedReadsUnderWriterTest : public MvccIsolationTest {
+ protected:
+  static constexpr int kRows = 4000;
+
+  void SetUp() override {
+    MustExecute(db_.get(), R"sql(
+      CREATE TABLE big (a INT PRIMARY KEY, b INT, c INT);
+      CREATE INDEX big_b ON big (b);
+      CREATE TABLE probe (k INT);
+      INSERT INTO probe VALUES (5), (5000);
+    )sql");
+    for (int base = 0; base < kRows; base += 500) {
+      std::string insert = "INSERT INTO big VALUES ";
+      for (int i = base; i < base + 500; ++i) {
+        if (i > base) insert += ", ";
+        insert += "(" + std::to_string(i) + ", " + std::to_string(i % 1000) +
+                  ", " + std::to_string(i) + ")";
+      }
+      MustExecute(db_.get(), insert);
+    }
+    writer_ = db_->OpenSession();
+    reader_ = db_->OpenSession();
+    ASSERT_OK(reader_->Execute("BEGIN").status());
+    ASSERT_OK(writer_->Execute("BEGIN").status());
+    for (const char* sql : {"UPDATE big SET b = 5000 WHERE a = 5",
+                            "UPDATE big SET c = -1 WHERE a = 3005",
+                            "DELETE FROM big WHERE a = 1005",
+                            "INSERT INTO big VALUES (100000, 5, -2)"}) {
+      ASSERT_OK(writer_->Execute(sql).status());
+    }
+  }
+
+  void TearDown() override {
+    reader_.reset();
+    writer_.reset();
+  }
+
+  // The reader's rows for `sql`, in result order, one rendered row a line.
+  std::string Read(const std::string& sql) {
+    auto r = reader_->Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return "";
+    const std::vector<Row>& rows =
+        r->kind == ExecResult::Kind::kCo ? r->co.nodes.at(0).tuples
+                                         : r->rows.rows;
+    std::string out;
+    for (const Row& row : rows) out += RowToString(row) + "\n";
+    return out;
+  }
+
+  // Pages the last statement read: heap pages, or column pages for a
+  // columnar table.
+  int64_t LastStatementPages() const {
+    const Database::StatementProfile p = db_->statement_history().back();
+    return p.heap_pages + p.column_pages;
+  }
+
+  size_t TablePages() const {
+    return db_->catalog()->GetTable("big")->storage->page_count();
+  }
+
+  std::unique_ptr<Session> writer_;
+  std::unique_ptr<Session> reader_;
+};
+
+// The four b = 5 rows as of the reader's snapshot, in rid order.
+constexpr const char* kSnapshotRows =
+    "(5, 5)\n(1005, 1005)\n(2005, 2005)\n(3005, 3005)\n";
+
+TEST_P(IndexedReadsUnderWriterTest, IndexLookupReadsTheSnapshot) {
+  EXPECT_NE(
+      Read("EXPLAIN SELECT a, c FROM big WHERE b = 5").find("IndexLookup"),
+      std::string::npos);
+  EXPECT_EQ(Read("SELECT a, c FROM big WHERE b = 5"), kSnapshotRows);
+  // 4 hits + 4 overlay entries; the table has 63 pages.
+  EXPECT_LE(LastStatementPages(), 8) << "of " << TablePages();
+  EXPECT_EQ(Read("SELECT a, c FROM big WHERE b = 5000"), "");
+  EXPECT_EQ(Read("SELECT a, c FROM big WHERE b + 0 = 5"), kSnapshotRows);
+  EXPECT_GE(LastStatementPages(), static_cast<int64_t>(TablePages()));
+
+  // Once the writer commits, its pre-images come from the retained
+  // versions instead; the reader's snapshot still does not move.
+  ASSERT_OK(writer_->Execute("COMMIT").status());
+  EXPECT_EQ(Read("SELECT a, c FROM big WHERE b = 5"), kSnapshotRows);
+  EXPECT_LE(LastStatementPages(), 8);
+  EXPECT_EQ(Read("SELECT a, c FROM big WHERE b = 5000"), "");
+}
+
+TEST_P(IndexedReadsUnderWriterTest, IndexNestedLoopJoinReadsTheSnapshot) {
+  const std::string join =
+      "SELECT big.a, big.c FROM probe JOIN big ON big.b = probe.k";
+  EXPECT_NE(Read("EXPLAIN " + join).find("IndexNLJoin"), std::string::npos)
+      << Read("EXPLAIN " + join);
+  EXPECT_EQ(Read(join), kSnapshotRows);
+  EXPECT_LE(LastStatementPages(), 8) << "of " << TablePages();
+  EXPECT_EQ(Read("SELECT big.a, big.c FROM probe JOIN big "
+                 "ON big.b + 0 = probe.k"),
+            kSnapshotRows);
+}
+
+TEST_P(IndexedReadsUnderWriterTest, IndexFedCoNodeReadsTheSnapshot) {
+  EXPECT_EQ(Read("OUT OF x AS (SELECT a, c FROM big WHERE b = 5) TAKE *"),
+            kSnapshotRows);
+  EXPECT_LE(LastStatementPages(), 8) << "of " << TablePages();
+  const auto& profiles = db_->last_xnf_stats().profiles;
+  ASSERT_EQ(profiles.size(), 1u);
+  EXPECT_EQ(profiles[0].access, "index");
+  EXPECT_EQ(Read("OUT OF x AS (SELECT a, c FROM big WHERE b = 5000) TAKE *"),
+            "");
+  EXPECT_EQ(Read("OUT OF x AS (SELECT a, c FROM big WHERE b + 0 = 5) TAKE *"),
+            kSnapshotRows);
+}
+
 // Crash recovery of the visibility horizon: committed work survives a
 // reopen, an open transaction at "crash" never does, and the recovered
 // commit-epoch floor keeps advancing instead of resetting.
@@ -298,6 +419,14 @@ TEST_P(MvccIsolationTest, CheckpointCarriesEpochFloorAcrossReopen) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, MvccIsolationTest,
+                         ::testing::Values(StorageKind::kRow,
+                                           StorageKind::kColumn),
+                         [](const ::testing::TestParamInfo<StorageKind>& i) {
+                           return i.param == StorageKind::kRow ? "Row"
+                                                               : "Column";
+                         });
+
+INSTANTIATE_TEST_SUITE_P(Layouts, IndexedReadsUnderWriterTest,
                          ::testing::Values(StorageKind::kRow,
                                            StorageKind::kColumn),
                          [](const ::testing::TestParamInfo<StorageKind>& i) {

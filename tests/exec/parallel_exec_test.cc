@@ -167,6 +167,67 @@ TEST(ParallelExec, XnfEvaluationIdenticalAtAnyDop) {
   }
 }
 
+// The same determinism over tables well past the morsel threshold: the
+// company tables above fit in one page each, so there DOP 2 and 8 run the
+// DOP-1 code. Here both nodes' candidate scans split into pool morsels
+// (checked through the pool's dispatch counter), and the instance must
+// still be byte-identical to DOP 1.
+TEST(ParallelExec, XnfMorselScansIdenticalAtAnyDop) {
+  const std::string xnf = R"(
+      OUT OF xg AS (SELECT id, grp, val FROM big WHERE val > 50),
+        xd AS (SELECT grp, val FROM dim WHERE val < 60),
+        r AS (RELATE xg, xd WHERE xg.grp = xd.grp)
+      TAKE *
+    )";
+  auto make_db = [](int threads) {
+    Database::Options options;
+    options.threads = threads;
+    // Small pages put both tables past 2 * kMinMorselPages; the row layout
+    // keeps the scans on the row morsel path under any SQLXNF_STORAGE.
+    options.tuples_per_page = 16;
+    options.default_storage = StorageKind::kRow;
+    auto db = std::make_unique<Database>(options);
+    MustExecute(db.get(), "CREATE TABLE big (id INT, grp INT, val INT)");
+    MustExecute(db.get(), "CREATE TABLE dim (grp INT, val INT)");
+    for (int base = 0; base < 1024; base += 512) {
+      std::string big = "INSERT INTO big VALUES ";
+      std::string dim = "INSERT INTO dim VALUES ";
+      for (int i = base; i < base + 512; ++i) {
+        if (i != base) big += ",";
+        if (i != base) dim += ",";
+        big += "(" + std::to_string(i) + "," + std::to_string(GrpOf(i)) +
+               "," + std::to_string(ValOf(i)) + ")";
+        dim += "(" + std::to_string(i % 50) + "," + std::to_string(ValOf(i)) +
+               ")";
+      }
+      MustExecute(db.get(), big);
+      MustExecute(db.get(), dim);
+    }
+    for (const char* table : {"big", "dim"}) {
+      EXPECT_GE(db->catalog()->GetTable(table)->storage->page_count(),
+                2 * exec::kMinMorselPages);
+    }
+    return db;
+  };
+  std::string expected;
+  {
+    auto db = make_db(1);
+    ASSERT_OK_AND_ASSIGN(co::CoInstance instance, db->QueryCo(xnf));
+    expected = instance.ToString();
+    ASSERT_FALSE(instance.nodes[0].tuples.empty());
+    ASSERT_FALSE(instance.rels[0].connections.empty());
+  }
+  for (int dop : {2, 8}) {
+    auto db = make_db(dop);
+    const Counter* dispatched =
+        db->metrics()->counter("threadpool.tasks_dispatched");
+    const uint64_t before = dispatched->value();
+    ASSERT_OK_AND_ASSIGN(co::CoInstance instance, db->QueryCo(xnf));
+    EXPECT_GT(dispatched->value(), before) << "dop=" << dop;
+    EXPECT_EQ(instance.ToString(), expected) << "dop=" << dop;
+  }
+}
+
 TEST(ParallelExec, ExplainAnalyzeReportsDopAndMergedCounters) {
   auto db = MakeDb(8);
   std::string plan = ExplainText(
