@@ -7,6 +7,7 @@
 // Workload: OO1-style traversal (depth-4 fan-out-3 walk from a rotating
 // anchor part, ~121 hops) and lookup (single part fetch by id).
 
+#include <chrono>
 #include <unordered_map>
 
 #include "benchmark/benchmark.h"
@@ -183,6 +184,84 @@ void BM_LookupSqlPrepared(benchmark::State& state) {
   state.SetLabel("prepared SQL lookup by part id");
 }
 
+// A ws_design-shaped working set as the evaluator hands it to the cache:
+// one group, `items` items and ten parts per item (111, 551 or 2 201
+// tuples), has_item and has_part connections in parent-major order.
+co::CoInstance WorkingSetInstance(int items) {
+  auto node = [](const char* name, std::vector<const char*> columns,
+                 const char* table) {
+    co::CoNodeInstance n;
+    n.name = name;
+    for (const char* c : columns) {
+      n.schema.AddColumn(Column(c, std::string(c) == "gname" ? Type::kString
+                                                             : Type::kInt));
+    }
+    n.base_table = table;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      n.base_column_map.push_back(static_cast<int>(c));
+    }
+    return n;
+  };
+  co::CoInstance co;
+  co.nodes.push_back(node("g", {"gid", "cfg", "gname", "budget"}, "grp"));
+  co.nodes.push_back(node("i", {"iid", "gid", "cfg", "weight"}, "item"));
+  co.nodes.push_back(node("p", {"pid", "iid", "cfg", "cost"}, "part"));
+  auto add = [&](int n, Row row) {
+    co.nodes[n].rids.push_back(Rid{static_cast<uint32_t>(n),
+                                   static_cast<uint32_t>(
+                                       co.nodes[n].tuples.size())});
+    co.nodes[n].tuples.push_back(std::move(row));
+  };
+  add(0, {Value::Int(1), Value::Int(7), Value::String("cfg-7"),
+          Value::Int(1000)});
+  co::CoRelInstance has_item, has_part;
+  has_item.name = "has_item";
+  has_item.parent_node = 0;
+  has_item.child_node = 1;
+  has_part.name = "has_part";
+  has_part.parent_node = 1;
+  has_part.child_node = 2;
+  for (int i = 0; i < items; ++i) {
+    add(1, {Value::Int(i), Value::Int(1), Value::Int(7), Value::Int(i % 13)});
+    has_item.connections.push_back({0, i, Row()});
+    for (int p = 0; p < 10; ++p) {
+      const int pid = i * 10 + p;
+      add(2, {Value::Int(pid), Value::Int(i), Value::Int(7),
+              Value::Int(pid % 97)});
+      has_part.connections.push_back({i, pid, Row()});
+    }
+  }
+  co.rels.push_back(std::move(has_item));
+  co.rels.push_back(std::move(has_part));
+  return co;
+}
+
+// The cache's own share of a ws_design unit: wiring a checked-out working
+// set (CoCache::Build) and dropping it. The instance copy Build consumes is
+// made outside the timed region.
+void BM_CacheBuildRelease(benchmark::State& state) {
+  const int tuples = static_cast<int>(state.range(0));
+  const co::CoInstance instance = WorkingSetInstance((tuples - 1) / 11);
+  for (auto _ : state) {
+    co::CoInstance copy = instance;
+    const auto start = std::chrono::steady_clock::now();
+    {
+      auto cache = CheckResult(co::CoCache::Build(std::move(copy)),
+                               "cache build");
+      benchmark::DoNotOptimize(cache.get());
+    }
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  }
+  state.SetLabel("CoCache::Build + destruction, ws_design shape");
+}
+
+BENCHMARK(BM_CacheBuildRelease)
+    ->Arg(111)
+    ->Arg(551)
+    ->Arg(2201)
+    ->UseManualTime();
 BENCHMARK(BM_TraversalCachePointer)->Arg(1000)->Arg(5000)->Arg(20000);
 BENCHMARK(BM_TraversalCacheHash)->Arg(1000)->Arg(5000)->Arg(20000);
 BENCHMARK(BM_TraversalSqlPrepared)->Arg(1000)->Arg(5000)->Arg(20000);

@@ -138,10 +138,8 @@ Result<Value> Value::CoerceTo(Type target) const {
 }
 
 size_t HashRow(const Row& row) {
-  size_t h = 0x2545f4914f6cdd1dULL;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
+  size_t h = kRowHashSeed;
+  for (const Value& v : row) h = HashCombine(h, v);
   return h;
 }
 

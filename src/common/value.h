@@ -106,7 +106,14 @@ class Value {
 // A tuple of values. Rows flow between executor operators by value.
 using Row = std::vector<Value>;
 
-// Hash of a full row (for hash joins / distinct / group by).
+// Hash of a full row (for hash joins / distinct / group by): kRowHashSeed
+// folded with HashCombine over the values in order. Callers hashing a key
+// that is a subset of a row's columns fold the same way, without building
+// the key row.
+constexpr size_t kRowHashSeed = 0x2545f4914f6cdd1dULL;
+inline size_t HashCombine(size_t h, const Value& v) {
+  return h ^ (v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
 size_t HashRow(const Row& row);
 
 // Total-order comparison of rows (lexicographic, NULLs first).

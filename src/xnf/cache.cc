@@ -38,65 +38,71 @@ Result<std::unique_ptr<CoCache>> CoCache::Build(CoInstance instance) {
     XNF_FAILPOINT("cocache.fill");
     CoNodeInstance& src = instance.nodes[n];
     Node& node = cache->nodes_[n];
-    node.name = src.name;
-    node.schema = src.schema;
-    node.base_table = src.base_table;
-    node.base_column_map = src.base_column_map;
+    node.name = std::move(src.name);
+    node.schema = std::move(src.schema);
+    node.base_table = std::move(src.base_table);
+    node.base_column_map = std::move(src.base_column_map);
     for (size_t t = 0; t < src.tuples.size(); ++t) {
-      Tuple& tuple = node.tuples.emplace_back();
+      Tuple& tuple = cache->EmplaceTuple(static_cast<int>(n));
       tuple.values = std::move(src.tuples[t]);
       if (!src.rids.empty()) {
         tuple.rid = src.rids[t];
         tuple.has_rid = true;
       }
-      tuple.node = static_cast<int>(n);
-      tuple.out.resize(n_rels);
-      tuple.in.resize(n_rels);
     }
   }
 
   cache->rels_.resize(n_rels);
+  cache->slots_.resize(2 * n_rels);
   cache->hash_nav_.resize(n_rels);
   cache->hash_nav_valid_.assign(n_rels, false);
-  std::vector<uint32_t> degree;
   for (size_t r = 0; r < n_rels; ++r) {
     XNF_FAILPOINT("cocache.fill");
     CoRelInstance& src = instance.rels[r];
     Rel& rel = cache->rels_[r];
-    rel.name = src.name;
+    rel.name = std::move(src.name);
     rel.parent_node = src.parent_node;
     rel.child_node = src.child_node;
-    rel.attr_schema = src.attr_schema;
+    rel.attr_schema = std::move(src.attr_schema);
     rel.write_kind = src.write_kind;
     rel.fk_parent_column = src.fk_parent_column;
     rel.fk_child_column = src.fk_child_column;
-    rel.link_table = src.link_table;
+    rel.link_table = std::move(src.link_table);
     rel.link_parent_column = src.link_parent_column;
     rel.link_child_column = src.link_child_column;
     rel.parent_key_column = src.parent_key_column;
     rel.child_key_column = src.child_key_column;
-    rel.attr_link_columns = src.attr_link_columns;
-    // Size every endpoint bucket at its exact degree so wiring never
-    // reallocates.
+    rel.attr_link_columns = std::move(src.attr_link_columns);
     std::deque<Tuple>& parents = cache->nodes_[rel.parent_node].tuples;
     std::deque<Tuple>& children = cache->nodes_[rel.child_node].tuples;
-    degree.assign(parents.size(), 0);
-    for (const CoConnection& c : src.connections) ++degree[c.parent];
-    for (size_t t = 0; t < parents.size(); ++t) {
-      if (degree[t] != 0) parents[t].out[r].reserve(degree[t]);
-    }
-    degree.assign(children.size(), 0);
-    for (const CoConnection& c : src.connections) ++degree[c.child];
-    for (size_t t = 0; t < children.size(); ++t) {
-      if (degree[t] != 0) children[t].in[r].reserve(degree[t]);
-    }
     for (CoConnection& c : src.connections) {
-      Tuple* parent = &parents[c.parent];
-      Tuple* child = &children[c.child];
-      cache->AddConnection(static_cast<int>(r), parent, child,
-                           std::move(c.attrs));
-      ++cache->stats_.connections_linked;
+      rel.connections.push_back(Connection{static_cast<int>(r),
+                                           &parents[c.parent],
+                                           &children[c.child],
+                                           std::move(c.attrs), true});
     }
+    // One counting pass per direction packs every bucket at its exact
+    // degree; placing in connection order keeps each bucket in the order
+    // AddConnection would have appended it.
+    Slots& out = cache->slots(static_cast<int>(r), true);
+    Slots& in = cache->slots(static_cast<int>(r), false);
+    out.node = rel.parent_node;
+    out.segs.resize(parents.size());
+    in.node = rel.child_node;
+    in.segs.resize(children.size());
+    for (const Connection& c : rel.connections) {
+      ++out.segs[c.parent->out.pos_].cap;
+      ++in.segs[c.child->in.pos_].cap;
+    }
+    out.slots.resize(LayOutSegments(&out.segs));
+    in.slots.resize(LayOutSegments(&in.segs));
+    for (Connection& c : rel.connections) {
+      CsrSegment& o = out.segs[c.parent->out.pos_];
+      out.slots[o.off + o.len++] = &c;
+      CsrSegment& i = in.segs[c.child->in.pos_];
+      in.slots[i.off + i.len++] = &c;
+    }
+    cache->stats_.connections_linked += rel.connections.size();
   }
   for (const Node& node : cache->nodes_) {
     cache->stats_.tuples_linked += node.tuples.size();
@@ -124,14 +130,66 @@ int CoCache::RelIndex(const std::string& name) const {
   return -1;
 }
 
+CoCache::Tuple& CoCache::EmplaceTuple(int node) {
+  std::deque<Tuple>& tuples = nodes_[node].tuples;
+  const auto pos = static_cast<uint32_t>(tuples.size());
+  Tuple& t = tuples.emplace_back();
+  t.node = node;
+  t.out.cache_ = t.in.cache_ = this;
+  t.out.node_ = t.in.node_ = node;
+  t.out.pos_ = t.in.pos_ = pos;
+  // Build lays the slots out after all tuples exist; later tuples get an
+  // empty segment in every direction whose partner node they belong to.
+  for (Slots& s : slots_) {
+    if (s.node == node) s.segs.emplace_back();
+  }
+  return t;
+}
+
+CoCache::Tuple* CoCache::AddTuple(int node, Row values, Rid rid) {
+  Tuple& t = EmplaceTuple(node);
+  t.values = std::move(values);
+  t.rid = rid;
+  t.has_rid = true;
+  return &t;
+}
+
+void CoCache::Append(Slots* s, uint32_t pos, Connection* conn) {
+  CsrSegment& seg = s->segs[pos];
+  if (seg.len == seg.cap) {
+    const uint32_t cap = std::max<uint32_t>(2 * seg.cap, 1);
+    const auto end = static_cast<uint32_t>(s->slots.size());
+    if (seg.off + seg.cap == end) {  // the last segment grows in place
+      s->slots.resize(seg.off + cap);
+    } else {
+      s->slots.resize(end + cap);
+      std::copy_n(s->slots.begin() + seg.off, seg.len,
+                  s->slots.begin() + end);
+      seg.off = end;
+    }
+    seg.cap = cap;
+  }
+  s->slots[seg.off + seg.len++] = conn;
+}
+
+void CoCache::Erase(Slots* s, uint32_t pos, const Connection* conn) {
+  CsrSegment& seg = s->segs[pos];
+  auto begin = s->slots.begin() + seg.off;
+  auto end = begin + seg.len;
+  auto it = std::find(begin, end, conn);
+  if (it == end) return;
+  std::copy(it + 1, end, it);
+  --seg.len;
+}
+
 CoCache::Connection* CoCache::AddConnection(int rel, Tuple* parent,
                                             Tuple* child, Row attrs) {
   Rel& r = rels_[rel];
   r.connections.push_back(Connection{rel, parent, child, std::move(attrs),
                                      true});
   Connection* conn = &r.connections.back();
-  parent->out[rel].push_back(conn);
-  child->in[rel].push_back(conn);
+  Append(&slots(rel, true), parent->out.pos_, conn);
+  Append(&slots(rel, false), child->in.pos_, conn);
   hash_nav_valid_[rel] = false;
   return conn;
 }
@@ -139,10 +197,8 @@ CoCache::Connection* CoCache::AddConnection(int rel, Tuple* parent,
 void CoCache::RemoveConnection(Connection* conn) {
   if (!conn->alive) return;
   conn->alive = false;
-  auto& out = conn->parent->out[conn->rel];
-  out.erase(std::remove(out.begin(), out.end(), conn), out.end());
-  auto& in = conn->child->in[conn->rel];
-  in.erase(std::remove(in.begin(), in.end(), conn), in.end());
+  Erase(&slots(conn->rel, true), conn->parent->out.pos_, conn);
+  Erase(&slots(conn->rel, false), conn->child->in.pos_, conn);
   hash_nav_valid_[conn->rel] = false;
 }
 
@@ -165,8 +221,8 @@ std::vector<CoCache::Connection*> CoCache::ChildrenByHash(int rel,
 
 CoInstance CoCache::Snapshot() const {
   CoInstance out;
-  // Tuple -> compacted index maps.
-  std::vector<std::unordered_map<const Tuple*, int>> index(nodes_.size());
+  // Per node: tuple position -> compacted index.
+  std::vector<std::vector<int>> index(nodes_.size());
   for (size_t n = 0; n < nodes_.size(); ++n) {
     const Node& node = nodes_[n];
     CoNodeInstance ni;
@@ -178,9 +234,11 @@ CoInstance CoCache::Snapshot() const {
     for (const Tuple& t : node.tuples) {
       if (t.alive && t.has_rid) any_rid = true;
     }
-    for (const Tuple& t : node.tuples) {
+    index[n].assign(node.tuples.size(), -1);
+    for (size_t pos = 0; pos < node.tuples.size(); ++pos) {
+      const Tuple& t = node.tuples[pos];
       if (!t.alive) continue;
-      index[n][&t] = static_cast<int>(ni.tuples.size());
+      index[n][pos] = static_cast<int>(ni.tuples.size());
       ni.tuples.push_back(t.values);
       if (any_rid) ni.rids.push_back(t.rid);
     }
@@ -204,8 +262,8 @@ CoInstance CoCache::Snapshot() const {
     for (const Connection& c : rel.connections) {
       if (!c.alive || !c.parent->alive || !c.child->alive) continue;
       CoConnection conn;
-      conn.parent = index[rel.parent_node].at(c.parent);
-      conn.child = index[rel.child_node].at(c.child);
+      conn.parent = index[rel.parent_node][c.parent->out.pos_];
+      conn.child = index[rel.child_node][c.child->in.pos_];
       conn.attrs = c.attrs;
       ri.connections.push_back(std::move(conn));
     }
@@ -215,43 +273,50 @@ CoInstance CoCache::Snapshot() const {
 }
 
 size_t CoCache::EnforceReachability() {
+  // Tuples are numbered globally: node n's tuple at position p is
+  // base[n] + p.
+  std::vector<size_t> base(nodes_.size() + 1, 0);
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    base[n + 1] = base[n] + nodes_[n].tuples.size();
+  }
+  auto index = [&](const Tuple& t) { return base[t.node] + t.out.pos_; };
   // Roots: nodes without incoming relationships in the schema graph.
   std::vector<char> has_incoming(nodes_.size(), 0);
   for (const Rel& rel : rels_) {
     if (rel.child_node >= 0) has_incoming[rel.child_node] = 1;
   }
-  std::unordered_map<const Tuple*, char> marked;
+  std::vector<char> marked(base.back(), 0);
   std::vector<Tuple*> frontier;
   for (size_t n = 0; n < nodes_.size(); ++n) {
     if (has_incoming[n]) continue;
     for (Tuple& t : nodes_[n].tuples) {
       if (!t.alive) continue;
-      marked[&t] = 1;
+      marked[index(t)] = 1;
       frontier.push_back(&t);
     }
   }
   while (!frontier.empty()) {
     Tuple* t = frontier.back();
     frontier.pop_back();
-    for (const auto& bucket : t->out) {
-      for (Connection* c : bucket) {
+    for (size_t r = 0; r < rels_.size(); ++r) {
+      for (Connection* c : t->out[static_cast<int>(r)]) {
         if (!c->alive || !c->child->alive) continue;
-        if (marked.emplace(c->child, 1).second) frontier.push_back(c->child);
+        char& mark = marked[index(*c->child)];
+        if (mark) continue;
+        mark = 1;
+        frontier.push_back(c->child);
       }
     }
   }
   size_t dropped = 0;
   for (Node& node : nodes_) {
     for (Tuple& t : node.tuples) {
-      if (!t.alive || marked.count(&t)) continue;
+      if (!t.alive || marked[index(t)]) continue;
       // Drop from the cache: kill incident connections, then the tuple.
-      for (auto& bucket : t.out) {
-        std::vector<Connection*> copy = bucket;
-        for (Connection* c : copy) RemoveConnection(c);
-      }
-      for (auto& bucket : t.in) {
-        std::vector<Connection*> copy = bucket;
-        for (Connection* c : copy) RemoveConnection(c);
+      for (size_t r = 0; r < rels_.size(); ++r) {
+        const int rel = static_cast<int>(r);
+        while (!t.out[rel].empty()) RemoveConnection(t.out[rel].front());
+        while (!t.in[rel].empty()) RemoveConnection(t.in[rel].front());
       }
       t.alive = false;
       ++dropped;

@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,16 +33,37 @@ class CoCache {
     bool alive = true;
   };
 
+  // One tuple's buckets in one direction (kOut: connections in which the
+  // tuple is the parent; otherwise the child), one bucket per relationship
+  // of the CO. A bucket is a span into the relationship's slot array, so
+  // `t.out[r]` allocates nothing. A span dangles after the next connect on
+  // relationship r (the slot array may move) and is stale after a
+  // disconnect in its bucket (the rest of the bucket shifts down).
+  template <bool kOut>
+  class Buckets {
+   public:
+    std::span<Connection* const> operator[](int rel) const {
+      return cache_->Bucket(rel, kOut, node_, pos_);
+    }
+    // One bucket per relationship of the CO.
+    size_t size() const { return cache_->rel_count(); }
+    bool empty() const { return size() == 0; }
+
+   private:
+    friend class CoCache;
+    const CoCache* cache_ = nullptr;
+    int node_ = -1;
+    uint32_t pos_ = 0;  // the tuple's position in its node
+  };
+
   struct Tuple {
     Row values;
     Rid rid;
     bool has_rid = false;
     bool alive = true;
     int node = -1;
-    // Direct pointers, one bucket per relationship of the CO: connections in
-    // which this tuple is the parent / the child.
-    std::vector<std::vector<Connection*>> out;
-    std::vector<std::vector<Connection*>> in;
+    Buckets<true> out;
+    Buckets<false> in;
   };
 
   struct Node {
@@ -101,19 +123,22 @@ class CoCache {
   size_t node_count() const { return nodes_.size(); }
   size_t rel_count() const { return rels_.size(); }
 
-  // Appends a connection and wires the tuple pointer buckets.
+  // Appends a tuple with no connections to `node`.
+  Tuple* AddTuple(int node, Row values, Rid rid);
+  // Appends a connection to the relationship and to both endpoint buckets.
   Connection* AddConnection(int rel, Tuple* parent, Tuple* child, Row attrs);
-  // Unlinks `conn` from its endpoints and marks it dead.
+  // Unlinks `conn` from its endpoint buckets (keeping their order) and
+  // marks it dead.
   void RemoveConnection(Connection* conn);
 
   // Navigation used by dependent cursors and benchmarks:
   // pointer-based children/parents of `t` across relationship `rel`.
-  const std::vector<Connection*>& Children(int rel, const Tuple& t) const {
+  std::span<Connection* const> Children(int rel, const Tuple& t) const {
     ++stats_.pointer_navigations;
     CounterAdd(ptr_nav_);
     return t.out[rel];
   }
-  const std::vector<Connection*>& Parents(int rel, const Tuple& t) const {
+  std::span<Connection* const> Parents(int rel, const Tuple& t) const {
     ++stats_.pointer_navigations;
     CounterAdd(ptr_nav_);
     return t.in[rel];
@@ -147,8 +172,40 @@ class CoCache {
   size_t EnforceReachability();
 
  private:
+  // One direction of one relationship in CSR form: the bucket of the
+  // partner tuple at position p is the segment segs[p] of `slots`. Build
+  // packs the segments in tuple order at their exact degree; a segment
+  // that outgrows its capacity moves to the end of `slots` at double
+  // capacity, leaving a dead gap behind.
+  struct Slots {
+    int node = -1;  // the partner node whose tuples the segments index
+    std::vector<Connection*> slots;
+    std::vector<CsrSegment> segs;
+  };
+
+  Slots& slots(int rel, bool out) { return slots_[2 * rel + (out ? 0 : 1)]; }
+  const Slots& slots(int rel, bool out) const {
+    return slots_[2 * rel + (out ? 0 : 1)];
+  }
+  std::span<Connection* const> Bucket(int rel, bool out, int node,
+                                      uint32_t pos) const {
+    const Slots& s = slots(rel, out);
+    if (s.node != node) return {};
+    const CsrSegment& seg = s.segs[pos];
+    return {s.slots.data() + seg.off, seg.len};
+  }
+  // Appends `conn` to the bucket at `pos`, moving a full segment.
+  static void Append(Slots* s, uint32_t pos, Connection* conn);
+  // Erases `conn` from the bucket at `pos`, keeping the order of the rest.
+  static void Erase(Slots* s, uint32_t pos, const Connection* conn);
+
+  // Appends a tuple to `node` with an empty bucket in every direction whose
+  // partner node it belongs to.
+  Tuple& EmplaceTuple(int node);
+
   std::vector<Node> nodes_;
   std::vector<Rel> rels_;
+  std::vector<Slots> slots_;  // [2 * rel]: out buckets, [2 * rel + 1]: in
   // Mutable: navigation is conceptually const (read-only traversal).
   mutable Stats stats_;
   Counter* ptr_nav_ = nullptr;

@@ -158,6 +158,70 @@ bool KeyTypesComparable(Type a, Type b) {
   return a == b || (numeric(a) && numeric(b));
 }
 
+// Folds the key columns `cols` of `tuple` into `*hash` as HashRow would the
+// key row; false if a key column is NULL (the tuple then joins nothing).
+bool HashKey(const Row& tuple, const std::vector<int>& cols, size_t* hash) {
+  size_t h = kRowHashSeed;
+  for (int c : cols) {
+    if (tuple[c].is_null()) return false;
+    h = HashCombine(h, tuple[c]);
+  }
+  *hash = h;
+  return true;
+}
+
+// The node join: connections between `parents` and `children` whose key
+// columns are equal under RowsEqual (1 = 1.0), parent-major with children
+// in tid order. The parents go into one chained hash table (head / next
+// arrays) that each child probes in tid order; a counting sort by parent
+// then lays the matches out. Allocations are per join, not per key.
+std::vector<CoConnection> NodeJoin(const std::vector<Row>& parents,
+                                   const std::vector<int>& parent_cols,
+                                   const std::vector<Row>& children,
+                                   const std::vector<int>& child_cols) {
+  int shift = 64;
+  while ((size_t{1} << (64 - shift)) < parents.size()) --shift;
+  std::vector<int32_t> head(size_t{1} << (64 - shift), -1);
+  std::vector<int32_t> next(parents.size(), -1);
+  std::vector<size_t> hashes(parents.size());
+  // Fibonacci hashing spreads the key hash over the table's bits.
+  auto bucket = [&](size_t h) -> int32_t& {
+    return head[shift == 64 ? 0 : (h * 0x9E3779B97F4A7C15ull) >> shift];
+  };
+  for (size_t p = 0; p < parents.size(); ++p) {
+    if (!HashKey(parents[p], parent_cols, &hashes[p])) continue;
+    int32_t& chain = bucket(hashes[p]);
+    next[p] = chain;
+    chain = static_cast<int32_t>(p);
+  }
+  std::vector<std::pair<int, int>> matches;  // (parent, child), child-major
+  matches.reserve(children.size());  // exact when parent keys are unique
+  std::vector<CsrSegment> per_parent(parents.size());
+  for (size_t c = 0; c < children.size(); ++c) {
+    size_t h;
+    if (!HashKey(children[c], child_cols, &h)) continue;
+    for (int32_t p = bucket(h); p >= 0; p = next[p]) {
+      if (hashes[p] != h) continue;
+      bool equal = true;
+      for (size_t k = 0; equal && k < child_cols.size(); ++k) {
+        equal = parents[p][parent_cols[k]].TotalOrderCompare(
+                    children[c][child_cols[k]]) == 0;
+      }
+      if (!equal) continue;
+      matches.emplace_back(p, static_cast<int>(c));
+      ++per_parent[p].cap;
+    }
+  }
+  std::vector<CoConnection> out(LayOutSegments(&per_parent));
+  for (const auto& [p, c] : matches) {
+    CsrSegment& seg = per_parent[p];
+    CoConnection& conn = out[seg.off + seg.len++];
+    conn.parent = p;
+    conn.child = c;
+  }
+  return out;
+}
+
 }  // namespace
 
 void Evaluator::MergeStats(const Stats& from, Stats* into) {
@@ -414,40 +478,14 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
   stats->cse_hits += 2;
 
   if (node_join != nullptr) {
-    // §4.3 taken literally: the parent tuples just produced are used again
-    // to find their children. Hash the child tuples on the key columns and
-    // probe with the parent tuples in tid order, so connections come out
-    // parent-major with children in tid order — the order of the temp
-    // join's left-deep plan, where the parent temp probes. HashRow/RowsEqual
-    // are the hash join's own key functions (1 = 1.0 matches); a NULL key
-    // component never matches.
-    const CoNodeInstance& parent = instance.nodes[rel.parent_node];
-    const CoNodeInstance& child = instance.nodes[rel.child_node];
-    auto extract = [](const Row& tuple, const std::vector<int>& cols,
-                      Row* key) {
-      key->clear();
-      for (int c : cols) {
-        if (tuple[c].is_null()) return false;
-        key->push_back(tuple[c]);
-      }
-      return true;
-    };
-    std::unordered_map<Row, std::vector<int>, RowHash, RowEq> children;
-    children.reserve(child.tuples.size());
-    Row key;
-    for (size_t t = 0; t < child.tuples.size(); ++t) {
-      if (extract(child.tuples[t], node_join->child_cols, &key)) {
-        children[key].push_back(static_cast<int>(t));
-      }
-    }
-    for (size_t t = 0; t < parent.tuples.size(); ++t) {
-      if (!extract(parent.tuples[t], node_join->parent_cols, &key)) continue;
-      auto it = children.find(key);
-      if (it == children.end()) continue;
-      for (int c : it->second) {
-        rel.connections.push_back({static_cast<int>(t), c, Row()});
-      }
-    }
+    // §4.3 taken literally: the parent and child tuples just produced are
+    // joined again on the key columns, in the order of the temp join's
+    // left-deep plan, where the parent temp probes (see NodeJoin). A NULL
+    // key component never matches.
+    rel.connections = NodeJoin(instance.nodes[rel.parent_node].tuples,
+                               node_join->parent_cols,
+                               instance.nodes[rel.child_node].tuples,
+                               node_join->child_cols);
     profile("node-join", rel.connections.size());
     return rel;
   }

@@ -88,6 +88,15 @@ void PruneInstance(CoInstance* instance,
   }
 }
 
+uint32_t LayOutSegments(std::vector<CsrSegment>* segs) {
+  uint32_t off = 0;
+  for (CsrSegment& seg : *segs) {
+    seg.off = off;
+    off += seg.cap;
+  }
+  return off;
+}
+
 void ApplyReachability(CoInstance* instance) {
   const size_t n_nodes = instance->nodes.size();
 
@@ -99,24 +108,21 @@ void ApplyReachability(CoInstance* instance) {
   const size_t n_tuples = base[n_nodes];
 
   // Parent-to-child adjacency in CSR form: the children of tuple g are
-  // targets[offsets[g] .. offsets[g + 1]).
-  std::vector<uint32_t> offsets(n_tuples + 1, 0);
+  // targets[children[g].off .. + children[g].len).
+  std::vector<CsrSegment> children(n_tuples);
   std::vector<char> has_incoming(n_nodes, 0);
   for (const CoRelInstance& rel : instance->rels) {
     if (rel.child_node >= 0) has_incoming[rel.child_node] = 1;
     for (const CoConnection& c : rel.connections) {
-      ++offsets[base[rel.parent_node] + c.parent + 1];
+      ++children[base[rel.parent_node] + c.parent].cap;
     }
   }
-  for (size_t g = 0; g < n_tuples; ++g) offsets[g + 1] += offsets[g];
-  std::vector<uint32_t> targets(offsets[n_tuples]);
-  {
-    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
-    for (const CoRelInstance& rel : instance->rels) {
-      for (const CoConnection& c : rel.connections) {
-        targets[fill[base[rel.parent_node] + c.parent]++] =
-            static_cast<uint32_t>(base[rel.child_node] + c.child);
-      }
+  std::vector<uint32_t> targets(LayOutSegments(&children));
+  for (const CoRelInstance& rel : instance->rels) {
+    for (const CoConnection& c : rel.connections) {
+      CsrSegment& seg = children[base[rel.parent_node] + c.parent];
+      targets[seg.off + seg.len++] =
+          static_cast<uint32_t>(base[rel.child_node] + c.child);
     }
   }
 
@@ -133,9 +139,9 @@ void ApplyReachability(CoInstance* instance) {
   }
   size_t n_marked = frontier.size();
   while (!frontier.empty()) {
-    const uint32_t g = frontier.back();
+    const CsrSegment& seg = children[frontier.back()];
     frontier.pop_back();
-    for (uint32_t e = offsets[g]; e < offsets[g + 1]; ++e) {
+    for (uint32_t e = seg.off; e < seg.off + seg.len; ++e) {
       const uint32_t child = targets[e];
       if (marked[child]) continue;
       marked[child] = 1;

@@ -1,6 +1,7 @@
 #ifndef XNF_XNF_INSTANCE_H_
 #define XNF_XNF_INSTANCE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,21 @@ struct CoInstance {
   // Multi-line rendering of all components (examples / debugging).
   std::string ToString() const;
 };
+
+// One key's run of a CSR slot array built by counting sort: slots
+// [off, off + len) are filled, [off + len, off + cap) reserved. A build
+// counts each key's items into `cap`, lays the segments out with
+// LayOutSegments, then places every item at `off + len++`, so the items of
+// one key keep the order they were placed in.
+struct CsrSegment {
+  uint32_t off = 0;
+  uint32_t len = 0;
+  uint32_t cap = 0;
+};
+
+// The counting pass of a CSR build: packs the segments in key order at
+// their counted capacity (sets each `off`) and returns the slots needed.
+uint32_t LayOutSegments(std::vector<CsrSegment>* segs);
 
 // Enforces the reachability constraint (§2): keeps only tuples that are in a
 // root table or reachable from a root tuple via connections traversed parent

@@ -93,16 +93,16 @@ Status Manipulator::DeleteTuple(CoCache::Tuple* tuple) {
   // Disconnect all live incident relationship instances first. For
   // foreign-key relationships where this tuple is the child, the FK lives in
   // the row being deleted — only the cache connection needs to go.
+  // A successful Disconnect erases the connection from the bucket, so each
+  // loop takes the bucket's first connection until it is empty.
   for (size_t r = 0; r < cache_->rel_count(); ++r) {
     int rel_index = static_cast<int>(r);
-    // Copy: Disconnect mutates the buckets.
-    std::vector<CoCache::Connection*> out = tuple->out[rel_index];
-    for (CoCache::Connection* c : out) {
-      XNF_RETURN_IF_ERROR(Disconnect(c));
+    while (!tuple->out[rel_index].empty()) {
+      XNF_RETURN_IF_ERROR(Disconnect(tuple->out[rel_index].front()));
     }
-    std::vector<CoCache::Connection*> in = tuple->in[rel_index];
     const CoCache::Rel& rel = cache_->rel(rel_index);
-    for (CoCache::Connection* c : in) {
+    while (!tuple->in[rel_index].empty()) {
+      CoCache::Connection* c = tuple->in[rel_index].front();
       if (rel.write_kind == CoRelInstance::WriteKind::kForeignKey) {
         cache_->RemoveConnection(c);  // FK disappears with the row itself
       } else {
@@ -144,18 +144,12 @@ Result<CoCache::Tuple*> Manipulator::InsertTuple(int node_index, Row values) {
 
   // Read back (coercions may have normalized values).
   XNF_ASSIGN_OR_RETURN(Row stored, table->storage->Read(rid));
-  CoCache::Tuple tuple;
-  tuple.values.reserve(values.size());
+  Row cached;
+  cached.reserve(values.size());
   for (size_t c = 0; c < values.size(); ++c) {
-    tuple.values.push_back(stored[node.base_column_map[c]]);
+    cached.push_back(stored[node.base_column_map[c]]);
   }
-  tuple.rid = rid;
-  tuple.has_rid = true;
-  tuple.node = node_index;
-  tuple.out.resize(cache_->rel_count());
-  tuple.in.resize(cache_->rel_count());
-  node.tuples.push_back(std::move(tuple));
-  return &node.tuples.back();
+  return cache_->AddTuple(node_index, std::move(cached), rid);
 }
 
 Result<CoCache::Connection*> Manipulator::Connect(int rel_index,
@@ -180,9 +174,8 @@ Result<CoCache::Connection*> Manipulator::Connect(int rel_index,
             "foreign-key relationships carry no attributes");
       }
       // Setting the FK implicitly disconnects any previous parent.
-      std::vector<CoCache::Connection*> existing = child->in[rel_index];
-      for (CoCache::Connection* c : existing) {
-        XNF_RETURN_IF_ERROR(Disconnect(c));
+      while (!child->in[rel_index].empty()) {
+        XNF_RETURN_IF_ERROR(Disconnect(child->in[rel_index].front()));
       }
       CoCache::Node& child_node = cache_->node(rel.child_node);
       const Value& key = parent->values[rel.fk_parent_column];
