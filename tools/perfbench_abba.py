@@ -16,7 +16,8 @@ For every metric of the result lines the script prints the medians of both
 sides, the interquartile range of the base runs, the relative change, how
 many pairs moved in the metric's better direction (BENCHMARK.json), and the
 claim rule: a gain counts only when the median gap exceeds the base IQR.
---json writes the same table, one metric per line, for BENCH_results.json.
+--json appends the same table, one metric per line with every run's value,
+for BENCH_results.json.
 """
 
 import argparse
@@ -141,7 +142,8 @@ def main():
         rows.append({"metric": name, "base_median": base_med,
                      "head_median": head_med, "base_iqr": iqr,
                      "change": change, "pairs_better": wins,
-                     "pairs": len(base), "claim": claim})
+                     "pairs": len(base), "claim": claim,
+                     "base_runs": base, "head_runs": head})
         print(f"{name:40} {base_med:11.4g} {head_med:11.4g} {iqr:10.3g} "
               f"{change:+8.1%} {wins:>3}/{len(base):<3}  {claim}")
     if args.json:
