@@ -25,6 +25,11 @@ class CoCache {
  public:
   struct Tuple;
 
+  CoCache() = default;
+  // Tuples point back at their cache (Buckets), so a cache never moves.
+  CoCache(const CoCache&) = delete;
+  CoCache& operator=(const CoCache&) = delete;
+
   struct Connection {
     int rel = -1;  // relationship index
     Tuple* parent = nullptr;
