@@ -6,6 +6,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
+#include <thread>
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
@@ -187,6 +190,10 @@ Database::Database(Options options)
     metrics_->RegisterGaugeCallback("failpoint.trips", [] {
       return static_cast<int64_t>(Failpoints::total_fires());
     });
+    plan_cache_hits_ = metrics_->counter("plan_cache.hits");
+    plan_cache_misses_ = metrics_->counter("plan_cache.misses");
+    plan_cache_invalidations_ = metrics_->counter("plan_cache.invalidations");
+    plan_cache_evictions_ = metrics_->counter("plan_cache.evictions");
   }
   RegisterSystemViews();
   if (!options_.data_dir.empty()) {
@@ -401,6 +408,31 @@ Status Database::ReplayWal(const std::vector<Wal::Record>& records) {
   return Status::Ok();
 }
 
+std::unique_lock<std::mutex> Database::LockLatch() {
+  std::unique_lock<std::mutex> lock(exec_mu_, std::try_to_lock);
+  if (lock.owns_lock()) return lock;
+  // A statement served from the statement cache holds the latch for a few
+  // microseconds, less than a blocked thread needs to wake up. A waiter that
+  // slept at once would mostly find the latch taken again by the session
+  // that just released it, and wait out a whole run of that session's
+  // statements. So a waiter polls for a few statement lengths first and
+  // sleeps only behind a long holder (a report, a checkpoint).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+  while (!lock.try_lock()) {
+    if (std::chrono::steady_clock::now() >= give_up) {
+      lock.lock();
+      break;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+  }
+  return lock;
+}
+
 Status Database::Checkpoint() {
   XNF_RETURN_IF_ERROR(open_error_);
   if (durable_store_ == nullptr) {
@@ -467,7 +499,12 @@ Result<const ResultSet*> Database::ResolveExtra(const std::string& name) {
 
 Result<ResultSet> PreparedQuery::Execute(const std::vector<Value>& params) {
   XNF_RETURN_IF_ERROR(db_->open_error_);
-  std::lock_guard<std::mutex> lock(db_->exec_mu_);
+  std::unique_lock<std::mutex> lock = db_->LockLatch();
+  return ExecuteLocked(params);
+}
+
+Result<ResultSet> PreparedQuery::ExecuteLocked(
+    const std::vector<Value>& params) {
   // Prepared queries execute in their session's transaction context: a
   // session that prepared inside BEGIN reads its own snapshot here too.
   Database::StatementContext ctx_guard(db_, session_);
@@ -477,21 +514,16 @@ Result<ResultSet> PreparedQuery::Execute(const std::vector<Value>& params) {
       db_->buffer_pool_.accesses(PageKind::kIndex),
       db_->buffer_pool_.accesses(PageKind::kColumn)};
   const auto start = std::chrono::steady_clock::now();
-  exec::ExecContext ctx;
-  ctx.catalog = &db_->catalog_;
-  ctx.params = &params;
-  ctx.collect_stats = db_->collect_exec_stats_;
   Result<ResultSet> rows = [&]() -> Result<ResultSet> {
-    TraceScope span(db_->trace_sink_, "execute", "prepared");
-    return exec::RunPlan(plan_.get(), &ctx);
-  }();
-  if (rows.ok()) {
-    db_->exec_stats_ = rows->stats;
-    if (db_->collect_exec_stats_) {
-      db_->last_plan_profile_ =
-          exec::RenderPlan(plan_.get(), &db_->catalog_, /*analyze=*/true);
+    // DDL since the plan was compiled may have moved the tables, indexes or
+    // column slots it binds: re-plan from the text first.
+    if (version_ != db_->catalog_.version()) {
+      CounterAdd(db_->plan_cache_invalidations_);
+      XNF_ASSIGN_OR_RETURN(plan_, db_->PlanPrepared(text_));
+      version_ = db_->catalog_.version();
     }
-  }
+    return db_->RunSelectPlan(plan_.get(), &params, "prepared");
+  }();
   db_->RecordStatement("", "prepared", start, before,
                        rows.ok() ? static_cast<int64_t>(rows->rows.size()) : 0,
                        rows.ok() ? rows->stats.kernel_filters : 0,
@@ -500,28 +532,90 @@ Result<ResultSet> PreparedQuery::Execute(const std::vector<Value>& params) {
   return rows;
 }
 
-Result<std::unique_ptr<PreparedQuery>> Database::Prepare(
+Result<exec::OperatorPtr> Database::PlanPrepared(
     const std::string& select_text) {
-  XNF_RETURN_IF_ERROR(open_error_);
-  // Planning reads the catalog; the latch keeps concurrent DDL out.
-  std::lock_guard<std::mutex> lock(exec_mu_);
   sql::Parser parser(select_text);
   XNF_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> stmt,
-                       parser.ParseSelect());
+                       [&]() -> Result<std::unique_ptr<sql::SelectStmt>> {
+                         TraceScope span(trace_sink_, "parse");
+                         return parser.ParseSelect();
+                       }());
   parser.Accept(sql::TokenKind::kSemicolon);
   if (!parser.AtEnd()) {
     return parser.MakeError("unexpected trailing input");
   }
-  qgm::Builder builder(&catalog_);
-  XNF_ASSIGN_OR_RETURN(qgm::QueryGraph graph, builder.Build(*stmt));
-  if (catalog_.exec_config().use_rewrite) {
-    XNF_ASSIGN_OR_RETURN(qgm::RewriteStats rw, qgm::Rewrite(&graph));
-    (void)rw;
-  }
-  plan::Planner planner(&catalog_);
-  XNF_ASSIGN_OR_RETURN(exec::OperatorPtr plan, planner.Plan(graph));
+  return CompileSelect(*stmt, /*used_extra=*/nullptr);
+}
+
+Result<std::unique_ptr<PreparedQuery>> Database::Prepare(
+    const std::string& select_text) {
+  XNF_RETURN_IF_ERROR(open_error_);
+  // Planning reads the catalog; the latch keeps concurrent DDL out.
+  std::unique_lock<std::mutex> lock = LockLatch();
+  return PrepareLocked(select_text);
+}
+
+Result<std::unique_ptr<PreparedQuery>> Database::PrepareLocked(
+    const std::string& select_text) {
+  XNF_ASSIGN_OR_RETURN(exec::OperatorPtr plan, PlanPrepared(select_text));
   return std::unique_ptr<PreparedQuery>(
-      new PreparedQuery(std::move(plan), this, default_session_.get()));
+      new PreparedQuery(select_text, std::move(plan), catalog_.version(), this,
+                        default_session_.get()));
+}
+
+PreparedCo::PreparedCo(Database* db, std::unique_ptr<co::XnfQuery> query,
+                       std::unique_ptr<co::CoPlan> plan, uint64_t version)
+    : db_(db), query_(std::move(query)), plan_(std::move(plan)),
+      version_(version) {}
+
+PreparedCo::~PreparedCo() = default;
+
+Result<std::unique_ptr<PreparedCo>> Database::PrepareCo(
+    const std::string& xnf_text) {
+  XNF_RETURN_IF_ERROR(open_error_);
+  std::unique_lock<std::mutex> lock = LockLatch();
+  auto query = std::make_unique<co::XnfQuery>();
+  XNF_ASSIGN_OR_RETURN(*query, [&]() -> Result<co::XnfQuery> {
+    TraceScope span(trace_sink_, "parse");
+    return co::Parser::Parse(xnf_text);
+  }());
+  if (query->action != co::XnfQuery::Action::kTake) {
+    return Status::InvalidArgument("PrepareCo takes an OUT OF ... TAKE query");
+  }
+  co::Evaluator evaluator(&catalog_, xnf_options_);
+  evaluator.set_trace_sink(trace_sink_);
+  XNF_ASSIGN_OR_RETURN(std::unique_ptr<co::CoPlan> plan,
+                       evaluator.Compile(*query));
+  return std::unique_ptr<PreparedCo>(new PreparedCo(
+      this, std::move(query), std::move(plan), catalog_.version()));
+}
+
+Result<co::CoInstance> PreparedCo::Query(const std::vector<Value>& params) {
+  XNF_RETURN_IF_ERROR(db_->open_error_);
+  std::unique_lock<std::mutex> lock = db_->LockLatch();
+  Database::StatementContext ctx_guard(db_, db_->default_session_.get());
+  db_->catalog_.BeginStatementEpoch();
+  co::Evaluator evaluator(&db_->catalog_, db_->xnf_options_);
+  evaluator.set_trace_sink(db_->trace_sink_);
+  // Recompile after DDL, and always for a plan holding premade view data
+  // (evaluated at compile time, so stale by the next call).
+  if (version_ != db_->catalog_.version() || !plan_->cacheable) {
+    if (version_ != db_->catalog_.version()) {
+      CounterAdd(db_->plan_cache_invalidations_);
+    }
+    XNF_ASSIGN_OR_RETURN(plan_, evaluator.Compile(*query_));
+    version_ = db_->catalog_.version();
+  }
+  Result<co::CoInstance> result = evaluator.Run(*plan_, params);
+  db_->xnf_stats_ = evaluator.stats();
+  db_->RecordXnfStats(db_->xnf_stats_);
+  return result;
+}
+
+Result<std::unique_ptr<co::CoCache>> PreparedCo::Open(
+    const std::vector<Value>& params) {
+  XNF_ASSIGN_OR_RETURN(co::CoInstance instance, Query(params));
+  return db_->BuildCache(std::move(instance));
 }
 
 Result<ResultSet> Database::Query(const std::string& select_text) {
@@ -534,29 +628,40 @@ Result<ResultSet> Database::Query(const std::string& select_text) {
 
 Result<co::CoInstance> Database::QueryCo(const std::string& xnf_text) {
   XNF_RETURN_IF_ERROR(open_error_);
-  std::lock_guard<std::mutex> lock(exec_mu_);
-  StatementContext ctx_guard(this, default_session_.get());
+  std::unique_lock<std::mutex> lock = LockLatch();
+  Session* session = default_session_.get();
+  StatementContext ctx_guard(this, session);
   catalog_.BeginStatementEpoch();
-  co::Evaluator evaluator(&catalog_, xnf_options_);
-  evaluator.set_trace_sink(trace_sink_);
-  Result<co::CoInstance> result = evaluator.EvaluateText(xnf_text);
-  xnf_stats_ = evaluator.stats();
-  RecordXnfStats(xnf_stats_);
-  return result;
+  std::string_view first_word;
+  const bool scanned = sql::ScanShape(xnf_text, &session->shape_,
+                                      &first_word) == sql::StatementHead::kXnf;
+  const co::XnfQuery* query = nullptr;
+  std::unique_ptr<co::XnfQuery> owned;
+  return EvaluateXnf(session, xnf_text, scanned ? &session->shape_ : nullptr,
+                     &query, &owned);
 }
 
 Result<std::unique_ptr<co::CoCache>> Database::OpenCo(
     const std::string& xnf_text) {
   XNF_ASSIGN_OR_RETURN(co::CoInstance instance, QueryCo(xnf_text));
+  return BuildCache(std::move(instance));
+}
+
+Result<std::unique_ptr<co::CoCache>> Database::BuildCache(
+    co::CoInstance instance) {
   XNF_ASSIGN_OR_RETURN(auto cache, co::CoCache::Build(std::move(instance)));
   if (metrics_ != nullptr) {
-    metrics_->counter("cocache.fills")->Add(1);
-    metrics_->counter("cocache.tuples_linked")
-        ->Add(cache->stats().tuples_linked);
-    metrics_->counter("cocache.connections_linked")
-        ->Add(cache->stats().connections_linked);
-    cache->set_nav_counters(metrics_->counter("cocache.pointer_navigations"),
-                            metrics_->counter("cocache.hash_navigations"));
+    std::call_once(cocache_once_, [this] {
+      cocache_fills_ = metrics_->counter("cocache.fills");
+      cocache_tuples_ = metrics_->counter("cocache.tuples_linked");
+      cocache_connections_ = metrics_->counter("cocache.connections_linked");
+      cocache_pointer_nav_ = metrics_->counter("cocache.pointer_navigations");
+      cocache_hash_nav_ = metrics_->counter("cocache.hash_navigations");
+    });
+    cocache_fills_->Add(1);
+    cocache_tuples_->Add(cache->stats().tuples_linked);
+    cocache_connections_->Add(cache->stats().connections_linked);
+    cache->set_nav_counters(cocache_pointer_nav_, cocache_hash_nav_);
   }
   return cache;
 }
@@ -602,7 +707,7 @@ Result<ExecResult> Database::Execute(const std::string& text) {
 Result<ExecResult> Database::ExecuteOn(Session* session,
                                        const std::string& text) {
   XNF_RETURN_IF_ERROR(open_error_);
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::unique_lock<std::mutex> lock = LockLatch();
   StatementContext ctx_guard(this, session);
   // Every statement starts a fresh system-view snapshot epoch: the first
   // access to a sqlxnf_* view inside this statement re-fills it, repeated
@@ -657,16 +762,35 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
   TraceScope statement_span(trace_sink_, "statement",
                             trace_sink_ != nullptr ? text : std::string());
 
-  // Dispatch: XNF queries begin with OUT OF; EXPLAIN [ANALYZE] goes through
-  // the parser like any other statement.
-  XNF_ASSIGN_OR_RETURN(auto tokens, sql::Lex(text));
-  if (!tokens.empty() && tokens[0].Is("out")) {
-    return ExecuteXnf(text);
+  // Dispatch from one scan of the text: its first word, and for SELECT and
+  // OUT OF statements the shape the statement cache is keyed by. Other
+  // statements stop scanning after the first word. XNF queries begin with
+  // OUT OF; EXPLAIN [ANALYZE] goes through the parser like any other
+  // statement.
+  sql::Shape local_shape;  // no session: WAL replay (DDL only)
+  sql::Shape* shape = session != nullptr ? &session->shape_ : &local_shape;
+  std::string_view first_word;
+  const sql::StatementHead head = sql::ScanShape(text, shape, &first_word);
+  if (head == sql::StatementHead::kError) {
+    // The lexer reports the malformed token, as for any other statement.
+    XNF_ASSIGN_OR_RETURN(auto tokens, sql::Lex(text));
+    (void)tokens;
+  }
+  if (EqualsIgnoreCase(first_word, "out")) {
+    return ExecuteXnf(session, text,
+                      head == sql::StatementHead::kXnf && session != nullptr
+                          ? shape
+                          : nullptr);
+  }
+  if (head == sql::StatementHead::kSelect && session != nullptr) {
+    return ExecuteSelect(session, text, *shape);
   }
   // Transaction control. DDL (CREATE/DROP) is non-transactional: it takes
   // effect immediately and is not undone by ROLLBACK.
-  if (!tokens.empty() && (tokens[0].Is("begin") || tokens[0].Is("commit") ||
-                          tokens[0].Is("rollback"))) {
+  if (EqualsIgnoreCase(first_word, "begin") ||
+      EqualsIgnoreCase(first_word, "commit") ||
+      EqualsIgnoreCase(first_word, "rollback")) {
+    XNF_ASSIGN_OR_RETURN(auto tokens, sql::Lex(text));
     if (tokens.size() > 2 ||
         (tokens.size() == 2 && tokens[1].kind != sql::TokenKind::kEnd &&
          tokens[1].kind != sql::TokenKind::kSemicolon)) {
@@ -783,8 +907,12 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
   ExecResult result;
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect: {
-      XNF_ASSIGN_OR_RETURN(result.rows, RunSelect(*stmt.select));
-      exec_stats_ = result.rows.stats;
+      // A SELECT the cache does not see (no session): compile and run once.
+      bool used_extra = false;
+      XNF_ASSIGN_OR_RETURN(exec::OperatorPtr root,
+                           CompileSelect(*stmt.select, &used_extra));
+      XNF_ASSIGN_OR_RETURN(result.rows,
+                           RunSelectPlan(root.get(), nullptr, ""));
       result.kind = ExecResult::Kind::kRows;
       return result;
     }
@@ -893,10 +1021,68 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
   return Status::Internal("unhandled statement kind");
 }
 
-Result<ResultSet> Database::RunSelect(const sql::SelectStmt& select) {
-  qgm::Builder builder(&catalog_, [this](const std::string& name) {
-    return ResolveExtra(name);
-  });
+Result<ExecResult> Database::ExecuteSelect(Session* session,
+                                           const std::string& text,
+                                           const sql::Shape& shape) {
+  // A text with '?' placeholders is not parameterized: its placeholders
+  // and the literal ordinals would share one parameter vector.
+  const bool cacheable = shape.key.find('?') == std::string::npos;
+  CachedStatement* entry = nullptr;
+  if (cacheable) {
+    StatementCache::Outcome outcome;
+    entry = session->cache_.Find(shape.key, shape.literals, catalog_.version(),
+                                 &outcome);
+    CountLookup(outcome);
+  }
+  std::unique_ptr<CachedStatement> uncached;
+  if (entry == nullptr) {
+    sql::Parser parser(text);
+    XNF_ASSIGN_OR_RETURN(sql::Statement stmt, [&]() -> Result<sql::Statement> {
+      TraceScope span(trace_sink_, "parse");
+      return parser.ParseStatement();
+    }());
+    if (!parser.AtEnd()) {
+      return parser.MakeError("unexpected trailing input");
+    }
+    auto compiled = std::make_unique<CachedStatement>();
+    compiled->version = catalog_.version();
+    compiled->literals = shape.literals;
+    compiled->is_param.assign(shape.literals.size(), 0);
+    if (cacheable) {
+      sql::ParameterizeWhere(stmt.select.get(), &compiled->is_param);
+    }
+    bool used_extra = false;
+    XNF_ASSIGN_OR_RETURN(compiled->select,
+                         CompileSelect(*stmt.select, &used_extra));
+    if (cacheable && !used_extra) {
+      bool evicted = false;
+      entry = session->cache_.Insert(shape.key, std::move(compiled), &evicted);
+      CountStore(evicted);
+    } else {
+      uncached = std::move(compiled);
+      entry = uncached.get();
+    }
+  }
+  ExecResult result;
+  XNF_ASSIGN_OR_RETURN(
+      result.rows,
+      RunSelectPlan(entry->select.get(), cacheable ? &shape.literals : nullptr,
+                    ""));
+  result.kind = ExecResult::Kind::kRows;
+  return result;
+}
+
+Result<exec::OperatorPtr> Database::CompileSelect(const sql::SelectStmt& select,
+                                                  bool* used_extra) {
+  qgm::Builder::ExtraResolver extra;
+  if (used_extra != nullptr) {
+    extra = [this, used_extra](const std::string& name) {
+      Result<const ResultSet*> resolved = ResolveExtra(name);
+      if (resolved.ok() && *resolved != nullptr) *used_extra = true;
+      return resolved;
+    };
+  }
+  qgm::Builder builder(&catalog_, std::move(extra));
   XNF_ASSIGN_OR_RETURN(qgm::QueryGraph graph,
                        [&]() -> Result<qgm::QueryGraph> {
                          TraceScope span(trace_sink_, "qgm-build");
@@ -912,21 +1098,28 @@ Result<ResultSet> Database::RunSelect(const sql::SelectStmt& select) {
                        }());
   (void)rw;
   plan::Planner planner(&catalog_);
-  XNF_ASSIGN_OR_RETURN(exec::OperatorPtr root,
-                       [&]() -> Result<exec::OperatorPtr> {
-                         TraceScope span(trace_sink_, "plan");
-                         return planner.Plan(graph);
-                       }());
+  TraceScope span(trace_sink_, "plan");
+  return planner.Plan(graph);
+}
+
+Result<ResultSet> Database::RunSelectPlan(exec::Operator* root,
+                                          const std::vector<Value>* params,
+                                          const char* trace_detail) {
   exec::ExecContext ctx;
   ctx.catalog = &catalog_;
+  ctx.params = params;
   ctx.collect_stats = collect_exec_stats_;
+  // A plan that ran before reports this run alone.
+  if (collect_exec_stats_) root->ResetStats();
   Result<ResultSet> rows = [&]() -> Result<ResultSet> {
-    TraceScope span(trace_sink_, "execute");
-    return exec::RunPlan(root.get(), &ctx);
+    TraceScope span(trace_sink_, "execute", trace_detail);
+    return exec::RunPlan(root, &ctx);
   }();
-  if (collect_exec_stats_ && rows.ok()) {
-    last_plan_profile_ =
-        exec::RenderPlan(root.get(), &catalog_, /*analyze=*/true);
+  if (rows.ok()) {
+    exec_stats_ = rows->stats;
+    if (collect_exec_stats_) {
+      last_plan_profile_ = exec::RenderPlan(root, &catalog_, /*analyze=*/true);
+    }
   }
   return rows;
 }
@@ -1058,27 +1251,90 @@ Result<ExecResult> Database::ExecuteExplain(const sql::ExplainStmt& explain) {
   return result;
 }
 
-Result<ExecResult> Database::ExecuteXnf(const std::string& text) {
-  XNF_ASSIGN_OR_RETURN(co::XnfQuery query, [&]() -> Result<co::XnfQuery> {
-    TraceScope span(trace_sink_, "parse");
-    return co::Parser::Parse(text);
-  }());
-  // Refine the history kind: the generic "xnf" becomes the action.
-  stmt_kind_override_ =
-      query.action == co::XnfQuery::Action::kDelete   ? "xnf_delete"
-      : query.action == co::XnfQuery::Action::kUpdate ? "xnf_update"
-                                                      : "xnf_take";
+Result<co::CoInstance> Database::EvaluateXnf(
+    Session* session, const std::string& text, const sql::Shape* shape,
+    const co::XnfQuery** query, std::unique_ptr<co::XnfQuery>* owned) {
+  // Only OUT OF ... TAKE shapes are cached, and never a text with '?'
+  // placeholders (see ExecuteSelect).
+  const bool cacheable =
+      shape != nullptr && shape->key.find('?') == std::string::npos;
+  CachedStatement* entry = nullptr;
+  if (cacheable) {
+    StatementCache::Outcome outcome;
+    entry = session->cache_.Find(shape->key, shape->literals,
+                                 catalog_.version(), &outcome);
+    CountLookup(outcome);
+  }
   co::Evaluator evaluator(&catalog_, xnf_options_);
   evaluator.set_trace_sink(trace_sink_);
-  XNF_ASSIGN_OR_RETURN(co::CoInstance instance, evaluator.Evaluate(query));
+  static const std::vector<Value> kNoParams;
+  const std::vector<Value>* params = &kNoParams;
+  const co::CoPlan* plan = nullptr;
+  std::unique_ptr<co::CoPlan> uncached_plan;
+  if (entry != nullptr) {
+    *query = entry->xnf_query.get();
+    plan = entry->co.get();
+    params = &shape->literals;
+  } else {
+    *owned = std::make_unique<co::XnfQuery>();
+    XNF_ASSIGN_OR_RETURN(**owned, [&]() -> Result<co::XnfQuery> {
+      TraceScope span(trace_sink_, "parse");
+      return co::Parser::Parse(text);
+    }());
+    *query = owned->get();
+  }
+  // Refine the history kind: the generic "xnf" becomes the action.
+  const co::XnfQuery::Action action = (*query)->action;
+  stmt_kind_override_ = action == co::XnfQuery::Action::kDelete ? "xnf_delete"
+                        : action == co::XnfQuery::Action::kUpdate
+                            ? "xnf_update"
+                            : "xnf_take";
+  if (plan == nullptr) {
+    const bool store = cacheable && action == co::XnfQuery::Action::kTake;
+    std::vector<char> is_param;
+    if (store) {
+      // Literals in safe positions of the node queries' own WHERE clauses
+      // become parameters (see sql::ParameterizeWhere).
+      is_param.assign(shape->literals.size(), 0);
+      for (co::OutOfItem& item : (*owned)->items) {
+        if (item.kind == co::OutOfItem::Kind::kNodeQuery) {
+          sql::ParameterizeWhere(item.query.get(), &is_param);
+        }
+      }
+      params = &shape->literals;
+    }
+    XNF_ASSIGN_OR_RETURN(uncached_plan, evaluator.Compile(**query));
+    plan = uncached_plan.get();
+    if (store && uncached_plan->cacheable) {
+      auto compiled = std::make_unique<CachedStatement>();
+      compiled->version = catalog_.version();
+      compiled->is_param = std::move(is_param);
+      compiled->literals = shape->literals;
+      compiled->xnf_query = std::move(*owned);
+      compiled->co = std::move(uncached_plan);
+      bool evicted = false;
+      entry = session->cache_.Insert(shape->key, std::move(compiled), &evicted);
+      CountStore(evicted);
+    }
+  }
+  XNF_ASSIGN_OR_RETURN(co::CoInstance instance, evaluator.Run(*plan, *params));
   xnf_stats_ = evaluator.stats();
   RecordXnfStats(xnf_stats_);
+  return instance;
+}
 
-  if (query.action == co::XnfQuery::Action::kDelete) {
+Result<ExecResult> Database::ExecuteXnf(Session* session,
+                                        const std::string& text,
+                                        const sql::Shape* shape) {
+  const co::XnfQuery* query = nullptr;
+  std::unique_ptr<co::XnfQuery> owned;
+  XNF_ASSIGN_OR_RETURN(co::CoInstance instance,
+                       EvaluateXnf(session, text, shape, &query, &owned));
+  if (query->action == co::XnfQuery::Action::kDelete) {
     return ExecuteCoDelete(instance);
   }
-  if (query.action == co::XnfQuery::Action::kUpdate) {
-    return ExecuteCoUpdate(query, std::move(instance));
+  if (query->action == co::XnfQuery::Action::kUpdate) {
+    return ExecuteCoUpdate(*query, std::move(instance));
   }
   ExecResult result;
   result.kind = ExecResult::Kind::kCo;
@@ -1214,10 +1470,15 @@ void Database::RecordStatement(const std::string& text,
       std::chrono::duration_cast<std::chrono::microseconds>(end - start)
           .count();
   if (latency_us < 0) latency_us = 0;
-  metrics_->counter("stmt.count")->Add(1);
-  if (!status.ok()) metrics_->counter("stmt.errors")->Add(1);
-  metrics_->histogram("stmt.latency_us." + kind)
-      ->Record(static_cast<uint64_t>(latency_us));
+  if (stmt_count_ == nullptr) stmt_count_ = metrics_->counter("stmt.count");
+  stmt_count_->Add(1);
+  if (!status.ok()) {
+    if (stmt_errors_ == nullptr) {
+      stmt_errors_ = metrics_->counter("stmt.errors");
+    }
+    stmt_errors_->Add(1);
+  }
+  LatencyHistogram(kind)->Record(static_cast<uint64_t>(latency_us));
   if (options_.statement_history == 0) return;
   // history_mu_ nests inside exec_mu_ (always this order): readers outside
   // the statement latch — statement_history(), a concurrent session's
@@ -1243,25 +1504,64 @@ void Database::RecordStatement(const std::string& text,
   while (history_.size() > options_.statement_history) history_.pop_front();
 }
 
+Histogram* Database::LatencyHistogram(const std::string& kind) {
+  for (const auto& [name, histogram] : stmt_latency_) {
+    if (name == kind) return histogram;
+  }
+  Histogram* histogram = metrics_->histogram("stmt.latency_us." + kind);
+  stmt_latency_.emplace_back(kind, histogram);
+  return histogram;
+}
+
 void Database::RecordXnfStats(const co::Evaluator::Stats& stats) {
   if (metrics_ == nullptr) return;
-  auto add = [&](const char* name, uint64_t v) {
-    metrics_->counter(name)->Add(v);
-  };
-  add("xnf.evaluations", 1);
-  add("xnf.node_queries", static_cast<uint64_t>(stats.node_queries));
-  add("xnf.edge_queries", static_cast<uint64_t>(stats.edge_queries));
-  add("xnf.temp_reuses", static_cast<uint64_t>(stats.temp_reuses));
-  add("xnf.cse_hits", static_cast<uint64_t>(stats.cse_hits));
-  add("xnf.cse_misses", static_cast<uint64_t>(stats.cse_misses));
-  add("xnf.reachability_passes",
-      static_cast<uint64_t>(stats.reachability_passes));
-  add("xnf.restrictions_applied",
-      static_cast<uint64_t>(stats.restrictions_applied));
-  add("xnf.rows_produced", stats.rows_produced);
-  add("xnf.batches_produced", stats.batches_produced);
-  add("xnf.scan_columns_decoded", stats.scan_columns_decoded);
-  add("xnf.scan_columns_skipped", stats.scan_columns_skipped);
+  static constexpr const char* kNames[] = {
+      "xnf.evaluations",          "xnf.node_queries",
+      "xnf.edge_queries",         "xnf.temp_reuses",
+      "xnf.cse_hits",             "xnf.cse_misses",
+      "xnf.reachability_passes",  "xnf.restrictions_applied",
+      "xnf.rows_produced",        "xnf.batches_produced",
+      "xnf.scan_columns_decoded", "xnf.scan_columns_skipped"};
+  if (xnf_counters_.empty()) {
+    for (const char* name : kNames) {
+      xnf_counters_.push_back(metrics_->counter(name));
+    }
+  }
+  const uint64_t values[] = {
+      1,
+      static_cast<uint64_t>(stats.node_queries),
+      static_cast<uint64_t>(stats.edge_queries),
+      static_cast<uint64_t>(stats.temp_reuses),
+      static_cast<uint64_t>(stats.cse_hits),
+      static_cast<uint64_t>(stats.cse_misses),
+      static_cast<uint64_t>(stats.reachability_passes),
+      static_cast<uint64_t>(stats.restrictions_applied),
+      stats.rows_produced,
+      stats.batches_produced,
+      stats.scan_columns_decoded,
+      stats.scan_columns_skipped};
+  static_assert(std::size(kNames) == std::size(values));
+  for (size_t i = 0; i < std::size(values); ++i) {
+    xnf_counters_[i]->Add(values[i]);
+  }
+}
+
+void Database::CountLookup(StatementCache::Outcome outcome) {
+  switch (outcome) {
+    case StatementCache::Outcome::kHit:
+      CounterAdd(plan_cache_hits_);
+      return;
+    case StatementCache::Outcome::kStale:
+      CounterAdd(plan_cache_invalidations_);
+      break;
+    case StatementCache::Outcome::kMiss:
+      break;
+  }
+  CounterAdd(plan_cache_misses_);
+}
+
+void Database::CountStore(bool evicted) {
+  if (evicted) CounterAdd(plan_cache_evictions_);
 }
 
 }  // namespace xnf

@@ -8,8 +8,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/statement_cache.h"
 #include "catalog/catalog.h"
 #include "catalog/durability.h"
 #include "catalog/mvcc.h"
@@ -20,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/operator.h"
+#include "sql/shape.h"
 #include "storage/buffer_pool.h"
 #include "xnf/cache.h"
 #include "xnf/evaluator.h"
@@ -34,7 +37,9 @@ class Session;
 // executed many times with different bindings. This is the fast path of the
 // "regular SQL DBMS interface" and serves as the honest baseline for the
 // navigation benchmarks (C1/C6): no per-call parsing or planning, but still
-// the full query-execution path the paper's cache bypasses.
+// the full query-execution path the paper's cache bypasses. The plan records
+// the catalog version it was compiled at; an Execute after DDL re-plans from
+// the text first.
 class PreparedQuery {
  public:
   Result<ResultSet> Execute(const std::vector<Value>& params);
@@ -42,12 +47,45 @@ class PreparedQuery {
  private:
   friend class Database;
   friend class Session;
-  PreparedQuery(exec::OperatorPtr plan, Database* db, Session* session)
-      : plan_(std::move(plan)), db_(db), session_(session) {}
+  // Execute with the statement latch already held.
+  Result<ResultSet> ExecuteLocked(const std::vector<Value>& params);
+  PreparedQuery(std::string text, exec::OperatorPtr plan, uint64_t version,
+                Database* db, Session* session)
+      : text_(std::move(text)), plan_(std::move(plan)), version_(version),
+        db_(db), session_(session) {}
 
+  std::string text_;
   exec::OperatorPtr plan_;
+  uint64_t version_;  // catalog version plan_ was compiled at
   Database* db_;      // owning database: catalog access + counter plumbing
   Session* session_;  // snapshot/transaction context the plan executes in
+};
+
+// A compiled XNF query with '?' placeholders in its node queries
+// (Database::PrepareCo): resolved and planned once, then evaluated many
+// times with different bindings. Like PreparedQuery, it recompiles from its
+// query when the catalog version has moved; a dropped table then fails the
+// call with the compile error.
+class PreparedCo {
+ public:
+  ~PreparedCo();
+
+  // Evaluates the CO with the placeholders bound to `params`, in order.
+  Result<co::CoInstance> Query(const std::vector<Value>& params);
+
+  // Evaluates the CO and loads it into an application cache, like
+  // Database::OpenCo.
+  Result<std::unique_ptr<co::CoCache>> Open(const std::vector<Value>& params);
+
+ private:
+  friend class Database;
+  PreparedCo(Database* db, std::unique_ptr<co::XnfQuery> query,
+             std::unique_ptr<co::CoPlan> plan, uint64_t version);
+
+  Database* db_;
+  std::unique_ptr<co::XnfQuery> query_;  // plan_ points into it
+  std::unique_ptr<co::CoPlan> plan_;
+  uint64_t version_;
 };
 
 // Result of executing one statement.
@@ -162,7 +200,12 @@ class Database {
   Result<std::unique_ptr<PreparedQuery>> Prepare(
       const std::string& select_text);
 
+  // Compiles an XNF query ("OUT OF ... TAKE ...") whose node queries may
+  // hold '?' placeholders, for repeated evaluation (see PreparedCo).
+  Result<std::unique_ptr<PreparedCo>> PrepareCo(const std::string& xnf_text);
+
   // Evaluates an XNF query ("OUT OF ... TAKE ...") to a materialized CO.
+  // Like Execute, it goes through the default session's statement cache.
   Result<co::CoInstance> QueryCo(const std::string& xnf_text);
 
   // Evaluates an XNF query and loads the result into an application cache
@@ -171,8 +214,8 @@ class Database {
   Result<std::unique_ptr<co::CoCache>> OpenCo(const std::string& xnf_text);
 
   // Opens a new session: independent BEGIN/COMMIT/ROLLBACK state, its own
-  // MVCC snapshot while a transaction is open, and a prepared-statement
-  // cache (see session.h). Sessions may run from different threads — the
+  // MVCC snapshot while a transaction is open, and a statement cache (see
+  // session.h). Sessions may run from different threads — the
   // engine executes one statement at a time behind a global latch. Every
   // session must be destroyed before the database.
   std::unique_ptr<Session> OpenSession();
@@ -237,8 +280,10 @@ class Database {
   const ExecStats& last_exec_stats() const { return exec_stats_; }
 
   // Evaluation knobs (benchmarks): defaults are production settings.
+  // Compiled CO plans depend on them, so a change moves the catalog version.
   void set_xnf_options(co::Evaluator::Options options) {
     xnf_options_ = options;
+    catalog_.BumpVersion();
   }
 
   // Observability hooks. A trace sink receives spans for every pipeline
@@ -259,6 +304,7 @@ class Database {
 
  private:
   friend class PreparedQuery;
+  friend class PreparedCo;
   friend class Session;
 
   // Installs a session's transaction context (undo log + MVCC current
@@ -273,6 +319,10 @@ class Database {
    private:
     Database* db_;
   };
+
+  // Takes the statement latch (exec_mu_) for one statement, polling it
+  // briefly before blocking (see database.cc).
+  std::unique_lock<std::mutex> LockLatch();
 
   // Statement entry point shared by Database::Execute (default session)
   // and Session::Execute: takes the statement latch, installs the
@@ -295,6 +345,8 @@ class Database {
                        const Status& status);
   // Pushes one XNF evaluation's counters into the xnf.* metrics.
   void RecordXnfStats(const co::Evaluator::Stats& stats);
+  // The stmt.latency_us.<kind> histogram, resolved once per kind.
+  Histogram* LatencyHistogram(const std::string& kind);
 
   // Opens the durable store and replays the WAL over the restored
   // checkpoint; called from the constructor when Options::data_dir is set.
@@ -308,11 +360,45 @@ class Database {
   // Auto-checkpoint between statements (Options::checkpoint_wal_bytes).
   void MaybeAutoCheckpoint();
 
-  Result<ExecResult> ExecuteXnf(const std::string& text);
+  // SELECT through `session`'s statement cache: a hit runs the cached plan
+  // with the text's literals bound; a miss parses (literals in safe
+  // positions become parameters), compiles and stores the plan.
+  Result<ExecResult> ExecuteSelect(Session* session, const std::string& text,
+                                   const sql::Shape& shape);
+  // Statement-level XNF (TAKE / DELETE / UPDATE). `shape` is null when the
+  // text was not scanned (no session, or the scan failed).
+  Result<ExecResult> ExecuteXnf(Session* session, const std::string& text,
+                                const sql::Shape* shape);
+  // Evaluates one XNF text, OUT OF ... TAKE through `session`'s statement
+  // cache. `*query` receives the parsed query, owned by the cache entry or
+  // by `*owned`.
+  Result<co::CoInstance> EvaluateXnf(Session* session, const std::string& text,
+                                     const sql::Shape* shape,
+                                     const co::XnfQuery** query,
+                                     std::unique_ptr<co::XnfQuery>* owned);
   Result<ExecResult> ExecuteExplain(const sql::ExplainStmt& explain);
-  // SELECT pipeline (qgm-build -> rewrite -> plan -> execute) with trace
-  // spans and optional per-operator collection.
-  Result<ResultSet> RunSelect(const sql::SelectStmt& select);
+  // SELECT compile: qgm-build -> rewrite -> plan, with trace spans. With
+  // `used_extra` set, "view.component" sources resolve (and *used_extra
+  // reports whether one did: such a plan reads a per-statement
+  // materialization and must not be cached); without, they do not.
+  Result<exec::OperatorPtr> CompileSelect(const sql::SelectStmt& select,
+                                          bool* used_extra);
+  // Database::Prepare's compile: parse + CompileSelect.
+  Result<exec::OperatorPtr> PlanPrepared(const std::string& select_text);
+  // Prepare with the statement latch already held.
+  Result<std::unique_ptr<PreparedQuery>> PrepareLocked(
+      const std::string& select_text);
+  // Runs a compiled SELECT plan (a fresh, cached or prepared one) with
+  // `params` bound, with the execute span, optional per-operator
+  // collection, and the last_exec_stats / last_plan_profile bookkeeping.
+  Result<ResultSet> RunSelectPlan(exec::Operator* root,
+                                  const std::vector<Value>* params,
+                                  const char* trace_detail);
+  // Loads an evaluated CO into an application cache (OpenCo, PreparedCo).
+  Result<std::unique_ptr<co::CoCache>> BuildCache(co::CoInstance instance);
+  // plan_cache.* bookkeeping for one lookup / one store.
+  void CountLookup(StatementCache::Outcome outcome);
+  void CountStore(bool evicted);
   Result<ExecResult> ExecuteCoDelete(const co::CoInstance& instance);
   Result<ExecResult> ExecuteCoUpdate(const co::XnfQuery& query,
                                      co::CoInstance instance);
@@ -364,6 +450,25 @@ class Database {
   // Materializations of XNF view components referenced by SQL queries; kept
   // alive until the next statement.
   std::vector<std::unique_ptr<ResultSet>> component_cache_;
+  // Statement-level instruments, resolved once — on first use, so
+  // sqlxnf_metrics lists exactly the instruments statements have touched.
+  // Written under exec_mu_, except the cocache.* set (call_once: OpenCo
+  // builds its cache outside the latch).
+  Counter* stmt_count_ = nullptr;
+  Counter* stmt_errors_ = nullptr;
+  std::vector<std::pair<std::string, Histogram*>> stmt_latency_;
+  std::vector<Counter*> xnf_counters_;
+  std::once_flag cocache_once_;
+  Counter* cocache_fills_ = nullptr;
+  Counter* cocache_tuples_ = nullptr;
+  Counter* cocache_connections_ = nullptr;
+  Counter* cocache_pointer_nav_ = nullptr;
+  Counter* cocache_hash_nav_ = nullptr;
+  // plan_cache.* counters (registered at construction).
+  Counter* plan_cache_hits_ = nullptr;
+  Counter* plan_cache_misses_ = nullptr;
+  Counter* plan_cache_invalidations_ = nullptr;
+  Counter* plan_cache_evictions_ = nullptr;
 };
 
 }  // namespace xnf

@@ -91,16 +91,32 @@ Result<ResultSet> Session::Query(const std::string& select_text) {
 
 Result<ResultSet> Session::QueryPrepared(const std::string& select_text,
                                          const std::vector<Value>& params) {
-  auto it = prepared_.find(select_text);
-  if (it == prepared_.end()) {
+  // Prepared texts live beside the shapes under their exact text; the
+  // leading \x02 keeps the two key spaces apart.
+  prepared_key_.assign(1, '\x02');
+  prepared_key_ += select_text;
+  static const std::vector<Value> kNoLiterals;
+  XNF_RETURN_IF_ERROR(db_->open_error_);
+  // One latch acquisition for lookup, compile and run, like any statement.
+  std::unique_lock<std::mutex> lock = db_->LockLatch();
+  StatementCache::Outcome outcome;
+  CachedStatement* entry = cache_.Find(
+      prepared_key_, kNoLiterals, db_->catalog_.version(), &outcome);
+  db_->CountLookup(outcome);
+  if (entry == nullptr) {
     XNF_ASSIGN_OR_RETURN(std::unique_ptr<PreparedQuery> prepared,
-                         db_->Prepare(select_text));
+                         db_->PrepareLocked(select_text));
     // Rebind to this session: the cached plan must execute against this
     // session's snapshot, not the default session's.
     prepared->session_ = this;
-    it = prepared_.emplace(select_text, std::move(prepared)).first;
+    auto compiled = std::make_unique<CachedStatement>();
+    compiled->version = prepared->version_;
+    compiled->prepared = std::move(prepared);
+    bool evicted = false;
+    entry = cache_.Insert(prepared_key_, std::move(compiled), &evicted);
+    db_->CountStore(evicted);
   }
-  return it->second->Execute(params);
+  return entry->prepared->ExecuteLocked(params);
 }
 
 }  // namespace xnf

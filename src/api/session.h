@@ -3,20 +3,22 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/database.h"
+#include "api/statement_cache.h"
 #include "catalog/mvcc.h"
 #include "catalog/undo_log.h"
 #include "common/result_set.h"
 #include "common/status.h"
+#include "sql/shape.h"
 
 namespace xnf {
 
 // One caller's connection to the shared database: its own BEGIN/COMMIT/
 // ROLLBACK state, its own MVCC snapshot while a transaction is open, and a
-// per-session prepared-statement cache. Obtained from
+// per-session statement cache: every SELECT, OUT OF ... TAKE and
+// QueryPrepared text compiles once per shape and reruns the plan. Obtained from
 // Database::OpenSession(); Database::Execute() itself runs on a built-in
 // default session, so single-connection code never sees this class.
 //
@@ -49,10 +51,10 @@ class Session {
   // Convenience: SELECT returning rows.
   Result<ResultSet> Query(const std::string& select_text);
 
-  // Prepared-statement cache: compiles `select_text` on first use, keyed
-  // by the exact text, and reuses the plan afterwards (no per-call parse/
-  // plan). Parameters bind '?' placeholders in order. Plans resolve their
-  // tables at execution, so cached entries survive unrelated DDL.
+  // Prepared statements through the statement cache: compiles
+  // `select_text` on first use, keyed by the exact text, and reuses the
+  // plan afterwards (no per-call parse/plan). Parameters bind '?'
+  // placeholders in order. A plan compiled before DDL is recompiled.
   Result<ResultSet> QueryPrepared(const std::string& select_text,
                                   const std::vector<Value>& params = {});
 
@@ -60,7 +62,10 @@ class Session {
   bool in_transaction() const { return undo_ != nullptr; }
 
   uint64_t id() const { return id_; }
-  size_t prepared_cache_size() const { return prepared_.size(); }
+  // Compiled statements this session holds: SELECT and OUT OF ... TAKE
+  // shapes and QueryPrepared texts. Grows by one when a statement compiles
+  // into a free slot; bounded by StatementCache::kCapacity.
+  size_t prepared_cache_size() const { return cache_.size(); }
   Database* database() const { return db_; }
 
  private:
@@ -74,8 +79,11 @@ class Session {
   // TransactionManager handle. Both null between transactions.
   std::unique_ptr<UndoLog> undo_;
   TransactionManager::Transaction* txn_ = nullptr;
-  // Prepared-plan cache: exact statement text -> compiled plan.
-  std::unordered_map<std::string, std::unique_ptr<PreparedQuery>> prepared_;
+  // Compiled statements by shape (see api/statement_cache.h), and the
+  // scratch buffers the shape scan and the prepared-text key reuse.
+  StatementCache cache_;
+  sql::Shape shape_;
+  std::string prepared_key_;
 };
 
 }  // namespace xnf

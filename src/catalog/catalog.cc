@@ -93,6 +93,7 @@ Status Catalog::CreateTableWithFileId(const std::string& name, Schema schema,
         key + "_pk", std::vector<size_t>{*pk}, /*unique=*/true));
   }
   tables_.emplace(key, std::move(info));
+  BumpVersion();
   return Status::Ok();
 }
 
@@ -105,6 +106,7 @@ Status Catalog::DropTable(const std::string& name) {
   if (tables_.erase(key) == 0) {
     return Status::NotFound("table '" + name + "' not found");
   }
+  BumpVersion();
   return Status::Ok();
 }
 
@@ -158,6 +160,7 @@ Status Catalog::CreateIndex(const std::string& index_name,
   }));
   XNF_RETURN_IF_ERROR(backfill);
   table->indexes.push_back(std::move(index));
+  BumpVersion();
   return Status::Ok();
 }
 
@@ -172,6 +175,7 @@ Status Catalog::CreateView(const std::string& name, std::string definition,
     return Status::AlreadyExists("object '" + name + "' already exists");
   }
   views_.emplace(key, ViewInfo{key, std::move(definition), is_xnf});
+  BumpVersion();
   return Status::Ok();
 }
 
@@ -183,6 +187,7 @@ Status Catalog::DropView(const std::string& name) {
   if (views_.erase(ToLower(name)) == 0) {
     return Status::NotFound("view '" + name + "' not found");
   }
+  BumpVersion();
   return Status::Ok();
 }
 

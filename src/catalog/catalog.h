@@ -172,7 +172,19 @@ class Catalog {
   // (like exec_pool) so the planner, rewriter call sites, and expression
   // evaluator need no extra plumbing.
   const ExecConfig& exec_config() const { return exec_config_; }
-  void set_exec_config(ExecConfig config) { exec_config_ = config; }
+  void set_exec_config(ExecConfig config) {
+    exec_config_ = config;
+    BumpVersion();
+  }
+
+  // Schema version: moves on every successful CREATE/DROP of a table, index
+  // or view and on every set_exec_config. A compiled plan records the
+  // version it was built at and is recompiled once it has moved (compiled
+  // plans hold table, index and column-slot bindings that DDL invalidates).
+  // Changes outside the catalog that also invalidate plans (the XNF
+  // evaluator options) call BumpVersion() themselves.
+  uint64_t version() const { return version_; }
+  void BumpVersion() { ++version_; }
 
   // The undo log of the currently active transaction, or nullptr. Set by
   // the Database facade on BEGIN; consulted by the DML layer so that every
@@ -229,6 +241,7 @@ class Catalog {
   std::unordered_map<std::string, std::unique_ptr<TableInfo>> tables_;
   std::unordered_map<std::string, ViewInfo> views_;
   uint64_t epoch_ = 1;
+  uint64_t version_ = 1;
   mutable std::mutex system_mu_;  // guards system_views_ refresh
   mutable std::map<std::string, SystemView> system_views_;
 };

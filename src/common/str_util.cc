@@ -12,7 +12,7 @@ std::string ToLower(const std::string& s) {
   return out;
 }
 
-bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (std::tolower(static_cast<unsigned char>(a[i])) !=

@@ -2,6 +2,7 @@
 #define XNF_COMMON_STR_UTIL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xnf {
@@ -11,7 +12,7 @@ namespace xnf {
 std::string ToLower(const std::string& s);
 
 // Case-insensitive ASCII equality.
-bool EqualsIgnoreCase(const std::string& a, const std::string& b);
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,

@@ -155,6 +155,11 @@ class Operator {
   const Schema& schema() const { return schema_; }
   const OperatorStats& stats() const { return stats_; }
 
+  // Zeroes the counters of this operator and of every operator below it:
+  // a compiled plan that runs again reports that run alone, exactly as a
+  // freshly planned one would.
+  void ResetStats();
+
   // Scan-specific downcast for consumers that can accept zero-copy column
   // batches (hash join, aggregation): they call RequestLateScan() on the
   // result before Open. Null for every other operator.

@@ -20,6 +20,15 @@ Result<std::optional<Row>> Operator::Next() {
   return std::optional<Row>(std::move(carry_.rows[carry_pos_++]));
 }
 
+void Operator::ResetStats() {
+  stats_ = OperatorStats{};
+  std::vector<const Operator*> children;
+  AppendChildren(&children);
+  for (const Operator* child : children) {
+    const_cast<Operator*>(child)->ResetStats();
+  }
+}
+
 Result<ResultSet> RunPlan(Operator* root, ExecContext* ctx) {
   ResultSet out;
   out.schema = root->schema();

@@ -800,6 +800,24 @@ Status BatchMorsel(const ColumnScanPlan& plan, uint32_t begin, uint32_t end,
       });
 }
 
+// The filters a columnar scan compiles its kernels from: `filters` itself,
+// or, when some filter reads a parameter the context binds, a copy in
+// `bound` with the parameters bound to their values — so a parameterized
+// plan kernelizes and prunes cluster groups exactly like its literal text.
+const std::vector<qgm::ExprPtr>& BindFilterParams(
+    const std::vector<qgm::ExprPtr>& filters, const ExecContext& ctx,
+    std::vector<qgm::ExprPtr>* bound) {
+  if (ctx.params == nullptr) return filters;
+  bool any = false;
+  for (const qgm::ExprPtr& f : filters) any = any || qgm::HasParam(*f);
+  if (!any) return filters;
+  bound->reserve(filters.size());
+  for (const qgm::ExprPtr& f : filters) {
+    bound->push_back(qgm::BindParams(*f, *ctx.params));
+  }
+  return *bound;
+}
+
 }  // namespace
 
 Status ParallelFilterScan(const TableInfo& table,
@@ -829,9 +847,14 @@ Status ParallelFilterScan(const TableInfo& table,
   const ColumnStore* column_store =
       overlay == nullptr ? storage.AsColumnStore() : nullptr;
   ColumnScanPlan column_plan;
+  std::vector<qgm::ExprPtr> bound_filters;
+  const std::vector<qgm::ExprPtr>& column_filters =
+      column_store != nullptr
+          ? BindFilterParams(filters, *ctx, &bound_filters)
+          : filters;
   if (column_store != nullptr) {
     column_plan = BuildColumnScanPlan(
-        *column_store, filters, referenced,
+        *column_store, column_filters, referenced,
         ctx->catalog != nullptr ? ctx->catalog->metrics() : nullptr);
     stats->columnar = true;
     stats->kernel_filters = column_plan.kernel_filter_count;
@@ -843,7 +866,7 @@ Status ParallelFilterScan(const TableInfo& table,
       storage, ctx,
       [&](uint32_t begin, uint32_t end, MorselOut* out) {
         if (column_store != nullptr) {
-          return GatherMorsel(column_plan, filters, begin, end, ctx,
+          return GatherMorsel(column_plan, column_filters, begin, end, ctx,
                               want_rids, out);
         }
         return ScanMorsel(storage, overlay, begin, end, filters, ctx,
@@ -870,8 +893,10 @@ Status TryLateFilterScan(const TableInfo& table,
   if (mgr != nullptr && !mgr->PhysicalReadsSafe(table.name)) {
     return Status::Ok();
   }
-  ColumnScanPlan plan = BuildColumnScanPlan(*store, filters, referenced,
-                                            ctx->catalog->metrics());
+  std::vector<qgm::ExprPtr> bound_filters;
+  ColumnScanPlan plan = BuildColumnScanPlan(
+      *store, BindFilterParams(filters, *ctx, &bound_filters), referenced,
+      ctx->catalog->metrics());
   // Only replace the scan when the whole conjunction kernelized: a scalar
   // remainder would need gathered rows anyway, and running it against
   // lazily-built rows here would just duplicate the gathering scan.

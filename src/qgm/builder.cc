@@ -720,7 +720,9 @@ Result<ExprPtr> Builder::BuildExpr(const sql::Expr& expr, ExprCtx* ctx) {
     case K::kParam: {
       auto e = std::make_unique<Expr>(Expr::Kind::kParam);
       e->param_index = expr.param_index;
-      e->type = Type::kNull;  // untyped until bound
+      // A '?' is untyped until bound; a literal the statement cache made a
+      // parameter keeps its literal's type (the shape key pins it).
+      e->type = expr.literal.type();
       return ExprPtr(std::move(e));
     }
     case K::kBinary: {

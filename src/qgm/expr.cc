@@ -148,6 +148,28 @@ bool HasInputRefs(const Expr& expr) {
   return found;
 }
 
+bool HasParam(const Expr& expr) {
+  if (expr.kind == Expr::Kind::kParam) return true;
+  for (const ExprPtr& a : expr.args) {
+    if (a && HasParam(*a)) return true;
+  }
+  return false;
+}
+
+ExprPtr BindParams(const Expr& expr, const std::vector<Value>& params) {
+  if (expr.kind == Expr::Kind::kParam && expr.param_index >= 0 &&
+      static_cast<size_t>(expr.param_index) < params.size()) {
+    return Expr::Lit(params[expr.param_index]);
+  }
+  ExprPtr out = expr.Clone();
+  for (size_t i = 0; i < expr.args.size(); ++i) {
+    if (expr.args[i] && HasParam(*expr.args[i])) {
+      out->args[i] = BindParams(*expr.args[i], params);
+    }
+  }
+  return out;
+}
+
 bool HasAggRef(const Expr& expr) {
   bool found = false;
   VisitExpr(expr, [&](const Expr& e) {

@@ -104,6 +104,15 @@ bool ReferencesQuantifier(const Expr& expr, int q);
 // True if the expression contains any kInputRef at all.
 bool HasInputRefs(const Expr& expr);
 
+// True if the expression reads a parameter (kParam).
+bool HasParam(const Expr& expr);
+
+// A copy of `expr` with every kParam whose index `params` covers replaced by
+// the bound value as a literal. Consumers that read literals while compiling
+// (the columnar filter kernels, cluster-tag pruning) see a parameterized
+// plan exactly as they would see the literal text.
+ExprPtr BindParams(const Expr& expr, const std::vector<Value>& params);
+
 // True if the expression contains an aggregate reference or subquery.
 bool HasAggRef(const Expr& expr);
 bool HasSubquery(const Expr& expr);

@@ -63,6 +63,7 @@ ExprPtr Expr::Clone() const {
   out->negated = negated;
   out->distinct_arg = distinct_arg;
   out->param_index = param_index;
+  out->literal_ordinal = literal_ordinal;
   for (const ExprPtr& a : args) {
     out->args.push_back(a ? a->Clone() : nullptr);
   }

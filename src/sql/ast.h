@@ -83,7 +83,14 @@ struct Expr {
   UnOp un_op = UnOp::kNot;        // kUnary
   bool negated = false;           // IS NOT NULL / NOT IN / NOT LIKE / ...
   bool distinct_arg = false;      // COUNT(DISTINCT x)
-  int param_index = -1;           // kParam: 0-based occurrence order
+  // kParam: index into the statement's parameter vector. A '?' counts
+  // '?'s in occurrence order; a literal the statement cache turned into a
+  // parameter uses its literal ordinal and keeps its value in `literal`,
+  // which types the parameter at plan time (see sql/shape.h).
+  int param_index = -1;
+  // kLiteral parsed from source text: the token's literal ordinal (see
+  // Token::literal_ordinal); -1 for literals built by code.
+  int literal_ordinal = -1;
   std::vector<ExprPtr> args;
   std::unique_ptr<SelectStmt> subquery;  // kIn/kExists/kScalarSubquery
   std::unique_ptr<PathExpr> path;        // kPath / kExistsPath

@@ -78,6 +78,10 @@ class LexerImpl {
       } else {
         XNF_RETURN_IF_ERROR(LexSymbol(&tok));
       }
+      if (tok.kind == TokenKind::kInteger || tok.kind == TokenKind::kFloat ||
+          tok.kind == TokenKind::kString) {
+        tok.literal_ordinal = literals_++;
+      }
       tokens.push_back(std::move(tok));
     }
   }
@@ -301,6 +305,7 @@ class LexerImpl {
   size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int literals_ = 0;
 };
 
 }  // namespace

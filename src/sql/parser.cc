@@ -818,17 +818,17 @@ Result<ExprPtr> Parser::ParseFunctionCall(std::string name) {
 Result<ExprPtr> Parser::ParsePrimary() {
   const Token& t = Peek();
   switch (t.kind) {
-    case TokenKind::kInteger: {
-      Token tok = Consume();
-      return Expr::Lit(Value::Int(tok.int_value));
-    }
-    case TokenKind::kFloat: {
-      Token tok = Consume();
-      return Expr::Lit(Value::Double(tok.double_value));
-    }
+    case TokenKind::kInteger:
+    case TokenKind::kFloat:
     case TokenKind::kString: {
       Token tok = Consume();
-      return Expr::Lit(Value::String(tok.text));
+      ExprPtr e = Expr::Lit(tok.kind == TokenKind::kInteger
+                                ? Value::Int(tok.int_value)
+                            : tok.kind == TokenKind::kFloat
+                                ? Value::Double(tok.double_value)
+                                : Value::String(std::move(tok.text)));
+      e->literal_ordinal = tok.literal_ordinal;
+      return e;
     }
     case TokenKind::kQuestion: {
       Consume();

@@ -41,6 +41,10 @@ struct Token {
   int64_t int_value = 0;
   double double_value = 0.0;
   size_t offset = 0;  // byte offset in the source
+  // Literal tokens (integer, float, string): 0-based position among the
+  // source's literal tokens, in lexical order. -1 for every other token.
+  // The statement cache's shape scan numbers literals the same way.
+  int literal_ordinal = -1;
   int line = 1;
   int column = 1;
 

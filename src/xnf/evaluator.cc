@@ -222,6 +222,59 @@ std::vector<CoConnection> NodeJoin(const std::vector<Row>& parents,
   return out;
 }
 
+// The first `col = key` conjunct of `pred` (AND tree, left operand first)
+// whose column has an index on `table`; `key` is a literal or a parameter.
+// Fills the plan node's fast-extraction fields; leaves them unset if none.
+void FindIndexConjunct(const qgm::Expr& e, const TableInfo& table,
+                       CoPlan::Node* node) {
+  if (node->index != nullptr) return;
+  if (e.kind == qgm::Expr::Kind::kBinary && e.bin_op == sql::BinOp::kAnd) {
+    FindIndexConjunct(*e.args[0], table, node);
+    FindIndexConjunct(*e.args[1], table, node);
+    return;
+  }
+  if (e.kind != qgm::Expr::Kind::kBinary || e.bin_op != sql::BinOp::kEq) {
+    return;
+  }
+  const qgm::Expr* col = e.args[0].get();
+  const qgm::Expr* key = e.args[1].get();
+  if (col->kind != qgm::Expr::Kind::kInputRef) std::swap(col, key);
+  if (col->kind != qgm::Expr::Kind::kInputRef ||
+      (key->kind != qgm::Expr::Kind::kLiteral &&
+       key->kind != qgm::Expr::Kind::kParam)) {
+    return;
+  }
+  Index* idx = table.FindIndexOn({static_cast<size_t>(col->slot)});
+  if (idx == nullptr) return;
+  node->index = idx;
+  node->index_key = key;
+  node->index_whole = &e == node->filters[0].get();
+  node->index_column_type =
+      table.schema.column(static_cast<size_t>(col->slot)).type;
+}
+
+// Walks every column reference of an expression tree.
+void VisitColumnRefs(const sql::Expr& e,
+                     const std::function<void(const sql::Expr&)>& fn) {
+  if (e.kind == sql::Expr::Kind::kColumnRef) fn(e);
+  for (const sql::ExprPtr& a : e.args) {
+    if (a) VisitColumnRefs(*a, fn);
+  }
+}
+
+// Copies the write provenance AnalyzeRelWrite derived at compile time.
+void CopyWriteProvenance(const CoRelInstance& from, CoRelInstance* to) {
+  to->write_kind = from.write_kind;
+  to->fk_parent_column = from.fk_parent_column;
+  to->fk_child_column = from.fk_child_column;
+  to->link_table = from.link_table;
+  to->link_parent_column = from.link_parent_column;
+  to->link_child_column = from.link_child_column;
+  to->parent_key_column = from.parent_key_column;
+  to->child_key_column = from.child_key_column;
+  to->attr_link_columns = from.attr_link_columns;
+}
+
 }  // namespace
 
 void Evaluator::MergeStats(const Stats& from, Stats* into) {
@@ -255,16 +308,427 @@ Result<ResultSet> Evaluator::RunSelect(const sql::SelectStmt& stmt,
                          qgm::Rewrite(&graph, trace_sink_));
     (void)rw;
   }
-  XNF_ASSIGN_OR_RETURN(ResultSet rs,
-                       plan::Execute(catalog_, graph, trace_sink_));
+  plan::Planner planner(catalog_);
+  XNF_ASSIGN_OR_RETURN(exec::OperatorPtr root,
+                       [&]() -> Result<exec::OperatorPtr> {
+                         TraceScope span(trace_sink_, "plan");
+                         return planner.Plan(graph);
+                       }());
+  exec::ExecContext ctx;
+  ctx.catalog = catalog_;
+  ctx.params = params_;
+  TraceScope span(trace_sink_, "execute");
+  XNF_ASSIGN_OR_RETURN(ResultSet rs, exec::RunPlan(root.get(), &ctx));
   stats->rows_produced += rs.stats.rows_produced;
   stats->batches_produced += rs.stats.batches_produced;
   return rs;
 }
 
-Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
-                                                  Stats* stats) {
+// --- Compile ----------------------------------------------------------------
+
+Result<std::unique_ptr<CoPlan>> Evaluator::Compile(const XnfQuery& query) {
+  auto plan = std::make_unique<CoPlan>();
+  plan->query = &query;
+  // Referenced views with restrictions / partial TAKE are evaluated
+  // recursively and imported as premade components (full closure, Fig. 6).
+  Resolver resolver(catalog_, [this](const XnfQuery& sub) {
+    Evaluator nested(catalog_, options_);
+    nested.set_trace_sink(trace_sink_);
+    Result<CoInstance> out = nested.Evaluate(sub);
+    MergeStats(nested.stats(), &stats_);
+    return out;
+  });
+  XNF_ASSIGN_OR_RETURN(plan->def, [&]() -> Result<CoDef> {
+    TraceScope span(trace_sink_, "resolve");
+    return resolver.Resolve(query);
+  }());
+  const CoDef& def = plan->def;
+  // TAKE-driven column pruning. Gated on CSE because the no-CSE edge path
+  // matches node tuples by full-row value, which a NULL placeholder would
+  // corrupt. kDelete/kUpdate act on base rows through rids and need full
+  // tuples in the returned instance.
+  std::map<std::string, std::set<std::string>> take_needed;
+  if (query.action == XnfQuery::Action::kTake && !query.take_all &&
+      options_.use_cse) {
+    take_needed = ComputeTakePruning(query, def);
+  }
+  TraceScope span(trace_sink_, "qgm-build");
+  plan->nodes.resize(def.nodes.size());
+  for (size_t n = 0; n < def.nodes.size(); ++n) {
+    if (def.nodes[n].premade != nullptr) plan->cacheable = false;
+    CompileNode(def.nodes[n], take_needed.empty() ? nullptr : &take_needed,
+                &plan->nodes[n]);
+  }
+  CompileRels(plan.get());
+  CompileRestrictionsAndTake(plan.get());
+  return plan;
+}
+
+void Evaluator::CompileNode(
+    const CoNodeDef& def,
+    const std::map<std::string, std::set<std::string>>* take,
+    CoPlan::Node* node) {
+  using Access = CoPlan::Node::Access;
+  if (def.premade != nullptr) {
+    node->access = Access::kPremade;
+    node->schema = def.premade->schema;
+    return;
+  }
+  SimpleNodeInfo simple = AnalyzeSimpleNode(def, *catalog_);
+  if (simple.simple) {
+    node->access = Access::kSimple;
+    TableInfo* table = catalog_->GetTable(simple.base_table);
+    node->table = table;
+    node->base_table = simple.base_table;
+    // The predicate, compiled over the base schema.
+    if (simple.predicate != nullptr) {
+      qgm::Builder builder(catalog_);
+      Result<qgm::ExprPtr> built =
+          builder.BuildScalar(*simple.predicate, table->schema, simple.alias);
+      if (!built.ok()) {
+        node->error = built.status();
+        return;
+      }
+      std::vector<size_t> offsets = {0};
+      Result<qgm::ExprPtr> compiled = plan::CompileExpr(**built, offsets);
+      if (!compiled.ok()) {
+        node->error = compiled.status();
+        return;
+      }
+      node->filters.push_back(std::move(compiled).value());
+    }
+    // Output schema and base column map.
+    if (simple.select_star) {
+      for (size_t i = 0; i < table->schema.size(); ++i) {
+        Column c = table->schema.column(i);
+        c.table = def.name;
+        node->schema.AddColumn(c);
+        node->base_column_map.push_back(static_cast<int>(i));
+      }
+    } else {
+      for (size_t i = 0; i < simple.columns.size(); ++i) {
+        Result<size_t> b = table->schema.Resolve("", simple.columns[i]);
+        if (!b.ok()) {
+          node->error = b.status();
+          return;
+        }
+        Column c = table->schema.column(*b);
+        c.name = simple.out_names[i];
+        c.table = def.name;
+        node->schema.AddColumn(c);
+        node->base_column_map.push_back(static_cast<int>(*b));
+      }
+    }
+    // Fast extraction (§4 "fast extraction of data"): an equality conjunct
+    // on an indexed column turns the candidate scan into an index lookup —
+    // this is what makes 1-in-10000 working-set extraction cheap.
+    if (!node->filters.empty()) {
+      FindIndexConjunct(*node->filters[0], *table, node);
+    }
+    // Columnar candidate scans only decode the columns the node emits —
+    // and under an analyzed TAKE list, only the emitted columns something
+    // after the scan actually reads; the rest surface as NULL placeholders
+    // that ApplyTake projects away. Heap tables ignore the bitmap.
+    node->referenced.assign(table->schema.size(), 0);
+    const std::set<std::string>* take_cols = nullptr;
+    if (take != nullptr) {
+      auto it = take->find(ToLower(def.name));
+      if (it != take->end()) take_cols = &it->second;
+    }
+    for (size_t c = 0; c < node->base_column_map.size(); ++c) {
+      if (take_cols != nullptr &&
+          take_cols->count(ToLower(node->schema.column(c).name)) == 0) {
+        continue;
+      }
+      node->referenced[node->base_column_map[c]] = 1;
+    }
+    if (!node->filters.empty()) {
+      MarkExprSlots(*node->filters[0], &node->referenced);
+    }
+    return;
+  }
+
+  // General path: the defining query, planned through the engine.
+  if (def.query == nullptr) {
+    node->error = Status::NotFound("table '" + def.table +
+                                   "' not found for node '" + def.name + "'");
+    return;
+  }
+  Result<exec::OperatorPtr> planned = [&]() -> Result<exec::OperatorPtr> {
+    qgm::Builder builder(catalog_);
+    XNF_ASSIGN_OR_RETURN(qgm::QueryGraph graph, builder.Build(*def.query));
+    if (catalog_->exec_config().use_rewrite) {
+      TraceScope span(trace_sink_, "rewrite");
+      XNF_ASSIGN_OR_RETURN(qgm::RewriteStats rw,
+                           qgm::Rewrite(&graph, trace_sink_));
+      (void)rw;
+    }
+    plan::Planner planner(catalog_);
+    TraceScope span(trace_sink_, "plan");
+    return planner.Plan(graph);
+  }();
+  if (!planned.ok()) {
+    node->error = planned.status();
+    return;
+  }
+  node->access = Access::kQuery;
+  node->query = std::move(planned).value();
+  node->schema = node->query->schema().WithQualifier(def.name);
+}
+
+void Evaluator::CompileRels(CoPlan* plan) {
+  const CoDef& def = plan->def;
+  plan->rels.resize(def.rels.size());
+  auto schema_of = [&](const std::string& name) -> const Schema* {
+    int n = def.NodeIndex(name);
+    return n < 0 ? nullptr : &plan->nodes[n].schema;
+  };
+
+  for (size_t i = 0; i < def.rels.size(); ++i) {
+    const CoRelDef& rel = def.rels[i];
+    CoPlan::Rel& out = plan->rels[i];
+    if (rel.premade != nullptr) {
+      plan->cacheable = false;
+      continue;
+    }
+    const Schema* parent = schema_of(rel.parent);
+    const Schema* child = schema_of(rel.child);
+    if (parent != nullptr && child != nullptr) {
+      AnalyzeRelWrite(rel, *parent, *child, &out.write);
+    }
+    // Edge path (CSE only; the no-CSE baseline always runs its inline
+    // query). A predicate of the 1:n foreign-key shape — only
+    // `parent.col = child.col` equalities, no USING table, no attributes,
+    // key columns of one type or both numeric — is a node join: its
+    // connections are hashed out of the node results directly. Everything
+    // else (link tables, theta and cross predicates, residual conjuncts,
+    // subqueries, paths, bare columns) runs as an edge query.
+    if (options_.use_cse && rel.attributes.empty() && parent != nullptr &&
+        child != nullptr) {
+      std::optional<EquiKeys> keys = AnalyzeEquiKeys(rel, *parent, *child);
+      if (keys.has_value()) {
+        bool comparable = true;
+        for (size_t k = 0; k < keys->parent_cols.size(); ++k) {
+          comparable &= KeyTypesComparable(
+              parent->column(keys->parent_cols[k]).type,
+              child->column(keys->child_cols[k]).type);
+        }
+        if (comparable) {
+          out.node_join = std::move(keys);
+          continue;
+        }
+      }
+    }
+    auto stmt = std::make_unique<sql::SelectStmt>();
+    auto add_named = [&](const std::string& name, const std::string& alias) {
+      auto ref = std::make_unique<sql::TableRef>();
+      ref->kind = sql::TableRef::Kind::kNamed;
+      ref->name = name;
+      ref->alias = alias;
+      stmt->from.push_back(std::move(ref));
+    };
+    auto add_attributes = [&] {
+      for (const RelAttribute& a : rel.attributes) {
+        sql::SelectItem item;
+        item.expr = a.expr->Clone();
+        item.alias = a.name;
+        stmt->items.push_back(std::move(item));
+      }
+    };
+    if (options_.use_cse) {
+      // Temps carry a __tid column identifying the candidate tuple.
+      add_named("__co_" + rel.parent, rel.parent_corr);
+      add_named("__co_" + rel.child, rel.child_corr);
+      sql::SelectItem ptid;
+      ptid.expr = sql::Expr::ColRef(rel.parent_corr, kTidColumn);
+      ptid.alias = "__ptid";
+      stmt->items.push_back(std::move(ptid));
+      sql::SelectItem ctid;
+      ctid.expr = sql::Expr::ColRef(rel.child_corr, kTidColumn);
+      ctid.alias = "__ctid";
+      stmt->items.push_back(std::move(ctid));
+      if (!rel.using_table.empty()) add_named(rel.using_table, rel.using_corr);
+    } else {
+      // The partner node queries recomputed inline.
+      for (const auto& [name, alias] :
+           {std::pair{&rel.parent, &rel.parent_corr},
+            std::pair{&rel.child, &rel.child_corr}}) {
+        int n = def.NodeIndex(*name);
+        if (n < 0) {
+          out.error = Status::Internal("missing node definition for '" +
+                                       *name + "'");
+          break;
+        }
+        const CoNodeDef& node = def.nodes[n];
+        auto ref = std::make_unique<sql::TableRef>();
+        if (node.query != nullptr) {
+          ref->kind = sql::TableRef::Kind::kSubquery;
+          ref->subquery = node.query->Clone();
+        } else {
+          ref->kind = sql::TableRef::Kind::kNamed;
+          ref->name = node.table;
+        }
+        ref->alias = *alias;
+        stmt->from.push_back(std::move(ref));
+      }
+      if (!rel.using_table.empty()) add_named(rel.using_table, rel.using_corr);
+      sql::SelectItem pstar;
+      pstar.star = true;
+      pstar.star_table = rel.parent_corr;
+      stmt->items.push_back(std::move(pstar));
+      sql::SelectItem cstar;
+      cstar.star = true;
+      cstar.star_table = rel.child_corr;
+      stmt->items.push_back(std::move(cstar));
+    }
+    add_attributes();
+    stmt->where = rel.predicate->Clone();
+    out.edge = std::move(stmt);
+  }
+
+  // CSE temps (node rows + __tid) for the partners of edge queries, narrowed
+  // to the columns the relationship predicates and attributes actually
+  // reference, so the edge joins never copy full-width tuples.
+  if (!options_.use_cse) return;
+  // Partner node -> columns its edge queries read.
+  std::map<std::string, std::set<std::string>> used_columns;
+  std::set<std::string> full_width;  // nodes needing all columns
+  for (size_t i = 0; i < def.rels.size(); ++i) {
+    const CoRelDef& rel = def.rels[i];
+    // Premade edges have no predicate to analyze; node joins read the node
+    // results, not temps.
+    if (rel.premade != nullptr || plan->rels[i].node_join.has_value()) {
+      continue;
+    }
+    used_columns[rel.parent];
+    used_columns[rel.child];
+    auto collect = [&](const sql::Expr& e) {
+      std::string qual = ToLower(e.table);
+      if (qual == rel.parent_corr) {
+        used_columns[rel.parent].insert(ToLower(e.column));
+      } else if (qual == rel.child_corr) {
+        used_columns[rel.child].insert(ToLower(e.column));
+      } else if (!rel.using_table.empty() && qual == rel.using_corr) {
+        // link-table column: not part of a node temp
+      } else {
+        // Bare or unknown qualifier: be conservative.
+        full_width.insert(rel.parent);
+        full_width.insert(rel.child);
+      }
+    };
+    VisitColumnRefs(*rel.predicate, collect);
+    for (const RelAttribute& a : rel.attributes) {
+      VisitColumnRefs(*a.expr, collect);
+    }
+  }
+  for (size_t n = 0; n < def.nodes.size(); ++n) {
+    const std::string& name = def.nodes[n].name;
+    if (used_columns.count(name) == 0) continue;
+    const Schema& schema = plan->nodes[n].schema;
+    CoPlan::Temp temp;
+    temp.node = static_cast<int>(n);
+    if (full_width.count(name) > 0) {
+      temp.schema = schema;
+      for (size_t c = 0; c < schema.size(); ++c) {
+        temp.projection.push_back(static_cast<int>(c));
+      }
+    } else {
+      for (const std::string& col : used_columns[name]) {
+        auto idx = schema.Find(col);
+        if (!idx.has_value()) {
+          plan->temps_error = Status::NotFound(
+              "column '" + col + "' not found in component table '" + name +
+              "'");
+          return;
+        }
+        temp.projection.push_back(static_cast<int>(*idx));
+        temp.schema.AddColumn(schema.column(*idx));
+      }
+    }
+    temp.schema.AddColumn(Column(kTidColumn, Type::kInt));
+    plan->temps.push_back(std::move(temp));
+  }
+}
+
+void Evaluator::CompileRestrictionsAndTake(CoPlan* plan) {
+  const CoDef& def = plan->def;
+  const XnfQuery& query = *plan->query;
+  for (const Restriction& r : query.restrictions) {
+    const bool node = r.kind == Restriction::Kind::kNode;
+    const int target = node ? def.NodeIndex(r.target) : def.RelIndex(r.target);
+    plan->restriction_targets.push_back(target);
+    plan->restriction_errors.push_back(
+        target >= 0 ? Status::Ok()
+        : node ? Status::NotFound("restricted component table '" + r.target +
+                                  "' not found")
+               : Status::NotFound("restricted relationship '" + r.target +
+                                  "' not found"));
+  }
+
+  if (query.take_all) return;
+  // Which components survive.
+  plan->take_node.assign(def.nodes.size(), 0);
+  plan->take_rel.assign(def.rels.size(), 0);
+  plan->take_columns.assign(def.nodes.size(), std::nullopt);
+  std::vector<const TakeItem*> node_items(def.nodes.size(), nullptr);
+  for (const TakeItem& item : query.take) {
+    int n = def.NodeIndex(item.name);
+    if (n >= 0) {
+      plan->take_node[n] = 1;
+      node_items[n] = &item;
+      continue;
+    }
+    int r = def.RelIndex(item.name);
+    if (r >= 0) {
+      if (item.has_column_list && !item.star_columns) {
+        plan->take_error = Status::InvalidArgument(
+            "column projection on relationship '" + item.name +
+            "' is not meaningful");
+        return;
+      }
+      plan->take_rel[r] = 1;
+      continue;
+    }
+    plan->take_error = Status::NotFound("TAKE item '" + item.name +
+                                        "' is not a component of this CO");
+    return;
+  }
+  // Well-formedness: a relationship survives only if both partners do.
+  for (size_t r = 0; r < def.rels.size(); ++r) {
+    if (!plan->take_rel[r]) continue;
+    int p = def.NodeIndex(def.rels[r].parent);
+    int c = def.NodeIndex(def.rels[r].child);
+    if (p < 0 || c < 0 || !plan->take_node[p] || !plan->take_node[c]) {
+      plan->take_rel[r] = 0;  // implicit discard (§3.3)
+    }
+  }
+  // Column projections.
+  for (size_t n = 0; n < def.nodes.size(); ++n) {
+    const TakeItem* item = node_items[n];
+    if (!plan->take_node[n] || item == nullptr || !item->has_column_list ||
+        item->star_columns) {
+      continue;
+    }
+    std::vector<size_t> cols;
+    for (const std::string& c : item->columns) {
+      Result<size_t> i = plan->nodes[n].schema.Resolve("", c);
+      if (!i.ok()) {
+        plan->take_error = i.status();
+        return;
+      }
+      cols.push_back(*i);
+    }
+    plan->take_columns[n] = std::move(cols);
+  }
+}
+
+// --- Run --------------------------------------------------------------------
+
+Result<CoNodeInstance> Evaluator::RunNode(const CoPlan& plan, size_t n,
+                                          Stats* stats) {
   XNF_FAILPOINT("xnf.node.query");
+  const CoNodeDef& def = plan.def.nodes[n];
+  const CoPlan::Node& compiled = plan.nodes[n];
   CoNodeInstance node;
   node.name = def.name;
   const uint64_t start_ns = NowNs();
@@ -274,181 +738,104 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
   };
 
   // Pre-materialized component imported from a restricted view reference.
-  if (def.premade != nullptr) {
+  if (compiled.access == CoPlan::Node::Access::kPremade) {
     profile("premade", def.premade->tuples.size());
     return *def.premade;
   }
+  XNF_RETURN_IF_ERROR(compiled.error);
+  exec::ExecContext exec_ctx;
+  exec_ctx.catalog = catalog_;
+  exec_ctx.params = params_;
 
-  SimpleNodeInfo simple = AnalyzeSimpleNode(def, *catalog_);
-  if (simple.simple) {
-    TableInfo* table = catalog_->GetTable(simple.base_table);
-    // Compile the predicate over the base schema.
-    qgm::ExprPtr pred;
-    if (simple.predicate != nullptr) {
-      qgm::Builder builder(catalog_);
-      XNF_ASSIGN_OR_RETURN(
-          qgm::ExprPtr built,
-          builder.BuildScalar(*simple.predicate, table->schema, simple.alias));
-      std::vector<size_t> offsets = {0};
-      XNF_ASSIGN_OR_RETURN(pred, plan::CompileExpr(*built, offsets));
-    }
-    // Output schema and base column map.
-    if (simple.select_star) {
-      for (size_t i = 0; i < table->schema.size(); ++i) {
-        Column c = table->schema.column(i);
-        c.table = def.name;
-        node.schema.AddColumn(c);
-        node.base_column_map.push_back(static_cast<int>(i));
-      }
-    } else {
-      for (size_t i = 0; i < simple.columns.size(); ++i) {
-        XNF_ASSIGN_OR_RETURN(size_t b,
-                             table->schema.Resolve("", simple.columns[i]));
-        Column c = table->schema.column(b);
-        c.name = simple.out_names[i];
-        c.table = def.name;
-        node.schema.AddColumn(c);
-        node.base_column_map.push_back(static_cast<int>(b));
-      }
-    }
-    node.base_table = simple.base_table;
-
-    exec::ExecContext exec_ctx;
-    exec_ctx.catalog = catalog_;
-
-    auto emit = [&](Rid rid, const Row& row) {
-      Row& out = node.tuples.emplace_back();
-      out.reserve(node.base_column_map.size());
-      for (int b : node.base_column_map) out.push_back(row[b]);
-      node.rids.push_back(rid);
-    };
-
-    // Fast extraction (§4 "fast extraction of data"): an equality conjunct
-    // on an indexed column turns the candidate scan into an index lookup —
-    // this is what makes 1-in-10000 working-set extraction cheap. The
-    // lookup merges the snapshot's overlay, so concurrent writers on the
-    // table do not take the index away.
-    Index* index = nullptr;
-    Value index_key;
-    const qgm::Expr* index_conjunct = nullptr;
-    size_t index_column = 0;
-    if (pred != nullptr) {
-      std::function<void(const qgm::Expr&)> find =
-          [&](const qgm::Expr& e) {
-            if (index != nullptr) return;
-            if (e.kind == qgm::Expr::Kind::kBinary &&
-                e.bin_op == sql::BinOp::kAnd) {
-              find(*e.args[0]);
-              find(*e.args[1]);
-              return;
-            }
-            if (e.kind != qgm::Expr::Kind::kBinary ||
-                e.bin_op != sql::BinOp::kEq) {
-              return;
-            }
-            const qgm::Expr* col = e.args[0].get();
-            const qgm::Expr* lit = e.args[1].get();
-            if (col->kind != qgm::Expr::Kind::kInputRef) std::swap(col, lit);
-            if (col->kind != qgm::Expr::Kind::kInputRef ||
-                lit->kind != qgm::Expr::Kind::kLiteral) {
-              return;
-            }
-            Index* idx =
-                table->FindIndexOn({static_cast<size_t>(col->slot)});
-            if (idx != nullptr) {
-              index = idx;
-              index_key = lit->literal;
-              index_conjunct = &e;
-              index_column = static_cast<size_t>(col->slot);
-            }
-          };
-      find(*pred);
-    }
-    Status status = Status::Ok();
-    auto check = [&](const Row& row) -> bool {
-      if (pred == nullptr) return true;
-      exec::EvalContext ectx;
-      ectx.row = &row;
-      ectx.exec = &exec_ctx;
-      auto keep = exec::EvalPredicate(*pred, &ectx);
-      if (!keep.ok()) {
-        status = keep.status();
-        return false;
-      }
-      return *keep;
-    };
-
-    if (index != nullptr) {
-      // Every hit satisfies the conjunct the index answered; when that
-      // conjunct is the whole predicate and needs no coercion, skip the
-      // per-row re-check.
-      const bool exact =
-          index_conjunct == pred.get() &&
-          index_key.type() == table->schema.column(index_column).type;
-      XNF_RETURN_IF_ERROR(LookupVisible(
-          *table, *index, OverlayFor(catalog_->txn_manager(), *table),
-          {index_key}, [&](Rid rid, const Row& row) {
-            if (!exact && !check(row)) return status.ok();
-            emit(rid, row);
-            return true;
-          }));
-    } else {
-      // Candidate scan: morsel-parallel when an executor pool is attached,
-      // serial otherwise; output order matches the heap scan either way.
-      // Columnar tables only decode the columns the node emits — and under
-      // an analyzed TAKE list, only the emitted columns something after the
-      // scan actually reads; the rest surface as NULL placeholders that
-      // ApplyTake projects away. Heap tables ignore the bitmap.
-      std::vector<char> referenced(table->schema.size(), 0);
-      const std::set<std::string>* take_cols = nullptr;
-      if (take_pruning_) {
-        auto it = take_needed_.find(ToLower(def.name));
-        if (it != take_needed_.end()) take_cols = &it->second;
-      }
-      for (size_t c = 0; c < node.base_column_map.size(); ++c) {
-        if (take_cols != nullptr &&
-            take_cols->count(ToLower(node.schema.column(c).name)) == 0) {
-          continue;
-        }
-        referenced[node.base_column_map[c]] = 1;
-      }
-      if (pred != nullptr) MarkExprSlots(*pred, &referenced);
-      std::vector<qgm::ExprPtr> filters;
-      if (pred != nullptr) filters.push_back(std::move(pred));
-      std::vector<Row> rows;
-      std::vector<Rid> rids;
-      exec::ScanStats scan_stats;
-      XNF_RETURN_IF_ERROR(exec::ParallelFilterScan(
-          *table, filters, &referenced, &exec_ctx, &rows,
-          &rids, &scan_stats));
-      stats->scan_columns_decoded += scan_stats.columns_decoded;
-      stats->scan_columns_skipped += scan_stats.columns_skipped;
-      for (size_t i = 0; i < rows.size(); ++i) emit(rids[i], rows[i]);
-    }
-    XNF_RETURN_IF_ERROR(status);
+  if (compiled.access == CoPlan::Node::Access::kQuery) {
+    XNF_ASSIGN_OR_RETURN(ResultSet rs, [&]() -> Result<ResultSet> {
+      TraceScope span(trace_sink_, "execute");
+      return exec::RunPlan(compiled.query.get(), &exec_ctx);
+    }());
+    stats->rows_produced += rs.stats.rows_produced;
+    stats->batches_produced += rs.stats.batches_produced;
     stats->node_queries++;
-    profile(index != nullptr ? "index" : "scan", node.tuples.size());
+    node.schema = compiled.schema;
+    node.tuples = std::move(rs.rows);
+    profile("query", node.tuples.size());
     return node;
   }
 
-  // General path: run the defining query through the engine.
-  if (def.query == nullptr) {
-    return Status::NotFound("table '" + def.table + "' not found for node '" +
-                            def.name + "'");
+  // A system view re-snapshots on its first lookup in each statement.
+  if (compiled.table->is_system) {
+    (void)catalog_->GetTable(compiled.base_table);
   }
-  XNF_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*def.query, stats));
+  const TableInfo& table = *compiled.table;
+  node.schema = compiled.schema;
+  node.base_column_map = compiled.base_column_map;
+  node.base_table = compiled.base_table;
+  auto emit = [&](Rid rid, const Row& row) {
+    Row& out = node.tuples.emplace_back();
+    out.reserve(node.base_column_map.size());
+    for (int b : node.base_column_map) out.push_back(row[b]);
+    node.rids.push_back(rid);
+  };
+  const qgm::Expr* pred =
+      compiled.filters.empty() ? nullptr : compiled.filters[0].get();
+  Status status = Status::Ok();
+  auto check = [&](const Row& row) -> bool {
+    if (pred == nullptr) return true;
+    exec::EvalContext ectx;
+    ectx.row = &row;
+    ectx.exec = &exec_ctx;
+    auto keep = exec::EvalPredicate(*pred, &ectx);
+    if (!keep.ok()) {
+      status = keep.status();
+      return false;
+    }
+    return *keep;
+  };
+
+  if (compiled.index != nullptr) {
+    // The lookup merges the snapshot's overlay, so concurrent writers on
+    // the table do not take the index away. Every hit satisfies the
+    // conjunct the index answered; when that conjunct is the whole
+    // predicate and its bound key needs no coercion, skip the per-row
+    // re-check.
+    exec::EvalContext kctx;
+    Row empty;
+    kctx.row = &empty;
+    kctx.exec = &exec_ctx;
+    XNF_ASSIGN_OR_RETURN(Value key, exec::EvalExpr(*compiled.index_key, &kctx));
+    const bool exact =
+        compiled.index_whole && key.type() == compiled.index_column_type;
+    XNF_RETURN_IF_ERROR(LookupVisible(
+        table, *compiled.index, OverlayFor(catalog_->txn_manager(), table),
+        {std::move(key)}, [&](Rid rid, const Row& row) {
+          if (!exact && !check(row)) return status.ok();
+          emit(rid, row);
+          return true;
+        }));
+  } else {
+    // Candidate scan: morsel-parallel when an executor pool is attached,
+    // serial otherwise; output order matches the heap scan either way.
+    std::vector<Row> rows;
+    std::vector<Rid> rids;
+    exec::ScanStats scan_stats;
+    XNF_RETURN_IF_ERROR(exec::ParallelFilterScan(
+        table, compiled.filters, &compiled.referenced, &exec_ctx, &rows,
+        &rids, &scan_stats));
+    stats->scan_columns_decoded += scan_stats.columns_decoded;
+    stats->scan_columns_skipped += scan_stats.columns_skipped;
+    for (size_t i = 0; i < rows.size(); ++i) emit(rids[i], rows[i]);
+  }
+  XNF_RETURN_IF_ERROR(status);
   stats->node_queries++;
-  node.schema = rs.schema.WithQualifier(def.name);
-  node.tuples = std::move(rs.rows);
-  profile("query", node.tuples.size());
+  profile(compiled.index != nullptr ? "index" : "scan", node.tuples.size());
   return node;
 }
 
-Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
-                                                const CoInstance& instance,
-                                                const EquiKeys* node_join,
-                                                Stats* stats) {
+Result<CoRelInstance> Evaluator::RunRel(const CoPlan& plan, size_t r,
+                                        const CoInstance& instance,
+                                        Stats* stats) {
   XNF_FAILPOINT("xnf.edge.query");
+  const CoRelDef& def = plan.def.rels[r];
+  const CoPlan::Rel& compiled = plan.rels[r];
   CoRelInstance rel;
   rel.name = def.name;
   rel.parent_node = instance.NodeIndex(def.parent);
@@ -471,162 +858,63 @@ Result<CoRelInstance> Evaluator::MaterializeRel(const CoRelDef& def,
     profile("premade", rel.connections.size());
     return rel;
   }
-  // Either way the edge reuses both node results instead of recomputing
-  // them.
-  stats->edge_queries++;
-  stats->temp_reuses += 2;
-  stats->cse_hits += 2;
+  XNF_RETURN_IF_ERROR(compiled.error);
+  CopyWriteProvenance(compiled.write, &rel);
 
-  if (node_join != nullptr) {
+  if (options_.use_cse) {
+    // Either way the edge reuses both node results instead of recomputing
+    // them.
+    stats->edge_queries++;
+    stats->temp_reuses += 2;
+    stats->cse_hits += 2;
+  }
+  if (compiled.node_join.has_value()) {
     // §4.3 taken literally: the parent and child tuples just produced are
     // joined again on the key columns, in the order of the temp join's
     // left-deep plan, where the parent temp probes (see NodeJoin). A NULL
     // key component never matches.
     rel.connections = NodeJoin(instance.nodes[rel.parent_node].tuples,
-                               node_join->parent_cols,
+                               compiled.node_join->parent_cols,
                                instance.nodes[rel.child_node].tuples,
-                               node_join->child_cols);
+                               compiled.node_join->child_cols);
     profile("node-join", rel.connections.size());
     return rel;
   }
 
-  // Attribute schema.
   for (const RelAttribute& a : def.attributes) {
     rel.attr_schema.AddColumn(Column(a.name, Type::kNull));
   }
+  XNF_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*compiled.edge, stats));
 
-  // Build the edge query.
-  auto stmt = std::make_unique<sql::SelectStmt>();
-  auto add_from = [&](const std::string& source, const std::string& alias,
-                      bool is_temp) {
-    auto ref = std::make_unique<sql::TableRef>();
-    ref->kind = sql::TableRef::Kind::kNamed;
-    ref->name = is_temp ? "__co_" + source : source;
-    ref->alias = alias;
-    stmt->from.push_back(std::move(ref));
-  };
-
-  // Temps carry a __tid column identifying the candidate tuple.
-  add_from(def.parent, def.parent_corr, /*is_temp=*/true);
-  add_from(def.child, def.child_corr, /*is_temp=*/true);
-  sql::SelectItem ptid;
-  ptid.expr = sql::Expr::ColRef(def.parent_corr, kTidColumn);
-  ptid.alias = "__ptid";
-  stmt->items.push_back(std::move(ptid));
-  sql::SelectItem ctid;
-  ctid.expr = sql::Expr::ColRef(def.child_corr, kTidColumn);
-  ctid.alias = "__ctid";
-  stmt->items.push_back(std::move(ctid));
-
-  if (!def.using_table.empty()) {
-    add_from(def.using_table, def.using_corr, /*is_temp=*/false);
-  }
-  for (const RelAttribute& a : def.attributes) {
-    sql::SelectItem item;
-    item.expr = a.expr->Clone();
-    item.alias = a.name;
-    stmt->items.push_back(std::move(item));
-  }
-  stmt->where = def.predicate->Clone();
-
-  XNF_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*stmt, stats));
-
-  // Fill attribute types from the result schema.
-  for (size_t i = 0; i < rel.attr_schema.size(); ++i) {
-    rel.attr_schema.column(i).type = rs.schema.column(2 + i).type;
-  }
-
-  for (Row& row : rs.rows) {
-    CoConnection c;
-    c.parent = static_cast<int>(row[0].AsInt());
-    c.child = static_cast<int>(row[1].AsInt());
-    c.attrs.assign(std::make_move_iterator(row.begin() + 2),
-                   std::make_move_iterator(row.end()));
-    rel.connections.push_back(std::move(c));
-  }
-  profile("temp-join", rel.connections.size());
-  return rel;
-}
-
-Result<CoRelInstance> Evaluator::MaterializeRelNoCse(const CoRelDef& def,
-                                                     const CoInstance& instance,
-                                                     Stats* stats) {
-  XNF_FAILPOINT("xnf.edge.query");
-  CoRelInstance rel;
-  rel.name = def.name;
-  rel.parent_node = instance.NodeIndex(def.parent);
-  rel.child_node = instance.NodeIndex(def.child);
-  const uint64_t start_ns = NowNs();
-  const CoNodeInstance& parent = instance.nodes[rel.parent_node];
-  const CoNodeInstance& child = instance.nodes[rel.child_node];
-  for (const RelAttribute& a : def.attributes) {
-    rel.attr_schema.AddColumn(Column(a.name, Type::kNull));
-  }
-
-  // Edge query with the node queries recomputed inline.
-  const CoDef* def_holder = nullptr;
-  (void)def_holder;
-  auto stmt = std::make_unique<sql::SelectStmt>();
-  auto add_inline = [&](const std::string& node_name,
-                        const std::string& alias) -> Status {
-    // Find the node definition by name through the instance order: the
-    // evaluator materializes nodes in definition order, so reconstruct from
-    // the defining query stored when materializing. We keep a copy in
-    // no_cse_defs_.
-    auto it = no_cse_defs_.find(node_name);
-    if (it == no_cse_defs_.end()) {
-      return Status::Internal("missing node definition for '" + node_name +
-                              "'");
+  if (options_.use_cse) {
+    // The edge query over the temps returns (__ptid, __ctid, attrs...).
+    for (size_t i = 0; i < rel.attr_schema.size(); ++i) {
+      rel.attr_schema.column(i).type = rs.schema.column(2 + i).type;
     }
-    auto ref = std::make_unique<sql::TableRef>();
-    if (it->second.query != nullptr) {
-      ref->kind = sql::TableRef::Kind::kSubquery;
-      ref->subquery = it->second.query->Clone();
-    } else {
-      ref->kind = sql::TableRef::Kind::kNamed;
-      ref->name = it->second.table;
+    for (Row& row : rs.rows) {
+      CoConnection c;
+      c.parent = static_cast<int>(row[0].AsInt());
+      c.child = static_cast<int>(row[1].AsInt());
+      c.attrs.assign(std::make_move_iterator(row.begin() + 2),
+                     std::make_move_iterator(row.end()));
+      rel.connections.push_back(std::move(c));
     }
-    ref->alias = alias;
-    stmt->from.push_back(std::move(ref));
-    return Status::Ok();
-  };
-  XNF_RETURN_IF_ERROR(add_inline(def.parent, def.parent_corr));
-  XNF_RETURN_IF_ERROR(add_inline(def.child, def.child_corr));
-  if (!def.using_table.empty()) {
-    auto ref = std::make_unique<sql::TableRef>();
-    ref->kind = sql::TableRef::Kind::kNamed;
-    ref->name = def.using_table;
-    ref->alias = def.using_corr;
-    stmt->from.push_back(std::move(ref));
+    profile("temp-join", rel.connections.size());
+    return rel;
   }
-  sql::SelectItem pstar;
-  pstar.star = true;
-  pstar.star_table = def.parent_corr;
-  stmt->items.push_back(std::move(pstar));
-  sql::SelectItem cstar;
-  cstar.star = true;
-  cstar.star_table = def.child_corr;
-  stmt->items.push_back(std::move(cstar));
-  for (const RelAttribute& a : def.attributes) {
-    sql::SelectItem item;
-    item.expr = a.expr->Clone();
-    item.alias = a.name;
-    stmt->items.push_back(std::move(item));
-  }
-  stmt->where = def.predicate->Clone();
 
-  XNF_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*stmt, stats));
+  // No CSE: the edge query recomputed both node queries — two extra
+  // executions of the node queries, which is what CSE avoids.
   stats->edge_queries++;
-  // These two extra executions of the node queries are what CSE avoids.
   stats->node_queries += 2;
   stats->cse_misses += 2;
-
+  const CoNodeInstance& parent = instance.nodes[rel.parent_node];
+  const CoNodeInstance& child = instance.nodes[rel.child_node];
   size_t pw = parent.schema.size();
   size_t cw = child.schema.size();
   for (size_t i = 0; i < rel.attr_schema.size(); ++i) {
     rel.attr_schema.column(i).type = rs.schema.column(pw + cw + i).type;
   }
-
   // Match endpoint rows back to candidate tuple indices by value.
   auto build_index = [](const CoNodeInstance& node) {
     std::unordered_map<Row, int, RowHash, RowEq> index;
@@ -637,7 +925,6 @@ Result<CoRelInstance> Evaluator::MaterializeRelNoCse(const CoRelDef& def,
   };
   auto parent_index = build_index(parent);
   auto child_index = build_index(child);
-
   for (Row& row : rs.rows) {
     Row prow(row.begin(), row.begin() + pw);
     Row crow(row.begin() + pw, row.begin() + pw + cw);
@@ -651,14 +938,13 @@ Result<CoRelInstance> Evaluator::MaterializeRelNoCse(const CoRelDef& def,
                    std::make_move_iterator(row.end()));
     rel.connections.push_back(std::move(c));
   }
-  stats->profiles.push_back({QueryProfile::Kind::kEdge, def.name, "inline",
-                             rel.connections.size(), NowNs() - start_ns});
+  profile("inline", rel.connections.size());
   return rel;
 }
 
-std::optional<Evaluator::EquiKeys> Evaluator::AnalyzeEquiKeys(
-    const CoRelDef& def, const CoNodeInstance& parent,
-    const CoNodeInstance& child) {
+std::optional<EquiKeys> Evaluator::AnalyzeEquiKeys(const CoRelDef& def,
+                                                   const Schema& parent,
+                                                   const Schema& child) {
   if (!def.using_table.empty() || def.parent_corr == def.child_corr) {
     return std::nullopt;
   }
@@ -679,8 +965,8 @@ std::optional<Evaluator::EquiKeys> Evaluator::AnalyzeEquiKeys(
     if (!is_col(pcol, def.parent_corr) || !is_col(ccol, def.child_corr)) {
       return std::nullopt;
     }
-    auto pi = parent.schema.Find(ToLower(pcol->column));
-    auto ci = child.schema.Find(ToLower(ccol->column));
+    auto pi = parent.Find(ToLower(pcol->column));
+    auto ci = child.Find(ToLower(ccol->column));
     if (!pi.has_value() || !ci.has_value()) return std::nullopt;
     keys.parent_cols.push_back(static_cast<int>(*pi));
     keys.child_cols.push_back(static_cast<int>(*ci));
@@ -688,12 +974,8 @@ std::optional<Evaluator::EquiKeys> Evaluator::AnalyzeEquiKeys(
   return keys;
 }
 
-void Evaluator::AnalyzeRelWrite(const CoRelDef& def,
-                                const CoInstance& instance,
-                                CoRelInstance* rel) {
-  const CoNodeInstance& parent = instance.nodes[rel->parent_node];
-  const CoNodeInstance& child = instance.nodes[rel->child_node];
-
+void Evaluator::AnalyzeRelWrite(const CoRelDef& def, const Schema& parent,
+                                const Schema& child, CoRelInstance* rel) {
   if (def.using_table.empty()) {
     // Foreign-key pattern: exactly one equality parent.a = child.b.
     std::optional<EquiKeys> keys = AnalyzeEquiKeys(def, parent, child);
@@ -703,7 +985,6 @@ void Evaluator::AnalyzeRelWrite(const CoRelDef& def,
     rel->fk_child_column = keys->child_cols[0];
     return;
   }
-
   std::vector<const sql::Expr*> conjuncts;
   SplitConjuncts(def.predicate.get(), &conjuncts);
 
@@ -744,12 +1025,12 @@ void Evaluator::AnalyzeRelWrite(const CoRelDef& def,
     auto li = link->schema.Find(ToLower(link_col->column));
     if (!li.has_value()) return;
     if (node_side == 0) {
-      auto pi = parent.schema.Find(ToLower(node_col->column));
+      auto pi = parent.Find(ToLower(node_col->column));
       if (!pi.has_value()) return;
       parent_key = static_cast<int>(*pi);
       link_p = static_cast<int>(*li);
     } else {
-      auto ci = child.schema.Find(ToLower(node_col->column));
+      auto ci = child.Find(ToLower(node_col->column));
       if (!ci.has_value()) return;
       child_key = static_cast<int>(*ci);
       link_c = static_cast<int>(*li);
@@ -774,24 +1055,16 @@ void Evaluator::AnalyzeRelWrite(const CoRelDef& def,
   }
 }
 
-Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
+Result<CoInstance> Evaluator::Materialize(const CoPlan& plan) {
   CoInstance instance;
   temps_.clear();
-  no_cse_defs_.clear();
-
-  // A failed phase must not leave CSE temps or node definitions behind:
-  // a later Evaluate() on the same Evaluator would resolve "__co_" temp
-  // references against stale results from the failed run. The guard clears
-  // both on every early (error) return and is dismissed on success.
+  // A failed phase must not leave CSE temps behind: a later Run on the same
+  // Evaluator would resolve "__co_" temp references against stale results
+  // from the failed run. The guard clears them on every early (error)
+  // return.
   struct TempsGuard {
     Evaluator* ev;
-    bool dismissed = false;
-    ~TempsGuard() {
-      if (!dismissed) {
-        ev->temps_.clear();
-        ev->no_cse_defs_.clear();
-      }
-    }
+    ~TempsGuard() { ev->temps_.clear(); }
   } temps_guard{this};
 
   // Each derived query collects its counters in its own Stats, merged only
@@ -801,120 +1074,30 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
   // Phase 1: node candidates.
   {
     TraceScope span(trace_sink_, "materialize-nodes");
-    for (const CoNodeDef& node_def : def.nodes) {
+    for (size_t n = 0; n < plan.nodes.size(); ++n) {
       Stats query_stats;
       XNF_ASSIGN_OR_RETURN(CoNodeInstance node,
-                           MaterializeNode(node_def, &query_stats));
+                           RunNode(plan, n, &query_stats));
       MergeStats(query_stats, &stats_);
       instance.nodes.push_back(std::move(node));
     }
-    if (!options_.use_cse) {
-      for (const CoNodeDef& node_def : def.nodes) {
-        no_cse_defs_.emplace(node_def.name, node_def.Clone());
-      }
-    }
   }
 
-  // Edge path per relationship (CSE only; the no-CSE baseline always runs
-  // its inline query). A predicate of the 1:n foreign-key shape — only
-  // `parent.col = child.col` equalities, no USING table, no attributes, key
-  // columns of one type or both numeric — is a node join: its connections
-  // are hashed out of the node results directly. Everything else (link
-  // tables, theta and cross predicates, residual conjuncts, subqueries,
-  // paths, bare columns) runs as an edge query over the CSE temps.
-  std::vector<std::optional<EquiKeys>> node_join(def.rels.size());
-  for (size_t i = 0; options_.use_cse && i < def.rels.size(); ++i) {
-    const CoRelDef& rel = def.rels[i];
-    const int p = instance.NodeIndex(rel.parent);
-    const int c = instance.NodeIndex(rel.child);
-    if (rel.premade != nullptr || !rel.attributes.empty() || p < 0 || c < 0) {
-      continue;
-    }
-    const CoNodeInstance& parent = instance.nodes[p];
-    const CoNodeInstance& child = instance.nodes[c];
-    std::optional<EquiKeys> keys = AnalyzeEquiKeys(rel, parent, child);
-    if (!keys.has_value()) continue;
-    bool comparable = true;
-    for (size_t k = 0; k < keys->parent_cols.size(); ++k) {
-      comparable &= KeyTypesComparable(
-          parent.schema.column(keys->parent_cols[k]).type,
-          child.schema.column(keys->child_cols[k]).type);
-    }
-    if (comparable) node_join[i] = std::move(keys);
-  }
-
-  // Phase 2: register CSE temps (node rows + __tid) for the partners of
-  // edge queries. Temps are narrowed to the columns the relationship
-  // predicates and attributes actually reference, so the edge joins never
-  // copy full-width tuples.
+  // Phase 2: CSE temps (node rows + __tid) for the partners of edge
+  // queries, projected as compiled.
   if (options_.use_cse) {
     TraceScope span(trace_sink_, "cse-temps");
-    // Partner node -> columns its edge queries read.
-    std::map<std::string, std::set<std::string>> used_columns;
-    std::set<std::string> full_width;  // nodes needing all columns
-    for (size_t i = 0; i < def.rels.size(); ++i) {
-      const CoRelDef& rel = def.rels[i];
-      // Premade edges have no predicate to analyze; node joins read the
-      // node results, not temps.
-      if (rel.premade != nullptr || node_join[i].has_value()) continue;
-      used_columns[rel.parent];
-      used_columns[rel.child];
-      auto collect = [&](const sql::Expr& root) {
-        std::function<void(const sql::Expr&)> walk =
-            [&](const sql::Expr& e) {
-              if (e.kind == sql::Expr::Kind::kColumnRef) {
-                std::string qual = ToLower(e.table);
-                if (qual == rel.parent_corr) {
-                  used_columns[rel.parent].insert(ToLower(e.column));
-                } else if (qual == rel.child_corr) {
-                  used_columns[rel.child].insert(ToLower(e.column));
-                } else if (!rel.using_table.empty() &&
-                           qual == rel.using_corr) {
-                  // link-table column: not part of a node temp
-                } else {
-                  // Bare or unknown qualifier: be conservative.
-                  full_width.insert(rel.parent);
-                  full_width.insert(rel.child);
-                }
-              }
-              for (const sql::ExprPtr& a : e.args) {
-                if (a) walk(*a);
-              }
-            };
-        walk(root);
-      };
-      collect(*rel.predicate);
-      for (const RelAttribute& a : rel.attributes) collect(*a.expr);
-    }
-    for (const CoNodeInstance& node : instance.nodes) {
-      if (used_columns.count(node.name) == 0) continue;
+    XNF_RETURN_IF_ERROR(plan.temps_error);
+    for (const CoPlan::Temp& t : plan.temps) {
+      const CoNodeInstance& node = instance.nodes[t.node];
       ResultSet temp;
-      std::vector<int> projection;  // node column indices in the temp
-      bool full = full_width.count(node.name) > 0;
-      if (full) {
-        temp.schema = node.schema;
-        for (size_t c = 0; c < node.schema.size(); ++c) {
-          projection.push_back(static_cast<int>(c));
-        }
-      } else {
-        for (const std::string& col : used_columns[node.name]) {
-          auto idx = node.schema.Find(col);
-          if (!idx.has_value()) {
-            return Status::NotFound("column '" + col +
-                                    "' not found in component table '" +
-                                    node.name + "'");
-          }
-          projection.push_back(static_cast<int>(*idx));
-          temp.schema.AddColumn(node.schema.column(*idx));
-        }
-      }
-      temp.schema.AddColumn(Column(kTidColumn, Type::kInt));
+      temp.schema = t.schema;
       temp.rows.reserve(node.tuples.size());
-      for (size_t t = 0; t < node.tuples.size(); ++t) {
+      for (size_t i = 0; i < node.tuples.size(); ++i) {
         Row row;
-        row.reserve(projection.size() + 1);
-        for (int c : projection) row.push_back(node.tuples[t][c]);
-        row.push_back(Value::Int(static_cast<int64_t>(t)));
+        row.reserve(t.projection.size() + 1);
+        for (int c : t.projection) row.push_back(node.tuples[i][c]);
+        row.push_back(Value::Int(static_cast<int64_t>(i)));
         temp.rows.push_back(std::move(row));
       }
       temps_["__co_" + node.name] = std::move(temp);
@@ -924,27 +1107,14 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
   // Phase 3: edges, over the now frozen nodes and temps.
   {
     TraceScope span(trace_sink_, "materialize-edges");
-    for (size_t i = 0; i < def.rels.size(); ++i) {
-      const CoRelDef& rel_def = def.rels[i];
+    for (size_t r = 0; r < plan.rels.size(); ++r) {
       Stats query_stats;
-      CoRelInstance rel;
-      if (rel_def.premade != nullptr || options_.use_cse) {
-        XNF_ASSIGN_OR_RETURN(
-            rel, MaterializeRel(rel_def, instance,
-                                node_join[i] ? &*node_join[i] : nullptr,
-                                &query_stats));
-      } else {
-        XNF_ASSIGN_OR_RETURN(
-            rel, MaterializeRelNoCse(rel_def, instance, &query_stats));
-      }
-      if (rel_def.premade == nullptr) {
-        AnalyzeRelWrite(rel_def, instance, &rel);
-      }
+      XNF_ASSIGN_OR_RETURN(CoRelInstance rel,
+                           RunRel(plan, r, instance, &query_stats));
       MergeStats(query_stats, &stats_);
       instance.rels.push_back(std::move(rel));
     }
   }
-
   temps_.clear();
 
   // Phase 4: reachability.
@@ -953,8 +1123,31 @@ Result<CoInstance> Evaluator::Materialize(const CoDef& def) {
     ApplyReachability(&instance);
     stats_.reachability_passes++;
   }
-  temps_guard.dismissed = true;
   return instance;
+}
+
+Result<CoInstance> Evaluator::Run(const CoPlan& plan,
+                                  const std::vector<Value>& params) {
+  params_ = &params;
+  struct ParamsGuard {
+    Evaluator* ev;
+    ~ParamsGuard() { ev->params_ = nullptr; }
+  } params_guard{this};
+  XNF_ASSIGN_OR_RETURN(CoInstance instance, Materialize(plan));
+  {
+    TraceScope span(trace_sink_, "restrictions");
+    XNF_RETURN_IF_ERROR(ApplyRestrictions(plan, &instance));
+  }
+  {
+    TraceScope span(trace_sink_, "take");
+    XNF_RETURN_IF_ERROR(ApplyTake(plan, &instance));
+  }
+  return instance;
+}
+
+Result<CoInstance> Evaluator::Evaluate(const XnfQuery& query) {
+  XNF_ASSIGN_OR_RETURN(std::unique_ptr<CoPlan> plan, Compile(query));
+  return Run(*plan, {});
 }
 
 Result<CoInstance> Evaluator::EvaluateText(const std::string& text) {
@@ -962,50 +1155,15 @@ Result<CoInstance> Evaluator::EvaluateText(const std::string& text) {
   return Evaluate(query);
 }
 
-Result<CoInstance> Evaluator::Evaluate(const XnfQuery& query) {
-  // Referenced views with restrictions / partial TAKE are evaluated
-  // recursively and imported as premade components (full closure, Fig. 6).
-  Resolver resolver(catalog_, [this](const XnfQuery& sub) {
-    Evaluator nested(catalog_, options_);
-    nested.set_trace_sink(trace_sink_);
-    Result<CoInstance> out = nested.Evaluate(sub);
-    MergeStats(nested.stats(), &stats_);
-    return out;
-  });
-  XNF_ASSIGN_OR_RETURN(CoDef def, [&]() -> Result<CoDef> {
-    TraceScope span(trace_sink_, "resolve");
-    return resolver.Resolve(query);
-  }());
-  // TAKE-driven column pruning. Gated on CSE because the no-CSE edge path
-  // matches node tuples by full-row value, which a NULL placeholder would
-  // corrupt. kDelete/kUpdate act on base rows through rids and need full
-  // tuples in the returned instance.
-  take_needed_.clear();
-  take_pruning_ = false;
-  if (query.action == XnfQuery::Action::kTake && !query.take_all &&
-      options_.use_cse) {
-    ComputeTakePruning(query, def);
-  }
-  XNF_ASSIGN_OR_RETURN(CoInstance instance, Materialize(def));
-  {
-    TraceScope span(trace_sink_, "restrictions");
-    XNF_RETURN_IF_ERROR(ApplyRestrictions(query.restrictions, &instance));
-  }
-  {
-    TraceScope span(trace_sink_, "take");
-    XNF_RETURN_IF_ERROR(ApplyTake(query, &instance));
-  }
-  return instance;
-}
-
-void Evaluator::ComputeTakePruning(const XnfQuery& query, const CoDef& def) {
-  take_needed_.clear();
-  take_pruning_ = false;
+std::map<std::string, std::set<std::string>> Evaluator::ComputeTakePruning(
+    const XnfQuery& query, const CoDef& def) {
 
   // A path expression or subquery in a restriction predicate can navigate
   // to (and read) any node; give up rather than enumerate what it touches.
   for (const Restriction& r : query.restrictions) {
-    if (r.predicate != nullptr && ExprHasSubqueryOrPath(*r.predicate)) return;
+    if (r.predicate != nullptr && ExprHasSubqueryOrPath(*r.predicate)) {
+      return {};
+    }
   }
 
   std::map<std::string, std::set<std::string>> needed;
@@ -1029,7 +1187,7 @@ void Evaluator::ComputeTakePruning(const XnfQuery& query, const CoDef& def) {
       continue;
     }
     if (def.RelIndex(item.name) >= 0) continue;
-    return;  // unknown TAKE item: ApplyTake reports it; don't prune
+    return {};  // unknown TAKE item: ApplyTake reports it; don't prune
   }
 
   // 2. Restriction predicates read node columns through the instance
@@ -1039,7 +1197,7 @@ void Evaluator::ComputeTakePruning(const XnfQuery& query, const CoDef& def) {
   for (const Restriction& r : query.restrictions) {
     if (r.kind == Restriction::Kind::kNode) {
       int n = def.NodeIndex(r.target);
-      if (n < 0) return;  // ApplyRestrictions reports it
+      if (n < 0) return {};  // ApplyRestrictions reports it
       const std::string key = ToLower(def.nodes[n].name);
       const std::string corr =
           ToLower(r.corr.empty() ? def.nodes[n].name : r.corr);
@@ -1059,7 +1217,7 @@ void Evaluator::ComputeTakePruning(const XnfQuery& query, const CoDef& def) {
       walk(*r.predicate);
     } else {
       int ri = def.RelIndex(r.target);
-      if (ri < 0) return;
+      if (ri < 0) return {};
       const CoRelDef& rel = def.rels[ri];
       const std::string pkey = ToLower(rel.parent);
       const std::string ckey = ToLower(rel.child);
@@ -1123,16 +1281,17 @@ void Evaluator::ComputeTakePruning(const XnfQuery& query, const CoDef& def) {
     for (const RelAttribute& a : rel.attributes) collect(*a.expr);
   }
 
+  std::map<std::string, std::set<std::string>> take_needed;
   for (const CoNodeDef& n : def.nodes) {
     const std::string key = ToLower(n.name);
     if (full.count(key) > 0) continue;  // absent entry = decode full width
-    take_needed_[key] = std::move(needed[key]);
+    take_needed[key] = std::move(needed[key]);
   }
-  take_pruning_ = !take_needed_.empty();
+  return take_needed;
 }
 
-Status Evaluator::ApplyRestrictions(
-    const std::vector<Restriction>& restrictions, CoInstance* instance) {
+Status Evaluator::ApplyRestrictions(const CoPlan& plan, CoInstance* instance) {
+  const std::vector<Restriction>& restrictions = plan.query->restrictions;
   if (restrictions.empty()) return Status::Ok();
   InstanceEvaluator eval(instance);
 
@@ -1147,13 +1306,11 @@ Status Evaluator::ApplyRestrictions(
     keep_conn[r].assign(instance->rels[r].connections.size(), 1);
   }
 
-  for (const Restriction& restriction : restrictions) {
+  for (size_t i = 0; i < restrictions.size(); ++i) {
+    const Restriction& restriction = restrictions[i];
+    XNF_RETURN_IF_ERROR(plan.restriction_errors[i]);
     if (restriction.kind == Restriction::Kind::kNode) {
-      int n = instance->NodeIndex(restriction.target);
-      if (n < 0) {
-        return Status::NotFound("restricted component table '" +
-                                restriction.target + "' not found");
-      }
+      const int n = plan.restriction_targets[i];
       std::string corr = restriction.corr.empty() ? instance->nodes[n].name
                                                   : restriction.corr;
       for (size_t t = 0; t < instance->nodes[n].tuples.size(); ++t) {
@@ -1164,11 +1321,7 @@ Status Evaluator::ApplyRestrictions(
         if (!ok) keep[n][t] = 0;
       }
     } else {
-      int r = instance->RelIndex(restriction.target);
-      if (r < 0) {
-        return Status::NotFound("restricted relationship '" +
-                                restriction.target + "' not found");
-      }
+      const int r = plan.restriction_targets[i];
       const CoRelInstance& rel = instance->rels[r];
       for (size_t c = 0; c < rel.connections.size(); ++c) {
         const CoConnection& conn = rel.connections[c];
@@ -1202,42 +1355,11 @@ Status Evaluator::ApplyRestrictions(
   return Status::Ok();
 }
 
-Status Evaluator::ApplyTake(const XnfQuery& query, CoInstance* instance) {
-  if (query.take_all) return Status::Ok();
-
-  // Which components survive.
-  std::vector<char> keep_node(instance->nodes.size(), 0);
-  std::vector<char> keep_rel(instance->rels.size(), 0);
-  std::vector<const TakeItem*> node_items(instance->nodes.size(), nullptr);
-  for (const TakeItem& item : query.take) {
-    int n = instance->NodeIndex(item.name);
-    if (n >= 0) {
-      keep_node[n] = 1;
-      node_items[n] = &item;
-      continue;
-    }
-    int r = instance->RelIndex(item.name);
-    if (r >= 0) {
-      if (item.has_column_list && !item.star_columns) {
-        return Status::InvalidArgument(
-            "column projection on relationship '" + item.name +
-            "' is not meaningful");
-      }
-      keep_rel[r] = 1;
-      continue;
-    }
-    return Status::NotFound("TAKE item '" + item.name +
-                            "' is not a component of this CO");
-  }
-
-  // Well-formedness: a relationship survives only if both partners do.
-  for (size_t r = 0; r < instance->rels.size(); ++r) {
-    if (!keep_rel[r]) continue;
-    if (!keep_node[instance->rels[r].parent_node] ||
-        !keep_node[instance->rels[r].child_node]) {
-      keep_rel[r] = 0;  // implicit discard (§3.3)
-    }
-  }
+Status Evaluator::ApplyTake(const CoPlan& plan, CoInstance* instance) {
+  if (plan.query->take_all) return Status::Ok();
+  XNF_RETURN_IF_ERROR(plan.take_error);
+  const std::vector<char>& keep_node = plan.take_node;
+  const std::vector<char>& keep_rel = plan.take_rel;
 
   // Rebuild the instance with surviving components. Column projection also
   // remaps every relationship's write-provenance column indices; a key
@@ -1252,16 +1374,14 @@ Status Evaluator::ApplyTake(const XnfQuery& query, CoInstance* instance) {
     node_remap[n] = static_cast<int>(projected.nodes.size());
     CoNodeInstance node = std::move(instance->nodes[n]);
     // Column projection.
-    const TakeItem* item = node_items[n];
-    if (item != nullptr && item->has_column_list && !item->star_columns) {
-      std::vector<size_t> cols;
+    if (plan.take_columns[n].has_value()) {
+      const std::vector<size_t>& cols = *plan.take_columns[n];
       Schema schema;
       std::vector<int> base_map;
       column_remap[n].assign(node.schema.size(), -1);
-      for (const std::string& c : item->columns) {
-        XNF_ASSIGN_OR_RETURN(size_t i, node.schema.Resolve("", c));
-        column_remap[n][i] = static_cast<int>(cols.size());
-        cols.push_back(i);
+      for (size_t k = 0; k < cols.size(); ++k) {
+        const size_t i = cols[k];
+        column_remap[n][i] = static_cast<int>(k);
         schema.AddColumn(node.schema.column(i));
         if (!node.base_column_map.empty()) {
           base_map.push_back(node.base_column_map[i]);

@@ -1,6 +1,7 @@
 // The Database facade: statement dispatch, result kinds, scripts, EXPLAIN,
 // and error reporting.
 
+#include "api/session.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -104,6 +105,41 @@ TEST(DatabaseApi, PrepareValidatesEagerly) {
   MustExecute(&db, "INSERT INTO t VALUES (5)");
   ASSERT_OK_AND_ASSIGN(ResultSet rs, q->Execute({Value::Int(5)}));
   EXPECT_EQ(rs.rows.size(), 1u);
+}
+
+// A prepared plan kept across DROP + CREATE read the old table's column
+// slots and returned no rows (the text query returned 99). Plans record the
+// catalog version they were compiled at and recompile once it moves.
+TEST(DatabaseApi, PreparedPlansRecompileAfterDropAndCreate) {
+  Database db;
+  MustExecute(&db,
+              "CREATE TABLE t (a INT, b INT);"
+              "INSERT INTO t VALUES (1, 10), (2, 20);");
+  auto session = db.OpenSession();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<PreparedQuery> prepared,
+                       db.Prepare("SELECT b FROM t WHERE a = ?"));
+  ASSERT_OK_AND_ASSIGN(ResultSet before,
+                       session->QueryPrepared("SELECT b FROM t WHERE a = ?",
+                                              {Value::Int(2)}));
+  EXPECT_EQ(IntColumn(before, 0), std::vector<int64_t>{20});
+  MustExecute(&db,
+              "DROP TABLE t;"
+              "CREATE TABLE t (x VARCHAR, a INT, b INT);"
+              "INSERT INTO t VALUES ('z', 2, 99);");
+  ASSERT_OK_AND_ASSIGN(ResultSet text, db.Query("SELECT b FROM t WHERE a = 2"));
+  EXPECT_EQ(IntColumn(text, 0), std::vector<int64_t>{99});
+  ASSERT_OK_AND_ASSIGN(ResultSet after,
+                       session->QueryPrepared("SELECT b FROM t WHERE a = ?",
+                                              {Value::Int(2)}));
+  EXPECT_EQ(IntColumn(after, 0), std::vector<int64_t>{99});
+  ASSERT_OK_AND_ASSIGN(ResultSet direct, prepared->Execute({Value::Int(2)}));
+  EXPECT_EQ(IntColumn(direct, 0), std::vector<int64_t>{99});
+  // A dropped table fails cleanly.
+  MustExecute(&db, "DROP TABLE t");
+  EXPECT_FALSE(prepared->Execute({Value::Int(2)}).ok());
+  EXPECT_FALSE(
+      session->QueryPrepared("SELECT b FROM t WHERE a = ?", {Value::Int(2)})
+          .ok());
 }
 
 TEST(DatabaseApi, XnfStatsExposed) {

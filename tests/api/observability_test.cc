@@ -2,9 +2,11 @@
 // counters, the XNF evaluation profile, the trace-sink pipeline spans, and
 // buffer-pool fault/eviction accounting.
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -245,6 +247,116 @@ TEST_F(Observability, PreparedQueryUpdatesDatabaseStats) {
   ASSERT_OK_AND_ASSIGN(ResultSet rs2, q->Execute({Value::Int(1)}));
   EXPECT_EQ(rs2.rows.size(), 2u);
   EXPECT_NE(db_.last_plan_profile().find("[rows="), std::string::npos);
+}
+
+// Statement cache: a compile (a miss) emits the parse / qgm-build /
+// rewrite / plan spans; a hit runs the cached plan, so only execute shows.
+TEST_F(Observability, CompileSpansOnMissOnly) {
+  const std::string miss_text = "SELECT ename FROM EMP WHERE edno = 1";
+  const std::string hit_text = "SELECT ename FROM EMP WHERE edno = 2";
+  CollectingTraceSink sink;
+  db_.set_trace_sink(&sink);
+  ASSERT_OK(db_.Query(miss_text).status());
+  for (const char* name : {"parse", "qgm-build", "rewrite", "plan"}) {
+    EXPECT_GE(FindSpan(sink.spans(), name), 0) << name << "\n"
+                                               << sink.ToString();
+  }
+  sink.Clear();
+  ASSERT_OK(db_.Query(hit_text).status());
+  for (const char* name : {"parse", "qgm-build", "rewrite", "plan"}) {
+    EXPECT_LT(FindSpan(sink.spans(), name), 0) << name << "\n"
+                                               << sink.ToString();
+  }
+  EXPECT_GE(FindSpan(sink.spans(), "execute"), 0) << sink.ToString();
+
+  // XNF: the miss parses, resolves and compiles; the hit only runs.
+  sink.Clear();
+  ASSERT_OK(db_.Execute(kXnfQuery).status());
+  for (const char* name : {"parse", "resolve", "qgm-build"}) {
+    EXPECT_GE(FindSpan(sink.spans(), name), 0) << name << "\n"
+                                               << sink.ToString();
+  }
+  sink.Clear();
+  ASSERT_OK(db_.Execute(kXnfQuery).status());
+  for (const char* name : {"parse", "resolve", "qgm-build"}) {
+    EXPECT_LT(FindSpan(sink.spans(), name), 0) << name << "\n"
+                                               << sink.ToString();
+  }
+  EXPECT_GE(FindSpan(sink.spans(), "materialize-nodes"), 0);
+  db_.set_trace_sink(nullptr);
+}
+
+// Explicit compiles trace too: Database::Prepare, the first QueryPrepared
+// of a text, and PrepareCo.
+TEST_F(Observability, PrepareEmitsCompileSpans) {
+  CollectingTraceSink sink;
+  db_.set_trace_sink(&sink);
+  ASSERT_OK(db_.Prepare("SELECT ename FROM EMP WHERE edno = ?").status());
+  for (const char* name : {"parse", "qgm-build", "rewrite", "plan"}) {
+    EXPECT_GE(FindSpan(sink.spans(), name), 0) << name << "\n"
+                                               << sink.ToString();
+  }
+  sink.Clear();
+  auto session = db_.OpenSession();
+  ASSERT_OK(session->QueryPrepared("SELECT eno FROM EMP WHERE edno = ?",
+                                   {Value::Int(1)})
+                .status());
+  EXPECT_GE(FindSpan(sink.spans(), "plan"), 0) << sink.ToString();
+  sink.Clear();
+  ASSERT_OK(session->QueryPrepared("SELECT eno FROM EMP WHERE edno = ?",
+                                   {Value::Int(2)})
+                .status());
+  EXPECT_LT(FindSpan(sink.spans(), "plan"), 0) << sink.ToString();
+  EXPECT_GE(FindSpan(sink.spans(), "execute"), 0) << sink.ToString();
+  sink.Clear();
+  ASSERT_OK(db_.PrepareCo(
+                   "OUT OF d AS (SELECT * FROM DEPT WHERE dno = ?), "
+                   "e AS EMP, emp AS (RELATE d, e WHERE d.dno = e.edno) "
+                   "TAKE *")
+                .status());
+  for (const char* name : {"parse", "resolve", "qgm-build"}) {
+    EXPECT_GE(FindSpan(sink.spans(), name), 0) << name << "\n"
+                                               << sink.ToString();
+  }
+  db_.set_trace_sink(nullptr);
+}
+
+// The plan_cache.* counters are visible in sqlxnf_metrics from the start and
+// count hits, misses, invalidations (DDL) and evictions.
+TEST_F(Observability, PlanCacheCountersInSqlxnfMetrics) {
+  auto counters = [&]() {
+    std::map<std::string, int64_t> out;
+    auto rs = db_.Query(
+        "SELECT name, value FROM sqlxnf_metrics WHERE kind = 'counter'");
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    if (!rs.ok()) return out;
+    for (const Row& row : rs->rows) {
+      const std::string name = row[0].AsString();
+      if (name.rfind("plan_cache.", 0) == 0) out[name] = row[1].AsInt();
+    }
+    return out;
+  };
+  std::map<std::string, int64_t> before = counters();
+  ASSERT_EQ(before.size(), 4u);
+  for (const char* name : {"plan_cache.hits", "plan_cache.misses",
+                           "plan_cache.invalidations",
+                           "plan_cache.evictions"}) {
+    EXPECT_EQ(before.count(name), 1u) << name;
+  }
+  ASSERT_OK(db_.Query("SELECT ename FROM EMP WHERE edno = 1").status());
+  ASSERT_OK(db_.Query("SELECT ename FROM EMP WHERE edno = 2").status());
+  MustExecute(&db_, "CREATE INDEX emp_edno ON EMP (edno)");
+  ASSERT_OK(db_.Query("SELECT ename FROM EMP WHERE edno = 3").status());
+  std::map<std::string, int64_t> after = counters();
+  // edno = 1 misses, edno = 2 hits; after the CREATE INDEX both edno = 3
+  // and the counter query itself (its lookup precedes its read) find
+  // entries of the old catalog version: two invalidations, each a miss.
+  EXPECT_EQ(after["plan_cache.hits"] - before["plan_cache.hits"], 1);
+  EXPECT_EQ(after["plan_cache.misses"] - before["plan_cache.misses"], 3);
+  EXPECT_EQ(after["plan_cache.invalidations"] -
+                before["plan_cache.invalidations"],
+            2);
+  EXPECT_EQ(after["plan_cache.evictions"], 0);
 }
 
 TEST(ObservabilityBufferPool, EvictionsCountedSeparatelyFromFaults) {
