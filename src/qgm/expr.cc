@@ -157,16 +157,16 @@ bool HasParam(const Expr& expr) {
 }
 
 ExprPtr BindParams(const Expr& expr, const std::vector<Value>& params) {
-  if (expr.kind == Expr::Kind::kParam && expr.param_index >= 0 &&
-      static_cast<size_t>(expr.param_index) < params.size()) {
-    return Expr::Lit(params[expr.param_index]);
-  }
   ExprPtr out = expr.Clone();
-  for (size_t i = 0; i < expr.args.size(); ++i) {
-    if (expr.args[i] && HasParam(*expr.args[i])) {
-      out->args[i] = BindParams(*expr.args[i], params);
+  VisitExprMutable(out.get(), [&](Expr* e) {
+    if (e->kind != Expr::Kind::kParam || e->param_index < 0 ||
+        static_cast<size_t>(e->param_index) >= params.size()) {
+      return;
     }
-  }
+    e->kind = Expr::Kind::kLiteral;
+    e->literal = params[e->param_index];
+    e->type = e->literal.type();
+  });
   return out;
 }
 
