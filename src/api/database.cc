@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <numeric>
 #include <string_view>
 #include <thread>
 
@@ -667,37 +668,7 @@ Result<std::unique_ptr<co::CoCache>> Database::BuildCache(
 }
 
 Result<ExecResult> Database::ExecuteScript(const std::string& text) {
-  sql::Parser probe(text);
-  // Split on top-level semicolons by re-lexing: simplest robust approach is
-  // to let Execute() consume one statement at a time; statements do not nest
-  // semicolons (string literals are tokens).
-  ExecResult last;
-  std::string remaining = text;
-  // Tokenize once to find statement boundaries.
-  XNF_ASSIGN_OR_RETURN(auto tokens, sql::Lex(text));
-  std::vector<std::string> statements;
-  size_t start = 0;
-  for (const sql::Token& t : tokens) {
-    if (t.kind == sql::TokenKind::kSemicolon) {
-      statements.push_back(text.substr(start, t.offset - start));
-      start = t.offset + 1;
-    } else if (t.kind == sql::TokenKind::kEnd) {
-      statements.push_back(text.substr(start));
-    }
-  }
-  for (const std::string& stmt : statements) {
-    // Skip blank segments.
-    bool blank = true;
-    for (char c : stmt) {
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) continue;
-    XNF_ASSIGN_OR_RETURN(last, Execute(stmt));
-  }
-  return last;
+  return default_session_->ExecuteScript(text);
 }
 
 Result<ExecResult> Database::Execute(const std::string& text) {
@@ -1352,17 +1323,31 @@ Result<ExecResult> Database::ExecuteCoUpdate(const co::XnfQuery& query,
     return Status::NotFound("component table '" + query.update_target +
                             "' not found in this CO");
   }
-  // Evaluate all assignment expressions against the pre-update instance.
-  co::InstanceEvaluator eval(&instance);
+  // Compile every assignment expression, then evaluate each one over all of
+  // the node's tuples of the pre-update instance.
   const co::CoNodeInstance& node = instance.nodes[n];
-  std::vector<std::vector<Value>> planned(node.tuples.size());
-  for (size_t t = 0; t < node.tuples.size(); ++t) {
-    std::vector<co::InstanceEvaluator::Binding> bindings = {
-        {node.name, n, static_cast<int>(t)}};
-    for (const auto& [col, expr] : query.assignments) {
-      XNF_ASSIGN_OR_RETURN(Value v, eval.Eval(*expr, bindings));
-      planned[t].push_back(std::move(v));
-    }
+  qgm::ScalarScope scope;
+  scope.sources.push_back({node.name, &node.schema});
+  scope.allow_paths = true;
+  std::vector<qgm::ExprPtr> compiled;
+  for (const auto& assignment : query.assignments) {
+    XNF_ASSIGN_OR_RETURN(qgm::ExprPtr e,
+                         plan::CompileScalar(*assignment.second, scope));
+    compiled.push_back(std::move(e));
+  }
+  co::InstanceEvaluator eval(&instance);
+  std::vector<int> tuples(node.tuples.size());
+  std::iota(tuples.begin(), tuples.end(), 0);
+  exec::ExecContext exec_ctx;
+  exec_ctx.catalog = &catalog_;
+  exec::EvalContext ctx;
+  ctx.exec = &exec_ctx;
+  std::vector<std::vector<Value>> planned;  // per assignment, per tuple
+  for (const qgm::ExprPtr& e : compiled) {
+    XNF_ASSIGN_OR_RETURN(
+        std::vector<Value> values,
+        eval.EvalOnTuples(*e, tuples, {{ToLower(node.name), n, -1}}, &ctx));
+    planned.push_back(std::move(values));
   }
   // Apply through the cache manipulator (enforces updatability rules). The
   // write-through loop is one statement: a failure part-way rolls every
@@ -1376,7 +1361,7 @@ Result<ExecResult> Database::ExecuteCoUpdate(const co::XnfQuery& query,
   for (co::CoCache::Tuple& tuple : cached.tuples) {
     for (size_t a = 0; a < query.assignments.size(); ++a) {
       Status applied = manipulator.UpdateColumn(
-          &tuple, query.assignments[a].first, planned[t][a]);
+          &tuple, query.assignments[a].first, planned[a][t]);
       if (!applied.ok()) {
         XNF_RETURN_IF_ERROR(statement.Abort());
         return applied;

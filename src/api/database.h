@@ -189,7 +189,8 @@ class Database {
   // Executes a single SQL or XNF statement.
   Result<ExecResult> Execute(const std::string& text);
 
-  // Executes a ';'-separated script, returning the last statement's result.
+  // Executes a ';'-separated script on the default session, returning the
+  // last statement's result.
   Result<ExecResult> ExecuteScript(const std::string& text);
 
   // Convenience: SELECT returning rows.

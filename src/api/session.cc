@@ -53,8 +53,8 @@ Result<ExecResult> Session::Execute(const std::string& text) {
 }
 
 Result<ExecResult> Session::ExecuteScript(const std::string& text) {
-  // Same top-level ';' split as Database::ExecuteScript, but each statement
-  // runs on this session (so BEGIN; ...; COMMIT scripts work).
+  // Splits on top-level ';' tokens; each statement runs on this session
+  // (so BEGIN; ...; COMMIT scripts work).
   XNF_ASSIGN_OR_RETURN(auto tokens, sql::Lex(text));
   std::vector<std::string> statements;
   size_t start = 0;

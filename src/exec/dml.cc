@@ -14,33 +14,14 @@ namespace xnf::exec {
 
 namespace {
 
-// Evaluates a constant expression (no column references).
-Result<Value> EvalConst(const sql::Expr& expr, const Catalog* catalog) {
-  qgm::Builder builder(catalog);
-  Schema empty;
-  XNF_ASSIGN_OR_RETURN(qgm::ExprPtr built,
-                       builder.BuildScalar(expr, empty, "t"));
-  std::vector<size_t> offsets = {0};
-  XNF_ASSIGN_OR_RETURN(qgm::ExprPtr compiled,
-                       plan::CompileExpr(*built, offsets));
-  Row empty_row;
-  ExecContext exec_ctx;
-  exec_ctx.catalog = catalog;
-  EvalContext ectx;
-  ectx.row = &empty_row;
-  ectx.exec = &exec_ctx;
-  return EvalExpr(*compiled, &ectx);
-}
-
-// Compiles an expression over a single table's schema; slots = column index.
-Result<qgm::ExprPtr> CompileOverTable(const sql::Expr& expr,
-                                      const TableInfo& table,
-                                      const Catalog* catalog) {
-  qgm::Builder builder(catalog);
-  XNF_ASSIGN_OR_RETURN(qgm::ExprPtr built,
-                       builder.BuildScalar(expr, table.schema, table.name));
-  std::vector<size_t> offsets = {0};
-  return plan::CompileExpr(*built, offsets);
+// Compiles a DML expression over one table's row (slot = column index); a
+// table-less scope (INSERT VALUES) compiles a constant.
+Result<qgm::ExprPtr> CompileDml(const sql::Expr& expr,
+                                const TableInfo* table) {
+  qgm::ScalarScope scope;
+  if (table != nullptr) scope.sources.push_back({table->name, &table->schema});
+  scope.allow_params = true;
+  return plan::CompileScalar(expr, scope);
 }
 
 // Runs a row-level op called directly — with no enclosing statement — on a
@@ -323,6 +304,12 @@ Result<int64_t> DmlExecutor::Insert(const sql::InsertStmt& stmt) {
     }
     rows = std::move(rs.rows);
   } else {
+    ExecContext exec_ctx;
+    exec_ctx.catalog = catalog_;
+    Row no_columns;
+    EvalContext ectx;
+    ectx.row = &no_columns;
+    ectx.exec = &exec_ctx;
     for (const auto& value_row : stmt.rows) {
       if (value_row.size() != positions.size()) {
         return Status::InvalidArgument("INSERT value count mismatch");
@@ -330,7 +317,8 @@ Result<int64_t> DmlExecutor::Insert(const sql::InsertStmt& stmt) {
       Row row;
       row.reserve(value_row.size());
       for (const sql::ExprPtr& e : value_row) {
-        XNF_ASSIGN_OR_RETURN(Value v, EvalConst(*e, catalog_));
+        XNF_ASSIGN_OR_RETURN(qgm::ExprPtr compiled, CompileDml(*e, nullptr));
+        XNF_ASSIGN_OR_RETURN(Value v, EvalExpr(*compiled, &ectx));
         row.push_back(std::move(v));
       }
       rows.push_back(std::move(row));
@@ -367,8 +355,7 @@ Result<int64_t> DmlExecutor::Update(const sql::UpdateStmt& stmt) {
   }
   qgm::ExprPtr where;
   if (stmt.where) {
-    XNF_ASSIGN_OR_RETURN(where, CompileOverTable(*stmt.where, *table,
-                                                 catalog_));
+    XNF_ASSIGN_OR_RETURN(where, CompileDml(*stmt.where, table));
   }
   struct Assignment {
     size_t column;
@@ -377,8 +364,7 @@ Result<int64_t> DmlExecutor::Update(const sql::UpdateStmt& stmt) {
   std::vector<Assignment> assignments;
   for (const auto& [col, expr] : stmt.assignments) {
     XNF_ASSIGN_OR_RETURN(size_t i, table->schema.Resolve("", col));
-    XNF_ASSIGN_OR_RETURN(qgm::ExprPtr e,
-                         CompileOverTable(*expr, *table, catalog_));
+    XNF_ASSIGN_OR_RETURN(qgm::ExprPtr e, CompileDml(*expr, table));
     assignments.push_back(Assignment{i, std::move(e)});
   }
 
@@ -472,8 +458,7 @@ Result<int64_t> DmlExecutor::Delete(const sql::DeleteStmt& stmt) {
   }
   qgm::ExprPtr where;
   if (stmt.where) {
-    XNF_ASSIGN_OR_RETURN(where, CompileOverTable(*stmt.where, *table,
-                                                 catalog_));
+    XNF_ASSIGN_OR_RETURN(where, CompileDml(*stmt.where, table));
   }
   ExecContext exec_ctx;
   exec_ctx.catalog = catalog_;

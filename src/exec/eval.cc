@@ -300,6 +300,11 @@ Result<Value> EvalExpr(const qgm::Expr& expr, EvalContext* ctx) {
       if (expr.negated) acc = Not(acc);
       return TriboolToValue(acc);
     }
+    case K::kPath:
+      if (ctx->path_hook == nullptr) {
+        return Status::Internal("path expression without a path hook");
+      }
+      return (*ctx->path_hook)(expr);
     case K::kSubquery: {
       if (ctx->subqueries == nullptr ||
           static_cast<size_t>(expr.subquery_index) >=
@@ -345,19 +350,15 @@ Result<Value> EvalExpr(const qgm::Expr& expr, EvalContext* ctx) {
 
 Result<bool> EvalPredicate(const qgm::Expr& expr, EvalContext* ctx) {
   XNF_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, ctx));
+  return PredicateOutcome(v);
+}
+
+Result<bool> PredicateOutcome(const Value& v) {
   if (v.is_null()) return false;
   if (!v.is_bool()) {
     return Status::InvalidArgument("predicate did not evaluate to a boolean");
   }
   return v.AsBool();
-}
-
-bool ExprHasSubquery(const qgm::Expr& expr) {
-  if (expr.kind == qgm::Expr::Kind::kSubquery) return true;
-  for (const qgm::ExprPtr& a : expr.args) {
-    if (a != nullptr && ExprHasSubquery(*a)) return true;
-  }
-  return false;
 }
 
 namespace {
@@ -527,6 +528,7 @@ Result<std::vector<Value>> EvalExprBatch(const qgm::Expr& expr,
     case K::kCase:     // WHEN arms evaluate conditionally
     case K::kInList:   // list items evaluate until the first match
     case K::kSubquery: // CompiledSubquery binding/caching is per outer row
+    case K::kPath:     // the hook walks the path of the current row
     case K::kAggRef:   // reports the proper error through the scalar path
       return EvalRowWise(expr, rows, ctx);
   }
@@ -550,7 +552,7 @@ Status EvalPredicateBatch(const qgm::Expr& pred,
   }
   if (alive.empty()) return Status::Ok();
 
-  if (ExprHasSubquery(pred)) {
+  if (qgm::HasSubquery(pred) || qgm::HasPath(pred)) {
     EvalContext local = *ctx;
     for (size_t j = 0; j < alive.size(); ++j) {
       local.row = alive[j];
@@ -563,15 +565,8 @@ Status EvalPredicateBatch(const qgm::Expr& pred,
   XNF_ASSIGN_OR_RETURN(std::vector<Value> vals,
                        EvalExprBatch(pred, alive, ctx));
   for (size_t j = 0; j < alive.size(); ++j) {
-    const Value& v = vals[j];
-    if (v.is_null()) {
-      (*keep)[alive_index[j]] = 0;
-      continue;
-    }
-    if (!v.is_bool()) {
-      return Status::InvalidArgument("predicate did not evaluate to a boolean");
-    }
-    if (!v.AsBool()) (*keep)[alive_index[j]] = 0;
+    XNF_ASSIGN_OR_RETURN(bool ok, PredicateOutcome(vals[j]));
+    if (!ok) (*keep)[alive_index[j]] = 0;
   }
   return Status::Ok();
 }

@@ -1,6 +1,7 @@
 #ifndef XNF_EXEC_EVAL_H_
 #define XNF_EXEC_EVAL_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -35,12 +36,19 @@ struct SubqueryEnv {
   }
 };
 
+// Evaluates one kPath node (EXISTS path / COUNT(path)) for the row being
+// evaluated. XNF callers set it with that row's correlation bindings, so an
+// expression holding a path is evaluated one row at a time.
+using PathHook = std::function<Result<Value>(const qgm::Expr& path)>;
+
 // Context for expression evaluation: the current input row, the execution
-// context (catalog + correlation params), and the subquery environment.
+// context (catalog + correlation params), the subquery environment and the
+// path hook.
 struct EvalContext {
   const Row* row = nullptr;
   ExecContext* exec = nullptr;
   SubqueryEnv* subqueries = nullptr;
+  const PathHook* path_hook = nullptr;
 };
 
 // Evaluates a compiled expression (all kInputRef slots resolved). SQL
@@ -50,16 +58,15 @@ Result<Value> EvalExpr(const qgm::Expr& expr, EvalContext* ctx);
 // Evaluates `expr` as a predicate: NULL and FALSE both reject.
 Result<bool> EvalPredicate(const qgm::Expr& expr, EvalContext* ctx);
 
-// True if `expr` contains a subquery anywhere. Subquery-bearing expressions
-// must be evaluated row-at-a-time through EvalExpr so CompiledSubquery
-// binding/caching semantics are untouched.
-bool ExprHasSubquery(const qgm::Expr& expr);
+// A predicate's outcome from its value: NULL and FALSE both reject, a
+// non-boolean value is an error.
+Result<bool> PredicateOutcome(const Value& v);
 
 // Evaluates `expr` once per row, returning one value per row in input order.
 // Subquery-free node kinds without conditional-evaluation semantics are
-// evaluated column-wise over the whole batch; AND/OR, CASE, IN-lists and
-// subqueries fall back to scalar EvalExpr per row (preserving short-circuit
-// and caching behaviour exactly). `ctx->row` is ignored.
+// evaluated column-wise over the whole batch; AND/OR, CASE, IN-lists,
+// subqueries and paths fall back to scalar EvalExpr per row (preserving
+// short-circuit and caching behaviour exactly). `ctx->row` is ignored.
 Result<std::vector<Value>> EvalExprBatch(const qgm::Expr& expr,
                                          const std::vector<const Row*>& rows,
                                          EvalContext* ctx);

@@ -79,6 +79,21 @@ Result<ExprPtr> CompileExpr(const Expr& expr, const std::vector<size_t>& offsets
   return out;
 }
 
+Result<ExprPtr> CompileScalar(const sql::Expr& expr,
+                              const qgm::ScalarScope& scope,
+                              std::vector<ExprPtr>* outer_refs) {
+  qgm::Builder builder(nullptr);
+  XNF_ASSIGN_OR_RETURN(ExprPtr built,
+                       builder.BuildScalar(expr, scope, outer_refs));
+  std::vector<size_t> offsets;
+  size_t width = 0;
+  for (const qgm::ScalarSource& source : scope.sources) {
+    offsets.push_back(width);
+    width += source.schema->size();
+  }
+  return CompileExpr(*built, offsets);
+}
+
 Result<ResultSet> Execute(const Catalog* catalog, const QueryGraph& graph,
                           TraceSink* sink) {
   Planner planner(catalog);

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "exec/operator.h"
+#include "qgm/builder.h"
 #include "qgm/qgm.h"
 
 namespace xnf::plan {
@@ -49,6 +50,15 @@ class Planner {
 Result<qgm::ExprPtr> CompileExpr(const qgm::Expr& expr,
                                  const std::vector<size_t>& offsets,
                                  int agg_base = -1);
+
+// Builds `expr` over `scope` (qgm::Builder::BuildScalar) and compiles it
+// for evaluation over the sources' rows laid end to end: source i's columns
+// start at the sum of the earlier sources' widths. Every scalar the engine
+// evaluates outside a planned query (DML, simple-node predicates, SUCH
+// THAT, path steps, CO SET) is compiled here.
+Result<qgm::ExprPtr> CompileScalar(
+    const sql::Expr& expr, const qgm::ScalarScope& scope,
+    std::vector<qgm::ExprPtr>* outer_refs = nullptr);
 
 // End-to-end convenience: build+plan+run are separate elsewhere; this runs a
 // planned tree against the catalog. `sink` (optional) wraps the two stages

@@ -115,6 +115,7 @@ struct Builder::ExprCtx {
   Box* box = nullptr;        // box under construction (for aggs/subqueries)
   bool allow_aggs = false;   // true in SELECT list / HAVING / ORDER BY
   bool in_agg = false;       // inside an aggregate argument
+  bool allow_paths = false;  // EXISTS path / COUNT(path) build kPath
 };
 
 // --- entry points ----------------------------------------------------------
@@ -127,30 +128,49 @@ Result<QueryGraph> Builder::Build(const sql::SelectStmt& stmt) {
 }
 
 Result<ExprPtr> Builder::BuildScalar(const sql::Expr& expr,
-                                     const Schema& schema,
-                                     const std::string& alias) {
+                                     const ScalarScope& scope,
+                                     std::vector<ExprPtr>* outer_refs) {
+  std::function<Status(const sql::Expr&)> admit =
+      [&](const sql::Expr& e) -> Status {
+    if (e.subquery != nullptr) {
+      return Status::NotSupported("subqueries are not supported here");
+    }
+    if (e.kind == sql::Expr::Kind::kParam && !scope.allow_params) {
+      return Status::NotSupported("parameters are not supported here");
+    }
+    for (const sql::ExprPtr& a : e.args) {
+      if (a) XNF_RETURN_IF_ERROR(admit(*a));
+    }
+    return Status::Ok();
+  };
+  XNF_RETURN_IF_ERROR(admit(expr));
+
+  auto fill = [](const std::vector<ScalarSource>& sources, Scope* out) {
+    for (size_t i = 0; i < sources.size(); ++i) {
+      std::string alias = ToLower(sources[i].alias);
+      out->entries.push_back(Scope::Entry{
+          alias, sources[i].schema->WithQualifier(alias), static_cast<int>(i)});
+    }
+  };
+  Scope outer;
+  fill(scope.outer, &outer);
+  std::vector<ExprPtr> refs;
+  Scope local;
+  fill(scope.sources, &local);
+  if (!scope.outer.empty()) {
+    local.parent = &outer;
+    local.bindings = &refs;
+  }
   QueryGraph graph;
   Box box;
   box.kind = Box::Kind::kSelect;
-  Quantifier q;
-  q.input_box = -1;
-  q.base_table = alias;
-  q.alias = alias;
-  q.schema = schema.WithQualifier(ToLower(alias));
-  box.quantifiers.push_back(q);
-
-  Scope scope;
-  scope.entries.push_back(
-      Scope::Entry{ToLower(alias), box.quantifiers[0].schema, 0});
   ExprCtx ctx;
-  ctx.scope = &scope;
+  ctx.scope = &local;
   ctx.graph = &graph;
   ctx.box = &box;
-  ctx.allow_aggs = false;
+  ctx.allow_paths = scope.allow_paths;
   XNF_ASSIGN_OR_RETURN(ExprPtr out, BuildExpr(expr, &ctx));
-  if (!box.subqueries.empty()) {
-    return Status::NotSupported("subqueries are not supported here");
-  }
+  if (outer_refs != nullptr) *outer_refs = std::move(refs);
   return out;
 }
 
@@ -746,6 +766,14 @@ Result<ExprPtr> Builder::BuildExpr(const sql::Expr& expr, ExprCtx* ctx) {
     }
     case K::kFuncCall: {
       std::string name = ToLower(expr.column);
+      if (ctx->allow_paths && name == "count" && expr.args.size() == 1 &&
+          expr.args[0]->kind == K::kPath) {
+        auto e = std::make_unique<Expr>(Expr::Kind::kPath);
+        e->func_name = name;
+        e->path = expr.args[0]->path.get();
+        e->type = Type::kInt;
+        return ExprPtr(std::move(e));
+      }
       if (IsAggName(name)) return BuildAggCall(expr, ctx);
       auto e = std::make_unique<Expr>(Expr::Kind::kFuncCall);
       e->func_name = name;
@@ -913,10 +941,23 @@ Result<ExprPtr> Builder::BuildExpr(const sql::Expr& expr, ExprCtx* ctx) {
       return ExprPtr(std::move(e));
     }
     case K::kPath:
-    case K::kExistsPath:
-      return Status::InvalidArgument(
-          "path expressions are only valid in XNF contexts (SUCH THAT "
-          "predicates and cursor definitions)");
+    case K::kExistsPath: {
+      if (!ctx->allow_paths) {
+        return Status::InvalidArgument(
+            "path expressions are only valid in XNF contexts (SUCH THAT "
+            "predicates and cursor definitions)");
+      }
+      if (expr.kind == K::kPath) {
+        return Status::InvalidArgument(
+            "a bare path expression is not a scalar; use COUNT(path) or "
+            "EXISTS path");
+      }
+      auto e = std::make_unique<Expr>(Expr::Kind::kPath);
+      e->negated = expr.negated;
+      e->path = expr.path.get();
+      e->type = Type::kBool;
+      return ExprPtr(std::move(e));
+    }
   }
   return Status::Internal("unhandled expression kind");
 }

@@ -14,6 +14,27 @@
 
 namespace xnf::qgm {
 
+// One named row source of a scalar expression (see Builder::BuildScalar).
+struct ScalarSource {
+  std::string alias;
+  const Schema* schema = nullptr;
+};
+
+// The names a scalar expression outside a SELECT can see, and what it may
+// contain besides plain SQL scalars.
+struct ScalarScope {
+  // Quantifier i of the built expression reads sources[i].
+  std::vector<ScalarSource> sources;
+  // Enclosing bindings (a path step's outer correlations): a reference
+  // that resolves in no source resolves here and becomes a kParam.
+  std::vector<ScalarSource> outer;
+  // '?' statement parameters (DML). XNF expressions have none.
+  bool allow_params = false;
+  // EXISTS path / COUNT(path) become kPath nodes (SUCH THAT, path steps
+  // and CO SET evaluated over an instance); otherwise they are rejected.
+  bool allow_paths = false;
+};
+
 // Semantic analysis: turns a parsed SELECT into a Query Graph Model graph.
 // Performs name resolution (against the catalog, expanding SQL views),
 // typing, aggregate extraction, and correlated-subquery binding.
@@ -34,11 +55,15 @@ class Builder {
   // Builds a graph for a full SELECT (including UNION chains).
   Result<QueryGraph> Build(const sql::SelectStmt& stmt);
 
-  // Builds a scalar expression over a single named row source (used by DML:
-  // UPDATE ... SET x = expr WHERE ...). The produced expression's InputRefs
-  // all have quantifier 0 and column = index into `schema`.
-  Result<ExprPtr> BuildScalar(const sql::Expr& expr, const Schema& schema,
-                              const std::string& alias);
+  // Builds a scalar expression over the named row sources of `scope` (DML
+  // SET / WHERE / VALUES, simple-node predicates, SUCH THAT, path steps,
+  // CO SET). InputRefs have quantifier i for scope.sources[i] and column =
+  // index into its schema. A reference resolved in scope.outer becomes
+  // kParam(k), and (*outer_refs)[k] is the InputRef over `outer` that
+  // supplies it. Subqueries (and '?' unless allowed) are rejected before
+  // any name is resolved, so the catalog is never consulted.
+  Result<ExprPtr> BuildScalar(const sql::Expr& expr, const ScalarScope& scope,
+                              std::vector<ExprPtr>* outer_refs = nullptr);
 
  private:
   struct Scope;

@@ -18,6 +18,7 @@ ExprPtr Expr::Clone() const {
   out->agg_index = agg_index;
   out->subquery_kind = subquery_kind;
   out->subquery_index = subquery_index;
+  out->path = path;
   out->type = type;
   for (const ExprPtr& a : args) out->args.push_back(a ? a->Clone() : nullptr);
   return out;
@@ -71,6 +72,12 @@ std::string Expr::ToString() const {
                   ? "EXISTS"
                   : (subquery_kind == SubqueryKind::kIn ? "IN" : "SCALAR")) +
              "[sub" + std::to_string(subquery_index) + "]";
+    case Kind::kPath: {
+      std::string s = path->start;
+      for (const sql::PathStep& step : path->steps) s += "->" + step.name;
+      if (func_name == "count") return "COUNT(" + s + ")";
+      return (negated ? "NOT EXISTS " : "EXISTS ") + s;
+    }
   }
   return "?";
 }
@@ -124,6 +131,12 @@ bool ExprEquals(const Expr& a, const Expr& b) {
       break;
     case Expr::Kind::kSubquery:
       return false;  // subqueries are never considered equal
+    case Expr::Kind::kPath:
+      if (a.path != b.path || a.negated != b.negated ||
+          a.func_name != b.func_name) {
+        return false;
+      }
+      break;
   }
   if (a.args.size() != b.args.size()) return false;
   for (size_t i = 0; i < a.args.size(); ++i) {
@@ -179,11 +192,19 @@ bool HasAggRef(const Expr& expr) {
 }
 
 bool HasSubquery(const Expr& expr) {
-  bool found = false;
-  VisitExpr(expr, [&](const Expr& e) {
-    if (e.kind == Expr::Kind::kSubquery) found = true;
-  });
-  return found;
+  if (expr.kind == Expr::Kind::kSubquery) return true;
+  for (const ExprPtr& a : expr.args) {
+    if (a && HasSubquery(*a)) return true;
+  }
+  return false;
+}
+
+bool HasPath(const Expr& expr) {
+  if (expr.kind == Expr::Kind::kPath) return true;
+  for (const ExprPtr& a : expr.args) {
+    if (a && HasPath(*a)) return true;
+  }
+  return false;
 }
 
 }  // namespace xnf::qgm

@@ -36,6 +36,8 @@ struct Expr {
     kCase,       // when/then pairs, optional trailing else
     kInList,     // args[0] IN args[1..]  (negated flag)
     kSubquery,   // EXISTS / IN / scalar subquery (see SubqueryKind)
+    kPath,       // XNF path: [NOT] EXISTS path (BOOL) or, with func_name
+                 // "count", COUNT(path) (INT); see EvalContext::path_hook
   };
   enum class SubqueryKind { kExists, kIn, kScalar };
 
@@ -52,6 +54,7 @@ struct Expr {
   int agg_index = -1;                 // kAggRef
   SubqueryKind subquery_kind = SubqueryKind::kExists;  // kSubquery
   int subquery_index = -1;            // kSubquery: index into box's subqueries
+  const sql::PathExpr* path = nullptr;  // kPath; owned by the source AST
   Type type = Type::kNull;            // derived output type
   std::vector<ExprPtr> args;
 
@@ -113,9 +116,10 @@ bool HasParam(const Expr& expr);
 // plan exactly as they would see the literal text.
 ExprPtr BindParams(const Expr& expr, const std::vector<Value>& params);
 
-// True if the expression contains an aggregate reference or subquery.
+// True if the expression contains an aggregate reference, subquery or path.
 bool HasAggRef(const Expr& expr);
 bool HasSubquery(const Expr& expr);
+bool HasPath(const Expr& expr);
 
 }  // namespace xnf::qgm
 

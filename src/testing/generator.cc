@@ -28,9 +28,9 @@
 //    with deliberate duplicate/NULL keys for error-path agreement.
 //  - XNF node queries always project the key column `a` (plus any foreign
 //    key the edges need), so CSE temp narrowing and the no-CSE inline path
-//    match rows identically. SUCH THAT / CO SET expressions stay inside the
-//    RowEvaluator dialect (no subqueries; abs/mod/lower/upper/length only)
-//    with references qualified by the restriction correlation.
+//    match rows identically. SUCH THAT / CO SET expressions use the
+//    subquery-free SQL scalar dialect (what DML SET/WHERE compiles) with
+//    references qualified by the restriction correlation.
 //  - Scalar subqueries are always aggregated, so they yield exactly one row
 //    under every plan shape.
 namespace xnf::testing {
@@ -99,7 +99,7 @@ struct XnfViewModel {
 };
 
 // Generation context for predicates/expressions: the full SQL dialect, or
-// the restricted dialect RowEvaluator implements for SUCH THAT / CO SET.
+// the subquery-free scalar dialect of SUCH THAT / CO SET.
 enum class Ctx { kSql, kSuchThat };
 
 struct Src {
@@ -281,10 +281,8 @@ class Generator {
              IntExpr(scope, depth - 1, ctx) + " ELSE " +
              IntExpr(scope, depth - 1, ctx) + " END";
     }
-    if (ctx == Ctx::kSql) {
-      if (roll < 96) return "length(" + StrExpr(scope, depth - 1, ctx) + ")";
-      return ScalarSubquery(scope);
-    }
+    if (roll < 96) return "length(" + StrExpr(scope, depth - 1, ctx) + ")";
+    if (ctx == Ctx::kSql) return ScalarSubquery(scope);
     return "mod(" + IntExpr(scope, depth - 1, ctx) + ", " +
            std::to_string(rng_.Int(1, 4)) + ")";
   }
@@ -293,7 +291,7 @@ class Generator {
     int roll = rng_.Int(0, 99);
     if (roll < 55) return IntExpr(scope, depth, ctx);
     if (roll < 80) return ColRef(scope, 'd');
-    if (roll < 90 || ctx == Ctx::kSuchThat) {
+    if (roll < 90) {
       return "(" + ColRef(scope, 'd') + " + " + std::to_string(rng_.Int(0, 9)) +
              ")";
     }
@@ -309,15 +307,12 @@ class Generator {
       std::string fn = rng_.Chance(50) ? "lower" : "upper";
       return fn + "(" + StrExpr(scope, depth - 1, ctx) + ")";
     }
-    if (ctx == Ctx::kSql) {
-      if (rng_.Chance(50)) {
-        return "substr(" + StrExpr(scope, depth - 1, ctx) + ", " +
-               std::to_string(rng_.Int(1, 3)) + ", " +
-               std::to_string(rng_.Int(1, 3)) + ")";
-      }
-      return "coalesce(" + ColRef(scope, 's') + ", " + StrLit() + ")";
+    if (rng_.Chance(50)) {
+      return "substr(" + StrExpr(scope, depth - 1, ctx) + ", " +
+             std::to_string(rng_.Int(1, 3)) + ", " +
+             std::to_string(rng_.Int(1, 3)) + ")";
     }
-    return ColRef(scope, 's');
+    return "coalesce(" + ColRef(scope, 's') + ", " + StrLit() + ")";
   }
 
   std::string TypedExpr(const std::vector<Src>& scope, int depth, Ctx ctx,

@@ -113,11 +113,6 @@ struct Scope {
   const Scope* parent = nullptr;
 };
 
-// Expression dialects: the full SQL dialect (exec/eval.cc) vs the restricted
-// SUCH THAT / CO SET dialect (xnf/scalar_eval.cc): no subqueries, functions
-// limited to abs/lower/upper/length/mod, no static type pass.
-enum class Dialect { kSql, kRestricted };
-
 // Aggregate context: when set, aggregate function calls evaluate over the
 // group's rows; otherwise they are an error.
 struct GroupCtx {
@@ -127,25 +122,29 @@ struct GroupCtx {
 
 // --------------------------------------------------------- SQL entry points
 
-// Scalar expression evaluation (runtime semantics of exec/eval.cc or
-// xnf/scalar_eval.cc depending on `dialect`).
+// Scalar expression evaluation (runtime semantics of exec/eval.cc).
 Result<Value> Eval(State* st, const sql::Expr& e, const Scope& scope,
-                   Dialect dialect, const GroupCtx* group);
+                   const GroupCtx* group);
 
 // SQL predicate evaluation: NULL -> false, non-bool -> InvalidArgument.
 Result<bool> EvalPred(State* st, const sql::Expr& e, const Scope& scope,
-                      Dialect dialect, const GroupCtx* group);
+                      const GroupCtx* group);
 
-// Static type check mirroring qgm/builder.cc. `allow_subqueries=false`
-// mirrors BuildScalar (DML expressions). Restricted-dialect expressions are
-// never statically checked (scalar_eval.cc has no static pass).
+// Static type check mirroring qgm/builder.cc.
 struct CheckOpts {
   bool allow_aggs = false;
-  bool allow_subqueries = true;
   bool in_aggregate = false;
 };
 Result<Type> CheckExpr(State* st, const sql::Expr& e, const Scope& scope,
                        const CheckOpts& opts);
+
+// Static check of a scalar outside a SELECT (DML expressions, simple-node
+// predicates, SUCH THAT, CO SET), mirroring qgm::Builder::BuildScalar:
+// subqueries, and '?' unless `allow_params`, are rejected before any name is
+// resolved; then CheckExpr. Path expressions are rejected like in SQL: the
+// reference does not model paths, and the generator never emits them.
+Result<Type> CheckScalar(State* st, const sql::Expr& e, const Scope& scope,
+                         bool allow_params);
 
 // Structural expression equality (mirrors qgm ExprEquals over the AST):
 // drives GROUP BY validation and ORDER BY key matching.
@@ -161,7 +160,7 @@ struct ResolvedCol {
   Type type = Type::kNull;
 };
 Result<ResolvedCol> ResolveColumn(const Scope& scope, const std::string& table,
-                                  const std::string& column, Dialect dialect);
+                                  const std::string& column);
 
 // True iff the expression contains an aggregate call, not descending into
 // subquery bodies (their aggregates belong to the inner query).

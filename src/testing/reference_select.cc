@@ -242,9 +242,9 @@ Status AddRef(State* st, const TableRef& ref, FromCtx* c) {
 bool ExprEqRes(const Scope& scope, const Expr& a, const Expr& b) {
   if (a.kind == K::kColumnRef && b.kind == K::kColumnRef) {
     Result<ResolvedCol> ra =
-        ResolveColumn(scope, a.table, a.column, Dialect::kSql);
+        ResolveColumn(scope, a.table, a.column);
     Result<ResolvedCol> rb =
-        ResolveColumn(scope, b.table, b.column, Dialect::kSql);
+        ResolveColumn(scope, b.table, b.column);
     if (ra.ok() && rb.ok()) {
       return (*ra).level == (*rb).level && (*ra).offset == (*rb).offset;
     }
@@ -319,7 +319,7 @@ bool OffsetMatchesGroupKey(const SelectStmt& stmt, const Scope& scope,
   for (const sql::ExprPtr& g : stmt.group_by) {
     if (g->kind != K::kColumnRef) continue;
     Result<ResolvedCol> r =
-        ResolveColumn(scope, g->table, g->column, Dialect::kSql);
+        ResolveColumn(scope, g->table, g->column);
     if (r.ok() && (*r).level == &scope && (*r).offset == offset) return true;
   }
   return false;
@@ -452,7 +452,7 @@ Result<CheckedCore> CheckCore(State* st, const SelectStmt& stmt,
                   ? ExprEqRes(scope, *core.head[i].expr, *o.expr)
                   : (o.expr->kind == K::kColumnRef && [&] {
                       Result<ResolvedCol> r = ResolveColumn(
-                          scope, o.expr->table, o.expr->column, Dialect::kSql);
+                          scope, o.expr->table, o.expr->column);
                       return r.ok() && (*r).level == &scope &&
                              (*r).offset == core.head[i].offset;
                     }());
@@ -574,7 +574,7 @@ Result<std::vector<Row>> EvalLoj(State* st, const LojUnit& unit) {
     bool keep = true;
     for (const Expr* p : unit.inner_on) {
       XNF_ASSIGN_OR_RETURN(bool ok,
-                           EvalPred(st, *p, scope, Dialect::kSql, nullptr));
+                           EvalPred(st, *p, scope, nullptr));
       if (!ok) {
         keep = false;
         break;
@@ -595,7 +595,7 @@ Result<std::vector<Row>> EvalLoj(State* st, const LojUnit& unit) {
       bool ok = true;
       for (const Expr* p : unit.outer_on) {
         XNF_ASSIGN_OR_RETURN(
-            bool v, EvalPred(st, *p, scope, Dialect::kSql, nullptr));
+            bool v, EvalPred(st, *p, scope, nullptr));
         if (!v) {
           ok = false;
           break;
@@ -661,13 +661,13 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
     bool keep = true;
     if (stmt.where) {
       XNF_ASSIGN_OR_RETURN(
-          keep, EvalPred(st, *stmt.where, scope, Dialect::kSql, nullptr));
+          keep, EvalPred(st, *stmt.where, scope, nullptr));
     }
     if (keep) {
       Row row;
       for (const HeadCol& h : core.head) {
         XNF_ASSIGN_OR_RETURN(
-            Value v, Eval(st, *h.expr, scope, Dialect::kSql, nullptr));
+            Value v, Eval(st, *h.expr, scope, nullptr));
         row.push_back(std::move(v));
       }
       out.push_back(std::move(row));
@@ -685,7 +685,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
     bool keep = true;
     for (const Expr* p : core.inner_on) {
       XNF_ASSIGN_OR_RETURN(bool ok,
-                           EvalPred(st, *p, scope, Dialect::kSql, nullptr));
+                           EvalPred(st, *p, scope, nullptr));
       if (!ok) {
         keep = false;
         break;
@@ -693,7 +693,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
     }
     if (keep && stmt.where) {
       XNF_ASSIGN_OR_RETURN(
-          keep, EvalPred(st, *stmt.where, scope, Dialect::kSql, nullptr));
+          keep, EvalPred(st, *stmt.where, scope, nullptr));
     }
     if (keep) filtered.push_back(std::move(row));
   }
@@ -716,7 +716,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
         Row key;
         for (const sql::ExprPtr& g : stmt.group_by) {
           XNF_ASSIGN_OR_RETURN(
-              Value v, Eval(st, *g, scope, Dialect::kSql, nullptr));
+              Value v, Eval(st, *g, scope, nullptr));
           key.push_back(std::move(v));
         }
         auto [it, inserted] = index.emplace(std::move(key), groups.size());
@@ -736,7 +736,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
       if (stmt.having) {
         XNF_ASSIGN_OR_RETURN(
             bool keep,
-            EvalPred(st, *stmt.having, gscope, Dialect::kSql, &gctx));
+            EvalPred(st, *stmt.having, gscope, &gctx));
         if (!keep) continue;
       }
       Row out;
@@ -745,7 +745,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
           out.push_back(rep[h.offset]);
         } else {
           XNF_ASSIGN_OR_RETURN(
-              Value v, Eval(st, *h.expr, gscope, Dialect::kSql, &gctx));
+              Value v, Eval(st, *h.expr, gscope, &gctx));
           out.push_back(std::move(v));
         }
       }
@@ -761,7 +761,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
         std::vector<Value> vals;
         for (const OrderKeyC& k : core.order) {
           XNF_ASSIGN_OR_RETURN(
-              Value v, Eval(st, *k.expr, scope, Dialect::kSql, nullptr));
+              Value v, Eval(st, *k.expr, scope, nullptr));
           vals.push_back(std::move(v));
         }
         key_vals.push_back(std::move(vals));
@@ -792,7 +792,7 @@ Result<std::vector<Row>> EvalCore(State* st, const CheckedCore& core,
           out.push_back(row[h.offset]);
         } else {
           XNF_ASSIGN_OR_RETURN(
-              Value v, Eval(st, *h.expr, scope, Dialect::kSql, nullptr));
+              Value v, Eval(st, *h.expr, scope, nullptr));
           out.push_back(std::move(v));
         }
       }
@@ -925,17 +925,14 @@ Result<int64_t> ExecInsert(State* st, const sql::InsertStmt& stmt) {
     }
     rows = std::move(out.rows);
   } else {
-    // Constant expressions: checked and evaluated over an empty one-entry
-    // scope, like the engine's BuildScalar over an empty schema — column
-    // references fail to resolve and subqueries are rejected.
+    // Constant expressions: checked and evaluated over an empty scope, like
+    // the engine's CompileScalar with no source — column references fail to
+    // resolve and subqueries are rejected.
     std::vector<Entry> entries;
-    entries.push_back(Entry{"t", Schema(), 0});
     Row empty_row;
     Scope scope;
     scope.entries = &entries;
     scope.row = &empty_row;
-    CheckOpts opts;
-    opts.allow_subqueries = false;
     for (const auto& value_row : stmt.rows) {
       if (value_row.size() != positions.size()) {
         return Status::InvalidArgument("INSERT value count mismatch");
@@ -943,9 +940,9 @@ Result<int64_t> ExecInsert(State* st, const sql::InsertStmt& stmt) {
       Row row;
       row.reserve(value_row.size());
       for (const sql::ExprPtr& e : value_row) {
-        XNF_RETURN_IF_ERROR(CheckExpr(st, *e, scope, opts).status());
+        XNF_RETURN_IF_ERROR(CheckScalar(st, *e, scope, true).status());
         XNF_ASSIGN_OR_RETURN(Value v,
-                             Eval(st, *e, scope, Dialect::kSql, nullptr));
+                             Eval(st, *e, scope, nullptr));
         row.push_back(std::move(v));
       }
       rows.push_back(std::move(row));
@@ -996,10 +993,8 @@ Result<int64_t> ExecUpdate(State* st, const sql::UpdateStmt& stmt) {
   entries.push_back(Entry{key, table.schema, 0});
   Scope scope;
   scope.entries = &entries;
-  CheckOpts opts;
-  opts.allow_subqueries = false;
   if (stmt.where) {
-    XNF_RETURN_IF_ERROR(CheckExpr(st, *stmt.where, scope, opts).status());
+    XNF_RETURN_IF_ERROR(CheckScalar(st, *stmt.where, scope, true).status());
   }
   struct Asg {
     size_t column;
@@ -1008,7 +1003,7 @@ Result<int64_t> ExecUpdate(State* st, const sql::UpdateStmt& stmt) {
   std::vector<Asg> assignments;
   for (const auto& [col, expr] : stmt.assignments) {
     XNF_ASSIGN_OR_RETURN(size_t i, table.schema.Resolve("", col));
-    XNF_RETURN_IF_ERROR(CheckExpr(st, *expr, scope, opts).status());
+    XNF_RETURN_IF_ERROR(CheckScalar(st, *expr, scope, true).status());
     assignments.push_back(Asg{i, expr.get()});
   }
 
@@ -1021,13 +1016,13 @@ Result<int64_t> ExecUpdate(State* st, const sql::UpdateStmt& stmt) {
     scope.row = &row;
     if (stmt.where) {
       XNF_ASSIGN_OR_RETURN(
-          bool keep, EvalPred(st, *stmt.where, scope, Dialect::kSql, nullptr));
+          bool keep, EvalPred(st, *stmt.where, scope, nullptr));
       if (!keep) continue;
     }
     Row updated = row;
     for (const Asg& a : assignments) {
       XNF_ASSIGN_OR_RETURN(Value v,
-                           Eval(st, *a.expr, scope, Dialect::kSql, nullptr));
+                           Eval(st, *a.expr, scope, nullptr));
       updated[a.column] = std::move(v);
     }
     planned.emplace_back(ri, std::move(updated));
@@ -1065,17 +1060,15 @@ Result<int64_t> ExecDelete(State* st, const sql::DeleteStmt& stmt) {
   entries.push_back(Entry{key, table.schema, 0});
   Scope scope;
   scope.entries = &entries;
-  CheckOpts opts;
-  opts.allow_subqueries = false;
   if (stmt.where) {
-    XNF_RETURN_IF_ERROR(CheckExpr(st, *stmt.where, scope, opts).status());
+    XNF_RETURN_IF_ERROR(CheckScalar(st, *stmt.where, scope, true).status());
   }
   std::vector<char> victim(table.rows.size(), stmt.where == nullptr);
   if (stmt.where) {
     for (size_t ri = 0; ri < table.rows.size(); ++ri) {
       scope.row = &table.rows[ri];
       XNF_ASSIGN_OR_RETURN(
-          bool keep, EvalPred(st, *stmt.where, scope, Dialect::kSql, nullptr));
+          bool keep, EvalPred(st, *stmt.where, scope, nullptr));
       victim[ri] = keep;
     }
   }

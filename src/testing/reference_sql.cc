@@ -1,14 +1,10 @@
-// Expression semantics of the reference interpreter.
-//
-// Two dialects are mirrored here, both evaluated naively over the AST:
-//  - kSql: the engine's static pass (qgm/builder.cc) plus the runtime
-//    semantics of exec/eval.cc. Statements run CheckExpr (via CheckSelect)
-//    over everything first, so build-time errors fire even when no row is
-//    ever evaluated — exactly like the engine, which builds the whole QGM
-//    before executing.
-//  - kRestricted: xnf/scalar_eval.cc (SUCH THAT predicates and CO SET
-//    expressions). There is no static pass in that dialect; every error is
-//    a runtime error, and the function/feature surface is much smaller.
+// Expression semantics of the reference interpreter: the engine's static
+// pass (qgm/builder.cc) plus the runtime semantics of exec/eval.cc, both
+// mirrored naively over the AST. Statements run CheckExpr (via CheckSelect,
+// or CheckScalar for expressions outside a SELECT: DML, SUCH THAT, CO SET)
+// over everything first, so build-time errors fire even when no row is ever
+// evaluated — exactly like the engine, which builds and compiles every
+// expression before executing.
 //
 // Behavioural agreement matters, shared code does not: the only engine code
 // reused is the parser, Value/Schema, and qgm::BinaryResultType (a pure
@@ -19,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,8 +60,8 @@ bool IsAggName(const std::string& lower) {
          lower == "min" || lower == "max";
 }
 
-// Three-valued comparison shared by both dialects (both engines express
-// Ne/Ge/Gt/Le through Not/swap over CompareEq/CompareLt).
+// Three-valued comparison (the engine expresses Ne/Ge/Gt/Le through
+// Not/swap over CompareEq/CompareLt).
 Value CompareValues(BinOp op, const Value& l, const Value& r) {
   switch (op) {
     case BinOp::kEq:
@@ -84,9 +81,8 @@ Value CompareValues(BinOp op, const Value& l, const Value& r) {
   }
 }
 
-// NULL-strict arithmetic; both dialects agree: int op int stays int,
-// any double widens, division by zero (int or double) and non-int MOD
-// operands are errors.
+// NULL-strict arithmetic: int op int stays int, any double widens, division
+// by zero (int or double) and non-int MOD operands are errors.
 Result<Value> Arith(BinOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
   if (!l.is_numeric() || !r.is_numeric()) {
@@ -127,44 +123,14 @@ Result<Value> Arith(BinOp op, const Value& l, const Value& r) {
 // level's combined row.
 using ColRef = ResolvedCol;
 
-// SQL-dialect resolution mirrors qgm::Builder::ResolveColumn: qualified
-// references match entry aliases (anonymous entries discriminate by their
-// columns' own qualifiers), unqualified references must be unique across and
-// within entries, and unresolved names fall through to the parent scope.
-// Restricted-dialect resolution mirrors co::RowEvaluator::ResolveColumn:
-// first alias-matching binding wins (its internal resolution errors
-// propagate), and there is no parent traversal.
+// Resolution mirrors qgm::Builder::ResolveColumn: qualified references
+// match entry aliases (anonymous entries discriminate by their columns' own
+// qualifiers), unqualified references must be unique across and within
+// entries, and unresolved names fall through to the parent scope.
 Result<ColRef> ResolveRef(const Scope& scope, const std::string& table,
-                          const std::string& column, Dialect dialect) {
+                          const std::string& column) {
   std::string tbl = ToLower(table);
   std::string col = ToLower(column);
-
-  if (dialect == Dialect::kRestricted) {
-    const Entry* found = nullptr;
-    size_t index = 0;
-    for (const Entry& entry : *scope.entries) {
-      if (!tbl.empty()) {
-        if (entry.alias != tbl) continue;
-        XNF_ASSIGN_OR_RETURN(size_t i, entry.schema.Resolve("", col));
-        return ColRef{&scope, entry.offset + i,
-                      entry.schema.column(i).type};
-      }
-      auto i = entry.schema.Find(col);
-      if (!i.has_value()) continue;
-      if (found != nullptr) {
-        return Status::InvalidArgument("ambiguous column '" + column + "'");
-      }
-      found = &entry;
-      index = *i;
-    }
-    if (found == nullptr) {
-      return Status::NotFound(
-          "column '" + (table.empty() ? column : table + "." + column) +
-          "' not found");
-    }
-    return ColRef{&scope, found->offset + index,
-                  found->schema.column(index).type};
-  }
 
   const Scope* level = &scope;
   while (level != nullptr) {
@@ -233,7 +199,7 @@ Result<Value> EvalAggregate(State* st, const Expr& e, const GroupCtx& group) {
     row_scope.row = r;
     row_scope.parent = group.scope->parent;
     XNF_ASSIGN_OR_RETURN(
-        Value v, Eval(st, *e.args[0], row_scope, Dialect::kSql, nullptr));
+        Value v, Eval(st, *e.args[0], row_scope, nullptr));
     if (!v.is_null()) vals.push_back(std::move(v));
   }
   if (e.distinct_arg) {
@@ -335,7 +301,7 @@ Result<Type> CheckExpr(State* st, const Expr& e, const Scope& scope,
       return e.literal.type();
     case K::kColumnRef: {
       XNF_ASSIGN_OR_RETURN(
-          ColRef c, ResolveRef(scope, e.table, e.column, Dialect::kSql));
+          ColRef c, ResolveRef(scope, e.table, e.column));
       return c.type;
     }
     case K::kStar:
@@ -476,9 +442,6 @@ Result<Type> CheckExpr(State* st, const Expr& e, const Scope& scope,
     case K::kInSubquery:
     case K::kExistsSubquery:
     case K::kScalarSubquery: {
-      if (!opts.allow_subqueries) {
-        return Status::NotSupported("subqueries are not supported here");
-      }
       if (e.kind == K::kInSubquery) {
         XNF_RETURN_IF_ERROR(CheckExpr(st, *e.args[0], scope, opts).status());
       }
@@ -518,21 +481,38 @@ Result<Type> CheckExpr(State* st, const Expr& e, const Scope& scope,
   return Status::Internal("unhandled expression kind in CheckExpr");
 }
 
+Result<Type> CheckScalar(State* st, const Expr& e, const Scope& scope,
+                         bool allow_params) {
+  std::function<Status(const Expr&)> admit = [&](const Expr& x) -> Status {
+    if (x.subquery != nullptr) {
+      return Status::NotSupported("subqueries are not supported here");
+    }
+    if (x.kind == K::kParam && !allow_params) {
+      return Status::NotSupported("parameters are not supported here");
+    }
+    for (const sql::ExprPtr& a : x.args) {
+      if (a) XNF_RETURN_IF_ERROR(admit(*a));
+    }
+    return Status::Ok();
+  };
+  XNF_RETURN_IF_ERROR(admit(e));
+  return CheckExpr(st, e, scope, CheckOpts());
+}
+
 Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
-                   Dialect dialect, const GroupCtx* group) {
-  bool restricted = dialect == Dialect::kRestricted;
+                   const GroupCtx* group) {
   switch (e.kind) {
     case K::kLiteral:
       return e.literal;
     case K::kColumnRef: {
       XNF_ASSIGN_OR_RETURN(
-          ColRef c, ResolveRef(scope, e.table, e.column, dialect));
+          ColRef c, ResolveRef(scope, e.table, e.column));
       return (*c.level->row)[c.offset];
     }
     case K::kBinary: {
       if (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr) {
         XNF_ASSIGN_OR_RETURN(Value lv,
-                             Eval(st, *e.args[0], scope, dialect, group));
+                             Eval(st, *e.args[0], scope, group));
         XNF_ASSIGN_OR_RETURN(Tribool l, ToTribool(lv));
         if (e.bin_op == BinOp::kAnd && l == Tribool::kFalse) {
           return Value::Bool(false);
@@ -541,7 +521,7 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
           return Value::Bool(true);
         }
         XNF_ASSIGN_OR_RETURN(Value rv,
-                             Eval(st, *e.args[1], scope, dialect, group));
+                             Eval(st, *e.args[1], scope, group));
         XNF_ASSIGN_OR_RETURN(Tribool r, ToTribool(rv));
         if (e.bin_op == BinOp::kAnd) {
           if (l == Tribool::kTrue && r == Tribool::kTrue) {
@@ -556,10 +536,8 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
         if (r == Tribool::kTrue) return Value::Bool(true);
         return Value::Null();
       }
-      XNF_ASSIGN_OR_RETURN(Value l, Eval(st, *e.args[0], scope, dialect,
-                                         group));
-      XNF_ASSIGN_OR_RETURN(Value r, Eval(st, *e.args[1], scope, dialect,
-                                         group));
+      XNF_ASSIGN_OR_RETURN(Value l, Eval(st, *e.args[0], scope, group));
+      XNF_ASSIGN_OR_RETURN(Value r, Eval(st, *e.args[1], scope, group));
       switch (e.bin_op) {
         case BinOp::kEq:
         case BinOp::kNe:
@@ -579,8 +557,7 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
       }
     }
     case K::kUnary: {
-      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, dialect,
-                                         group));
+      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, group));
       if (e.un_op == sql::UnOp::kNot) {
         XNF_ASSIGN_OR_RETURN(Tribool t, ToTribool(v));
         return TriboolToValue(Not3(t));
@@ -591,16 +568,13 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
       return Status::InvalidArgument("unary '-' on non-numeric value");
     }
     case K::kIsNull: {
-      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, dialect,
-                                         group));
+      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, group));
       bool is_null = v.is_null();
       return Value::Bool(e.negated ? !is_null : is_null);
     }
     case K::kLike: {
-      XNF_ASSIGN_OR_RETURN(Value text, Eval(st, *e.args[0], scope, dialect,
-                                            group));
-      XNF_ASSIGN_OR_RETURN(Value pattern, Eval(st, *e.args[1], scope,
-                                               dialect, group));
+      XNF_ASSIGN_OR_RETURN(Value text, Eval(st, *e.args[0], scope, group));
+      XNF_ASSIGN_OR_RETURN(Value pattern, Eval(st, *e.args[1], scope, group));
       if (text.is_null() || pattern.is_null()) return Value::Null();
       if (!text.is_string() || !pattern.is_string()) {
         return Status::InvalidArgument("LIKE requires strings");
@@ -609,12 +583,9 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
       return Value::Bool(e.negated ? !m : m);
     }
     case K::kBetween: {
-      XNF_ASSIGN_OR_RETURN(Value a, Eval(st, *e.args[0], scope, dialect,
-                                         group));
-      XNF_ASSIGN_OR_RETURN(Value lo, Eval(st, *e.args[1], scope, dialect,
-                                          group));
-      XNF_ASSIGN_OR_RETURN(Value hi, Eval(st, *e.args[2], scope, dialect,
-                                          group));
+      XNF_ASSIGN_OR_RETURN(Value a, Eval(st, *e.args[0], scope, group));
+      XNF_ASSIGN_OR_RETURN(Value lo, Eval(st, *e.args[1], scope, group));
+      XNF_ASSIGN_OR_RETURN(Value hi, Eval(st, *e.args[2], scope, group));
       Tribool ge = Not3(a.CompareLt(lo));
       Tribool le = Not3(hi.CompareLt(a));
       Tribool both = (ge == Tribool::kTrue && le == Tribool::kTrue)
@@ -626,12 +597,10 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
       return TriboolToValue(both);
     }
     case K::kInList: {
-      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, dialect,
-                                         group));
+      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, group));
       Tribool acc = Tribool::kFalse;
       for (size_t i = 1; i < e.args.size(); ++i) {
-        XNF_ASSIGN_OR_RETURN(Value item, Eval(st, *e.args[i], scope, dialect,
-                                              group));
+        XNF_ASSIGN_OR_RETURN(Value item, Eval(st, *e.args[i], scope, group));
         Tribool eq = v.CompareEq(item);
         if (eq == Tribool::kTrue) {
           acc = Tribool::kTrue;
@@ -647,22 +616,22 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
       bool has_else = n % 2 == 1;
       size_t pairs = n / 2;
       for (size_t i = 0; i < pairs; ++i) {
-        XNF_ASSIGN_OR_RETURN(Value cond, Eval(st, *e.args[2 * i], scope,
-                                              dialect, group));
+        XNF_ASSIGN_OR_RETURN(Value cond,
+                             Eval(st, *e.args[2 * i], scope, group));
         Tribool t = cond.is_null()
                         ? Tribool::kUnknown
                         : (cond.is_bool() && cond.AsBool() ? Tribool::kTrue
                                                            : Tribool::kFalse);
         if (t == Tribool::kTrue) {
-          return Eval(st, *e.args[2 * i + 1], scope, dialect, group);
+          return Eval(st, *e.args[2 * i + 1], scope, group);
         }
       }
-      if (has_else) return Eval(st, *e.args[n - 1], scope, dialect, group);
+      if (has_else) return Eval(st, *e.args[n - 1], scope, group);
       return Value::Null();
     }
     case K::kFuncCall: {
       std::string name = ToLower(e.column);
-      if (!restricted && IsAggName(name)) {
+      if (IsAggName(name)) {
         if (group == nullptr) {
           return Status::InvalidArgument("aggregate '" + e.column +
                                          "' is not allowed here");
@@ -672,49 +641,10 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
       std::vector<Value> args;
       args.reserve(e.args.size());
       for (const sql::ExprPtr& a : e.args) {
-        XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *a, scope, dialect, group));
+        XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *a, scope, group));
         args.push_back(std::move(v));
       }
-      if (restricted) {
-        // scalar_eval.cc: NULL-strict before dispatch, tiny function set.
-        for (const Value& a : args) {
-          if (a.is_null()) return Value::Null();
-        }
-        if (name == "abs") {
-          if (args.size() != 1) {
-            return Status::InvalidArgument("abs takes one argument");
-          }
-          if (args[0].is_int()) return Value::Int(std::llabs(args[0].AsInt()));
-          if (args[0].is_double()) {
-            return Value::Double(std::fabs(args[0].AsDouble()));
-          }
-          return Status::InvalidArgument("abs on non-numeric value");
-        }
-        if (name == "lower" && args.size() == 1 && args[0].is_string()) {
-          return Value::String(ToLower(args[0].AsString()));
-        }
-        if (name == "upper" && args.size() == 1 && args[0].is_string()) {
-          std::string s = args[0].AsString();
-          for (char& c : s) {
-            c = static_cast<char>(
-                std::toupper(static_cast<unsigned char>(c)));
-          }
-          return Value::String(std::move(s));
-        }
-        if (name == "length" && args.size() == 1 && args[0].is_string()) {
-          return Value::Int(static_cast<int64_t>(args[0].AsString().size()));
-        }
-        if (name == "mod" && args.size() == 2) {
-          if (!args[0].is_int() || !args[1].is_int() ||
-              args[1].AsInt() == 0) {
-            return Status::InvalidArgument("invalid MOD operands");
-          }
-          return Value::Int(args[0].AsInt() % args[1].AsInt());
-        }
-        return Status::NotSupported("function '" + name +
-                                    "' is not supported in this context");
-      }
-      // SQL dialect (exec/eval.cc ApplyFunction).
+      // exec/eval.cc ApplyFunction.
       if (name == "coalesce") {
         for (Value& a : args) {
           if (!a.is_null()) return std::move(a);
@@ -785,11 +715,6 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
     case K::kInSubquery:
     case K::kExistsSubquery:
     case K::kScalarSubquery: {
-      if (restricted) {
-        return Status::NotSupported(
-            "SQL subqueries and parameters are not supported in SUCH THAT "
-            "predicates");
-      }
       XNF_ASSIGN_OR_RETURN(SelectOut sub, EvalSelect(st, *e.subquery,
                                                      &scope));
       if (e.kind == K::kExistsSubquery) {
@@ -804,8 +729,7 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
         }
         return sub.rows[0][0];
       }
-      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, dialect,
-                                         group));
+      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *e.args[0], scope, group));
       Tribool acc = Tribool::kFalse;
       for (const Row& r : sub.rows) {
         Tribool eq = v.CompareEq(r[0]);
@@ -820,11 +744,6 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
     }
     case K::kStar:
     case K::kParam:
-      if (restricted) {
-        return Status::NotSupported(
-            "SQL subqueries and parameters are not supported in SUCH THAT "
-            "predicates");
-      }
       return Status::InvalidArgument(
           e.kind == K::kStar ? "'*' is only valid inside COUNT(*)"
                              : "unbound statement parameter");
@@ -837,8 +756,8 @@ Result<Value> Eval(State* st, const Expr& e, const Scope& scope,
 }
 
 Result<bool> EvalPred(State* st, const Expr& e, const Scope& scope,
-                      Dialect dialect, const GroupCtx* group) {
-  XNF_ASSIGN_OR_RETURN(Value v, Eval(st, e, scope, dialect, group));
+                      const GroupCtx* group) {
+  XNF_ASSIGN_OR_RETURN(Value v, Eval(st, e, scope, group));
   if (v.is_null()) return false;
   if (!v.is_bool()) {
     return Status::InvalidArgument("predicate did not evaluate to a boolean");
@@ -847,9 +766,8 @@ Result<bool> EvalPred(State* st, const Expr& e, const Scope& scope,
 }
 
 Result<ResolvedCol> ResolveColumn(const Scope& scope, const std::string& table,
-                                  const std::string& column,
-                                  Dialect dialect) {
-  return ResolveRef(scope, table, column, dialect);
+                                  const std::string& column) {
+  return ResolveRef(scope, table, column);
 }
 
 }  // namespace xnf::testing::refi

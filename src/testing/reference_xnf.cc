@@ -339,10 +339,8 @@ Result<RefNode> MaterializeRefNode(State* st, const RNodeDef& def) {
     if (simple.predicate != nullptr) {
       Scope check_scope;
       check_scope.entries = &entries;
-      CheckOpts opts;
-      opts.allow_subqueries = false;
       XNF_RETURN_IF_ERROR(
-          CheckExpr(st, *simple.predicate, check_scope, opts).status());
+          CheckScalar(st, *simple.predicate, check_scope, true).status());
     }
     if (simple.select_star) {
       for (size_t i = 0; i < table.schema.size(); ++i) {
@@ -370,7 +368,7 @@ Result<RefNode> MaterializeRefNode(State* st, const RNodeDef& def) {
       if (simple.predicate != nullptr) {
         scope.row = &row;
         XNF_ASSIGN_OR_RETURN(bool keep, EvalPred(st, *simple.predicate, scope,
-                                                 Dialect::kSql, nullptr));
+                                                 nullptr));
         if (!keep) continue;
       }
       Row out;
@@ -591,14 +589,14 @@ Result<RefRel> MaterializeRefRel(State* st, const RRelDef& def,
         combined.insert(combined.end(), l.begin(), l.end());
         scope.row = &combined;
         XNF_ASSIGN_OR_RETURN(bool keep, EvalPred(st, *def.predicate, scope,
-                                                 Dialect::kSql, nullptr));
+                                                 nullptr));
         if (!keep) continue;
         RefConn conn;
         conn.parent = static_cast<int>(p);
         conn.child = static_cast<int>(c);
         for (const auto& [expr, name] : def.attributes) {
           XNF_ASSIGN_OR_RETURN(
-              Value v, Eval(st, *expr, scope, Dialect::kSql, nullptr));
+              Value v, Eval(st, *expr, scope, nullptr));
           conn.attrs.push_back(std::move(v));
         }
         rel.conns.push_back(std::move(conn));
@@ -703,11 +701,12 @@ Status ApplyRefRestrictions(State* st,
       entries.push_back(Entry{corr, node.schema, 0});
       Scope scope;
       scope.entries = &entries;
+      XNF_RETURN_IF_ERROR(
+          CheckScalar(st, *restriction.predicate, scope, false).status());
       for (size_t t = 0; t < node.tuples.size(); ++t) {
         scope.row = &node.tuples[t];
         XNF_ASSIGN_OR_RETURN(
-            bool ok, EvalPred(st, *restriction.predicate, scope,
-                              Dialect::kRestricted, nullptr));
+            bool ok, EvalPred(st, *restriction.predicate, scope, nullptr));
         if (!ok) keep[n][t] = 0;
       }
     } else {
@@ -726,6 +725,8 @@ Status ApplyRefRestrictions(State* st,
                               parent.schema.size()});
       Scope scope;
       scope.entries = &entries;
+      XNF_RETURN_IF_ERROR(
+          CheckScalar(st, *restriction.predicate, scope, false).status());
       for (size_t c = 0; c < rel.conns.size(); ++c) {
         const RefConn& conn = rel.conns[c];
         Row combined = parent.tuples[conn.parent];
@@ -733,8 +734,7 @@ Status ApplyRefRestrictions(State* st,
                         child.tuples[conn.child].end());
         scope.row = &combined;
         XNF_ASSIGN_OR_RETURN(
-            bool ok, EvalPred(st, *restriction.predicate, scope,
-                              Dialect::kRestricted, nullptr));
+            bool ok, EvalPred(st, *restriction.predicate, scope, nullptr));
         if (!ok) keep_conn[r][c] = 0;
       }
     }
@@ -913,27 +913,30 @@ Result<RefOutcome> ExecCoUpdate(State* st, const XnfQuery& query,
   }
   const RefNode& node = co.nodes[n];
 
-  // Assignment expressions are evaluated against the pre-update instance
-  // (restricted dialect, the correlation being the component name).
+  // Assignment expressions are checked statically (the correlation being
+  // the component name), then evaluated against the pre-update instance.
   std::vector<Entry> entries;
-  entries.push_back(Entry{node.name, node.schema, 0});
+  entries.push_back(Entry{ToLower(node.name), node.schema, 0});
   Scope scope;
   scope.entries = &entries;
+  for (const auto& [col, expr] : query.assignments) {
+    XNF_RETURN_IF_ERROR(CheckScalar(st, *expr, scope, false).status());
+  }
   std::vector<std::vector<Value>> planned(node.tuples.size());
   for (size_t t = 0; t < node.tuples.size(); ++t) {
     scope.row = &node.tuples[t];
     for (const auto& [col, expr] : query.assignments) {
-      XNF_ASSIGN_OR_RETURN(
-          Value v, Eval(st, *expr, scope, Dialect::kRestricted, nullptr));
+      XNF_ASSIGN_OR_RETURN(Value v, Eval(st, *expr, scope, nullptr));
       planned[t].push_back(std::move(v));
     }
   }
 
   // Write-through, statement-atomically: stage the base table and commit
   // only if every per-tuple, per-assignment application succeeds. Per-call
-  // checks mirror Manipulator::UpdateColumn, so a bad assignment over an
-  // empty component succeeds with zero tuples affected — exactly like the
-  // engine, whose manipulator never runs.
+  // checks mirror Manipulator::UpdateColumn, so assigning an unknown or
+  // relationship-defining column of an empty component succeeds with zero
+  // tuples affected — exactly like the engine, whose manipulator never runs.
+  // An ill-typed assignment expression fails even then (checked above).
   RefTable* table = nullptr;
   std::vector<Row> staged;
   if (!node.base_table.empty()) {

@@ -5,8 +5,9 @@
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
+#include "exec/eval.h"
+#include "plan/planner.h"
 #include "sql/parser.h"
-#include "xnf/scalar_eval.h"
 
 namespace xnf::co {
 
@@ -418,10 +419,14 @@ Status DependentCursor::Resolve() {
             "' does not match current position '" +
             cache->node(current_node).name + "'");
       }
-      step.node = n;
-      step.predicate = path_step.predicate.get();
-      step.corr = path_step.corr.empty() ? cache->node(n).name
-                                         : ToLower(path_step.corr);
+      if (path_step.predicate != nullptr) {
+        qgm::ScalarScope scope;
+        scope.sources.push_back(
+            {path_step.corr.empty() ? cache->node(n).name : path_step.corr,
+             &cache->node(n).schema});
+        XNF_ASSIGN_OR_RETURN(step.predicate,
+                             plan::CompileScalar(*path_step.predicate, scope));
+      }
     }
     steps_.push_back(std::move(step));
   }
@@ -435,7 +440,6 @@ Status DependentCursor::Rebind() {
   current_ = nullptr;
   CoCache::Tuple* start = parent_->tuple();
   if (start == nullptr) return NotPositioned();
-  CoCache* cache = parent_->cache();
   reachable_.push_back(start);
 
   for (const Step& step : steps_) {
@@ -459,18 +463,22 @@ Status DependentCursor::Rebind() {
       continue;
     }
     if (step.predicate == nullptr) continue;
-    const CoCache::Node& node = cache->node(step.node);
-    RowEvaluator eval({RowEvaluator::Binding{step.corr, &node.schema,
-                                             nullptr}});
+    rows_.clear();
+    rows_.reserve(reachable_.size());
+    for (const CoCache::Tuple* t : reachable_) rows_.push_back(&t->values);
+    keep_.assign(rows_.size(), 1);
+    exec::ExecContext exec_ctx;
+    exec::EvalContext ctx;
+    ctx.exec = &exec_ctx;
+    Status filtered =
+        exec::EvalPredicateBatch(*step.predicate, rows_, &ctx, &keep_);
+    if (!filtered.ok()) {
+      reachable_.clear();
+      return filtered;
+    }
     size_t kept = 0;
-    for (CoCache::Tuple* t : reachable_) {
-      eval.set_row(0, &t->values);
-      Result<bool> keep = eval.EvalPredicate(*step.predicate);
-      if (!keep.ok()) {
-        reachable_.clear();
-        return keep.status();
-      }
-      if (*keep) reachable_[kept++] = t;
+    for (size_t i = 0; i < reachable_.size(); ++i) {
+      if (keep_[i]) reachable_[kept++] = reachable_[i];
     }
     reachable_.resize(kept);
   }

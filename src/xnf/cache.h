@@ -10,6 +10,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "qgm/expr.h"
 #include "sql/ast.h"
 #include "xnf/instance.h"
 
@@ -273,17 +274,18 @@ class DependentCursor {
   struct Step {
     int rel = -1;         // relationship crossed; -1 for a node step
     bool forward = true;  // relationship steps: parent -> child
-    int node = -1;        // node steps: the component the step names
-    std::string corr;     // node steps: correlation name of the predicate
-    const sql::Expr* predicate = nullptr;  // node steps; null = no filter
+    // Node steps: the predicate compiled over the node's tuple; null = no
+    // filter.
+    qgm::ExprPtr predicate;
   };
 
   DependentCursor(Cursor* parent, sql::PathExpr path)
       : parent_(parent), path_(std::move(path)) {}
 
   // Resolves every path step to a relationship (and direction) or node
-  // index: kNotFound for an unknown name, kInvalidArgument for a step that
-  // does not start at the current position.
+  // index, and compiles the step predicates: kNotFound for an unknown name,
+  // kInvalidArgument for a step that does not start at the current
+  // position, or the predicate's compile error.
   Status Resolve();
 
   Cursor* parent_;
@@ -313,6 +315,8 @@ class DependentCursor {
 
   // Rebind scratch, kept to reuse its storage across rebinds.
   std::vector<CoCache::Tuple*> next_;
+  std::vector<const Row*> rows_;  // a qualified step's candidate values
+  std::vector<char> keep_;
   SeenSet seen_;
   size_t pos_ = 0;
   CoCache::Tuple* current_ = nullptr;

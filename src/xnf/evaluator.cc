@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <functional>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -42,32 +43,24 @@ void SplitConjuncts(const sql::Expr* e, std::vector<const sql::Expr*>* out) {
   out->push_back(e);
 }
 
-bool ExprContainsPath(const sql::Expr& e) {
-  if (e.kind == sql::Expr::Kind::kPath ||
-      e.kind == sql::Expr::Kind::kExistsPath) {
-    return true;
-  }
+// True if the expression contains a subquery or an XNF path expression.
+bool ExprHasSubqueryOrPath(const sql::Expr& e) {
+  if (e.subquery != nullptr || e.path != nullptr) return true;
   for (const sql::ExprPtr& a : e.args) {
-    if (a && ExprContainsPath(*a)) return true;
+    if (a && ExprHasSubqueryOrPath(*a)) return true;
   }
-  if (e.subquery) return false;  // paths cannot appear inside SQL subqueries
   return false;
 }
 
-bool ExprContainsSubqueryOrAgg(const sql::Expr& e) {
-  using K = sql::Expr::Kind;
-  if (e.kind == K::kInSubquery || e.kind == K::kExistsSubquery ||
-      e.kind == K::kScalarSubquery) {
-    return true;
-  }
-  if (e.kind == K::kFuncCall) {
+bool ExprContainsAgg(const sql::Expr& e) {
+  if (e.kind == sql::Expr::Kind::kFuncCall) {
     std::string n = ToLower(e.column);
     if (n == "count" || n == "sum" || n == "avg" || n == "min" || n == "max") {
       return true;
     }
   }
   for (const sql::ExprPtr& a : e.args) {
-    if (a && ExprContainsSubqueryOrAgg(*a)) return true;
+    if (a && ExprContainsAgg(*a)) return true;
   }
   return false;
 }
@@ -105,7 +98,7 @@ SimpleNodeInfo AnalyzeSimpleNode(const CoNodeDef& def,
   if (from.kind != sql::TableRef::Kind::kNamed) return info;
   if (catalog.GetTable(from.name) == nullptr) return info;  // view: not simple
   if (q.where != nullptr &&
-      (ExprContainsSubqueryOrAgg(*q.where) || ExprContainsPath(*q.where))) {
+      (ExprHasSubqueryOrPath(*q.where) || ExprContainsAgg(*q.where))) {
     return info;
   }
   for (const sql::SelectItem& item : q.items) {
@@ -125,17 +118,6 @@ SimpleNodeInfo AnalyzeSimpleNode(const CoNodeDef& def,
   info.alias = from.alias.empty() ? ToLower(from.name) : ToLower(from.alias);
   info.predicate = q.where.get();
   return info;
-}
-
-// True if the expression contains a subquery or an XNF path expression:
-// either can read columns the plain column-reference walk cannot see, so
-// TAKE pruning must give up on the affected nodes.
-bool ExprHasSubqueryOrPath(const sql::Expr& e) {
-  if (e.subquery != nullptr || e.path != nullptr) return true;
-  for (const sql::ExprPtr& a : e.args) {
-    if (a && ExprHasSubqueryOrPath(*a)) return true;
-  }
-  return false;
 }
 
 // Marks every input slot a compiled predicate reads (the residual check in
@@ -382,15 +364,11 @@ void Evaluator::CompileNode(
     node->base_table = simple.base_table;
     // The predicate, compiled over the base schema.
     if (simple.predicate != nullptr) {
-      qgm::Builder builder(catalog_);
-      Result<qgm::ExprPtr> built =
-          builder.BuildScalar(*simple.predicate, table->schema, simple.alias);
-      if (!built.ok()) {
-        node->error = built.status();
-        return;
-      }
-      std::vector<size_t> offsets = {0};
-      Result<qgm::ExprPtr> compiled = plan::CompileExpr(**built, offsets);
+      qgm::ScalarScope scope;
+      scope.sources.push_back({simple.alias, &table->schema});
+      scope.allow_params = true;
+      Result<qgm::ExprPtr> compiled =
+          plan::CompileScalar(*simple.predicate, scope);
       if (!compiled.ok()) {
         node->error = compiled.status();
         return;
@@ -657,12 +635,37 @@ void Evaluator::CompileRestrictionsAndTake(CoPlan* plan) {
     const bool node = r.kind == Restriction::Kind::kNode;
     const int target = node ? def.NodeIndex(r.target) : def.RelIndex(r.target);
     plan->restriction_targets.push_back(target);
-    plan->restriction_errors.push_back(
-        target >= 0 ? Status::Ok()
-        : node ? Status::NotFound("restricted component table '" + r.target +
-                                  "' not found")
-               : Status::NotFound("restricted relationship '" + r.target +
-                                  "' not found"));
+    Result<qgm::ExprPtr> compiled = [&]() -> Result<qgm::ExprPtr> {
+      if (target < 0) {
+        return Status::NotFound(
+            (node ? "restricted component table '"
+                  : "restricted relationship '") +
+            r.target + "' not found");
+      }
+      qgm::ScalarScope scope;
+      scope.allow_paths = true;
+      if (node) {
+        scope.sources.push_back({r.corr.empty() ? def.nodes[target].name
+                                                : r.corr,
+                                 &plan->nodes[target].schema});
+      } else {
+        const CoRelDef& rel = def.rels[target];
+        for (const auto& [corr, name] :
+             {std::pair{&r.parent_corr, &rel.parent},
+              std::pair{&r.child_corr, &rel.child}}) {
+          int n = def.NodeIndex(*name);
+          if (n < 0) {
+            return Status::Internal("missing node definition for '" + *name +
+                                    "'");
+          }
+          scope.sources.push_back({*corr, &plan->nodes[n].schema});
+        }
+      }
+      return plan::CompileScalar(*r.predicate, scope);
+    }();
+    plan->restriction_errors.push_back(compiled.status());
+    plan->restrictions.push_back(compiled.ok() ? std::move(compiled).value()
+                                               : nullptr);
   }
 
   if (query.take_all) return;
@@ -1294,6 +1297,8 @@ Status Evaluator::ApplyRestrictions(const CoPlan& plan, CoInstance* instance) {
   const std::vector<Restriction>& restrictions = plan.query->restrictions;
   if (restrictions.empty()) return Status::Ok();
   InstanceEvaluator eval(instance);
+  exec::ExecContext exec_ctx;
+  exec_ctx.catalog = catalog_;
 
   // All restrictions are evaluated simultaneously against the input
   // instance, then the pruned instance is re-checked for reachability.
@@ -1309,27 +1314,47 @@ Status Evaluator::ApplyRestrictions(const CoPlan& plan, CoInstance* instance) {
   for (size_t i = 0; i < restrictions.size(); ++i) {
     const Restriction& restriction = restrictions[i];
     XNF_RETURN_IF_ERROR(plan.restriction_errors[i]);
+    const qgm::Expr& pred = *plan.restrictions[i];
+    exec::EvalContext ctx;
+    ctx.exec = &exec_ctx;
     if (restriction.kind == Restriction::Kind::kNode) {
       const int n = plan.restriction_targets[i];
-      std::string corr = restriction.corr.empty() ? instance->nodes[n].name
-                                                  : restriction.corr;
-      for (size_t t = 0; t < instance->nodes[n].tuples.size(); ++t) {
-        std::vector<InstanceEvaluator::Binding> bindings = {
-            {corr, n, static_cast<int>(t)}};
-        XNF_ASSIGN_OR_RETURN(
-            bool ok, eval.EvalPredicate(*restriction.predicate, bindings));
+      std::string corr = ToLower(restriction.corr.empty()
+                                     ? instance->nodes[n].name
+                                     : restriction.corr);
+      std::vector<int> tuples(instance->nodes[n].tuples.size());
+      std::iota(tuples.begin(), tuples.end(), 0);
+      XNF_ASSIGN_OR_RETURN(std::vector<Value> values,
+                           eval.EvalOnTuples(pred, tuples, {{corr, n, -1}},
+                                             &ctx));
+      for (size_t t = 0; t < values.size(); ++t) {
+        XNF_ASSIGN_OR_RETURN(bool ok, exec::PredicateOutcome(values[t]));
         if (!ok) keep[n][t] = 0;
       }
     } else {
+      // One connection at a time, over the parent tuple followed by the
+      // child tuple in a reused scratch row.
       const int r = plan.restriction_targets[i];
       const CoRelInstance& rel = instance->rels[r];
+      const std::vector<Row>& parents = instance->nodes[rel.parent_node].tuples;
+      const std::vector<Row>& children = instance->nodes[rel.child_node].tuples;
+      std::vector<InstanceEvaluator::Binding> bindings = {
+          {ToLower(restriction.parent_corr), rel.parent_node, -1},
+          {ToLower(restriction.child_corr), rel.child_node, -1}};
+      exec::PathHook hook = [&](const qgm::Expr& term) {
+        return eval.EvalPathTerm(term, bindings);
+      };
+      Row scratch;
+      ctx.row = &scratch;
+      ctx.path_hook = &hook;
       for (size_t c = 0; c < rel.connections.size(); ++c) {
         const CoConnection& conn = rel.connections[c];
-        std::vector<InstanceEvaluator::Binding> bindings = {
-            {restriction.parent_corr, rel.parent_node, conn.parent},
-            {restriction.child_corr, rel.child_node, conn.child}};
-        XNF_ASSIGN_OR_RETURN(
-            bool ok, eval.EvalPredicate(*restriction.predicate, bindings));
+        scratch = parents[conn.parent];
+        scratch.insert(scratch.end(), children[conn.child].begin(),
+                       children[conn.child].end());
+        bindings[0].tuple = conn.parent;
+        bindings[1].tuple = conn.child;
+        XNF_ASSIGN_OR_RETURN(bool ok, exec::EvalPredicate(pred, &ctx));
         if (!ok) keep_conn[r][c] = 0;
       }
     }

@@ -97,9 +97,12 @@ struct CoPlan {
   std::vector<Rel> rels;
   std::vector<Temp> temps;
   Status temps_error = Status::Ok();
-  // Per restriction: the node / relationship index it targets, or the
-  // not-found error it reports.
+  // Per restriction: the node / relationship index it targets, and its
+  // predicate compiled over the node's tuple (a relationship's: the parent
+  // tuple, then the child tuple) or the error that target lookup or
+  // compiling reported.
   std::vector<int> restriction_targets;
+  std::vector<qgm::ExprPtr> restrictions;
   std::vector<Status> restriction_errors;
   // TAKE: surviving components and, per kept node with a column list, the
   // projected column indices. `take_error` is the first failure ApplyTake

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/str_util.h"
+#include "plan/planner.h"
 
 namespace xnf::co {
 
@@ -85,13 +86,29 @@ Result<InstanceEvaluator::PathResult> InstanceEvaluator::EvalPath(
       }
       if (step.predicate) {
         std::string corr = step.corr.empty() ? name : ToLower(step.corr);
+        XNF_ASSIGN_OR_RETURN(const StepPlan* plan,
+                             CompileStep(step, corr, current_node, bindings));
+        std::vector<Value> params;
+        params.reserve(plan->params.size());
+        for (const auto& [b, column] : plan->params) {
+          const Binding& outer = bindings[b];
+          params.push_back(instance_->nodes[outer.node].tuples[outer.tuple]
+                                                              [column]);
+        }
+        exec::ExecContext exec_ctx;
+        exec_ctx.params = &params;
+        exec::EvalContext ctx;
+        ctx.exec = &exec_ctx;
+        std::vector<int> candidates(current.begin(), current.end());
+        std::vector<Binding> inner = bindings;
+        inner.push_back(Binding{corr, current_node, -1});
+        XNF_ASSIGN_OR_RETURN(
+            std::vector<Value> keep,
+            EvalOnTuples(*plan->predicate, candidates, std::move(inner), &ctx));
         std::set<int> filtered;
-        for (int t : current) {
-          std::vector<Binding> inner = bindings;
-          inner.push_back(Binding{corr, current_node, t});
-          XNF_ASSIGN_OR_RETURN(bool keep,
-                               EvalPredicate(*step.predicate, inner));
-          if (keep) filtered.insert(t);
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          XNF_ASSIGN_OR_RETURN(bool ok, exec::PredicateOutcome(keep[i]));
+          if (ok) filtered.insert(candidates[i]);
         }
         current = std::move(filtered);
       }
@@ -108,46 +125,75 @@ Result<InstanceEvaluator::PathResult> InstanceEvaluator::EvalPath(
   return out;
 }
 
-Result<bool> InstanceEvaluator::EvalPredicate(
-    const sql::Expr& expr, const std::vector<Binding>& bindings) const {
-  XNF_ASSIGN_OR_RETURN(Value v, Eval(expr, bindings));
-  if (v.is_null()) return false;
-  if (!v.is_bool()) {
-    return Status::InvalidArgument(
-        "SUCH THAT predicate did not evaluate to a boolean");
+Result<const InstanceEvaluator::StepPlan*> InstanceEvaluator::CompileStep(
+    const sql::PathStep& step, const std::string& corr, int node,
+    const std::vector<Binding>& bindings) const {
+  std::vector<std::pair<std::string, int>> layout;
+  layout.reserve(bindings.size());
+  for (const Binding& b : bindings) layout.emplace_back(b.name, b.node);
+  for (const std::unique_ptr<StepPlan>& plan : steps_) {
+    if (plan->step == &step && plan->layout == layout) {
+      XNF_RETURN_IF_ERROR(plan->error);
+      return plan.get();
+    }
   }
-  return v.AsBool();
+  StepPlan& plan = *steps_.emplace_back(std::make_unique<StepPlan>());
+  plan.step = &step;
+  plan.layout = std::move(layout);
+  qgm::ScalarScope scope;
+  scope.sources.push_back({corr, &instance_->nodes[node].schema});
+  for (const Binding& b : bindings) {
+    scope.outer.push_back({b.name, &instance_->nodes[b.node].schema});
+  }
+  scope.allow_paths = true;
+  std::vector<qgm::ExprPtr> outer_refs;
+  Result<qgm::ExprPtr> compiled =
+      plan::CompileScalar(*step.predicate, scope, &outer_refs);
+  if (!compiled.ok()) {
+    plan.error = compiled.status();
+    return plan.error;
+  }
+  plan.predicate = std::move(compiled).value();
+  for (const qgm::ExprPtr& ref : outer_refs) {
+    plan.params.emplace_back(ref->quantifier, ref->column);
+  }
+  return &plan;
 }
 
-Result<Value> InstanceEvaluator::Eval(
-    const sql::Expr& expr, const std::vector<Binding>& bindings) const {
-  // Scalar evaluation is delegated to RowEvaluator; path nodes come back
-  // through the hook and are resolved against this instance.
-  std::vector<RowEvaluator::Binding> rows;
-  rows.reserve(bindings.size());
-  for (const Binding& b : bindings) {
-    rows.push_back(RowEvaluator::Binding{
-        b.name, &instance_->nodes[b.node].schema,
-        &instance_->nodes[b.node].tuples[b.tuple]});
+Result<Value> InstanceEvaluator::EvalPathTerm(
+    const qgm::Expr& term, const std::vector<Binding>& bindings) const {
+  XNF_ASSIGN_OR_RETURN(PathResult r, EvalPath(*term.path, bindings));
+  if (term.func_name == "count") {
+    return Value::Int(static_cast<int64_t>(r.tuples.size()));
   }
-  RowEvaluator eval(
-      std::move(rows), [this, &bindings](const sql::Expr& e) -> Result<Value> {
-        using K = sql::Expr::Kind;
-        if (e.kind == K::kExistsPath) {
-          XNF_ASSIGN_OR_RETURN(PathResult r, EvalPath(*e.path, bindings));
-          bool exists = !r.tuples.empty();
-          return Value::Bool(e.negated ? !exists : exists);
-        }
-        if (e.kind == K::kFuncCall) {  // COUNT(<path>) — path as table
-          XNF_ASSIGN_OR_RETURN(PathResult r,
-                               EvalPath(*e.args[0]->path, bindings));
-          return Value::Int(static_cast<int64_t>(r.tuples.size()));
-        }
-        return Status::InvalidArgument(
-            "a bare path expression is not a scalar; use COUNT(path) or "
-            "EXISTS path");
-      });
-  return eval.Eval(expr);
+  bool exists = !r.tuples.empty();
+  return Value::Bool(term.negated ? !exists : exists);
+}
+
+Result<std::vector<Value>> InstanceEvaluator::EvalOnTuples(
+    const qgm::Expr& expr, const std::vector<int>& tuples,
+    std::vector<Binding> bindings, exec::EvalContext* ctx) const {
+  const std::vector<Row>& rows = instance_->nodes[bindings.back().node].tuples;
+  if (!qgm::HasPath(expr)) {
+    std::vector<const Row*> batch;
+    batch.reserve(tuples.size());
+    for (int t : tuples) batch.push_back(&rows[t]);
+    return exec::EvalExprBatch(expr, batch, ctx);
+  }
+  exec::PathHook hook = [&](const qgm::Expr& term) {
+    return EvalPathTerm(term, bindings);
+  };
+  exec::EvalContext local = *ctx;
+  local.path_hook = &hook;
+  std::vector<Value> out;
+  out.reserve(tuples.size());
+  for (int t : tuples) {
+    bindings.back().tuple = t;
+    local.row = &rows[t];
+    XNF_ASSIGN_OR_RETURN(Value v, exec::EvalExpr(expr, &local));
+    out.push_back(std::move(v));
+  }
+  return out;
 }
 
 }  // namespace xnf::co
