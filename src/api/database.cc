@@ -954,21 +954,17 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       result.message = cv.is_xnf ? "XNF view created" : "view created";
       return result;
     }
-    case sql::Statement::Kind::kInsert: {
-      exec::DmlExecutor dml(&catalog_);
-      XNF_ASSIGN_OR_RETURN(result.affected, dml.Insert(*stmt.insert));
-      result.kind = ExecResult::Kind::kAffected;
-      return result;
-    }
-    case sql::Statement::Kind::kUpdate: {
-      exec::DmlExecutor dml(&catalog_);
-      XNF_ASSIGN_OR_RETURN(result.affected, dml.Update(*stmt.update));
-      result.kind = ExecResult::Kind::kAffected;
-      return result;
-    }
+    case sql::Statement::Kind::kInsert:
+    case sql::Statement::Kind::kUpdate:
     case sql::Statement::Kind::kDelete: {
       exec::DmlExecutor dml(&catalog_);
-      XNF_ASSIGN_OR_RETURN(result.affected, dml.Delete(*stmt.del));
+      TraceScope span(trace_sink_, "execute");
+      using Kind = sql::Statement::Kind;
+      XNF_ASSIGN_OR_RETURN(
+          result.affected,
+          stmt.kind == Kind::kInsert   ? dml.Insert(*stmt.insert)
+          : stmt.kind == Kind::kUpdate ? dml.Update(*stmt.update)
+                                       : dml.Delete(*stmt.del));
       result.kind = ExecResult::Kind::kAffected;
       return result;
     }

@@ -167,8 +167,8 @@ const std::optional<Row>* TransactionManager::Overlay::Find(Rid rid) const {
 
 namespace {
 
-// Shared merge core: physical rows from `scan` interleaved with overlay
-// entries in [lo, hi) by rid order.
+// Merge core of VisibleScanRange: physical rows from `scan` interleaved
+// with overlay entries in [lo, hi) by rid order.
 Status MergeScan(
     const std::function<Status(const std::function<bool(Rid, const Row&)>&)>&
         scan,
@@ -216,17 +216,6 @@ Status MergeScan(
 }
 
 }  // namespace
-
-Status TransactionManager::VisibleScan(
-    const TableStorage& storage, const Overlay& overlay,
-    const std::function<bool(Rid, const Row&)>& fn) {
-  if (overlay.empty()) return storage.Scan(fn);
-  return MergeScan(
-      [&](const std::function<bool(Rid, const Row&)>& cb) {
-        return storage.Scan(cb);
-      },
-      overlay.entries, 0, overlay.entries.size(), fn);
-}
 
 Status TransactionManager::VisibleScanRange(
     const TableStorage& storage, const Overlay& overlay, uint32_t page_begin,
@@ -316,12 +305,6 @@ TransactionManager::Overlay OverlayFor(const TransactionManager* mgr,
                                        const TableInfo& table) {
   return mgr != nullptr ? mgr->BuildOverlay(table.name)
                         : TransactionManager::Overlay{};
-}
-
-Status ScanVisible(const TransactionManager* mgr, const TableInfo& table,
-                   const std::function<bool(Rid, const Row&)>& fn) {
-  return TransactionManager::VisibleScan(*table.storage,
-                                         OverlayFor(mgr, table), fn);
 }
 
 Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,

@@ -167,17 +167,12 @@ class TransactionManager {
   // physical reads are safe.
   Overlay BuildOverlay(const std::string& table) const;
 
-  // Scan of `table` as visible at the current snapshot: physical rows
-  // merged with `overlay` in rid order (pre-images substituted, invisible
-  // rows skipped, deleted-but-visible rows injected). With an empty
-  // overlay this is exactly storage->Scan.
-  static Status VisibleScan(const TableStorage& storage,
-                            const Overlay& overlay,
-                            const std::function<bool(Rid, const Row&)>& fn);
-
-  // ScanRange equivalent: only overlay entries on pages
-  // [page_begin, page_end) participate. Safe to call concurrently on
-  // disjoint ranges with a shared overlay.
+  // Pages [page_begin, page_end) of `table` as visible at the current
+  // snapshot: physical rows merged with the overlay entries on those pages
+  // in rid order (pre-images substituted, invisible rows skipped,
+  // deleted-but-visible rows injected). With an empty overlay this is
+  // exactly storage.ScanRange. Safe to call concurrently on disjoint
+  // ranges with a shared overlay.
   static Status VisibleScanRange(
       const TableStorage& storage, const Overlay& overlay,
       uint32_t page_begin, uint32_t page_end,
@@ -239,14 +234,13 @@ class TransactionManager {
   Stats stats_;
 };
 
-// Free-standing read helpers for the DML/exec/XNF layers: `table`'s overlay,
-// a scan, a point read and an index equality read, all as visible at the
-// current snapshot. `mgr` may be null — reads are then physical. All take
-// the plain storage path whenever physical reads are exact.
+// Free-standing read helpers for the exec/XNF layers: `table`'s overlay, a
+// point read and an index equality read, all as visible at the current
+// snapshot (scans are exec::FindRows). `mgr` may be null — reads are then
+// physical. All take the plain storage path whenever physical reads are
+// exact.
 TransactionManager::Overlay OverlayFor(const TransactionManager* mgr,
                                        const TableInfo& table);
-Status ScanVisible(const TransactionManager* mgr, const TableInfo& table,
-                   const std::function<bool(Rid, const Row&)>& fn);
 Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,
                         Rid rid);
 
@@ -254,7 +248,7 @@ Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,
 // snapshot whose `index` key equals `key` (index equality; NULL matches
 // nothing): the index hits the overlay does not cover, read through
 // ReadRids, merged with the overlay images whose key equals `key`. Equals
-// ScanVisible filtered by the key, in O(hits + overlay); with an empty
+// a visible scan filtered by the key, in O(hits + overlay); with an empty
 // overlay it is exactly ReadRids(index.Lookup(key)).
 Status LookupVisible(const TableInfo& table, const Index& index,
                      const TransactionManager::Overlay& overlay,

@@ -4,8 +4,8 @@
 #include "common/failpoint.h"
 #include "storage/wal.h"
 #include "common/str_util.h"
+#include "exec/access.h"
 #include "exec/eval.h"
-#include "exec/operators.h"
 #include "plan/planner.h"
 #include "qgm/builder.h"
 #include "qgm/rewrite.h"
@@ -44,6 +44,19 @@ auto AsStatement(Catalog* catalog, Op&& op) -> decltype(op()) {
   }
   XNF_RETURN_IF_ERROR(statement.Commit());
   return result;
+}
+
+// The access path of an UPDATE / DELETE target search: the WHERE's
+// conjuncts through the engine's one chooser.
+Result<TableAccess> TargetAccess(const Catalog& catalog, const TableInfo& table,
+                                 const sql::Expr* where) {
+  std::vector<qgm::ExprPtr> conjuncts;
+  if (where != nullptr) {
+    XNF_ASSIGN_OR_RETURN(qgm::ExprPtr pred, CompileDml(*where, &table));
+    qgm::SplitConjuncts(std::move(pred), &conjuncts);
+  }
+  return ChooseAccess(table, std::move(conjuncts),
+                      catalog.exec_config().use_indexes);
 }
 
 }  // namespace
@@ -353,10 +366,8 @@ Result<int64_t> DmlExecutor::Update(const sql::UpdateStmt& stmt) {
     return Status::NotUpdatable("system view '" + stmt.table +
                                 "' is read-only");
   }
-  qgm::ExprPtr where;
-  if (stmt.where) {
-    XNF_ASSIGN_OR_RETURN(where, CompileDml(*stmt.where, table));
-  }
+  XNF_ASSIGN_OR_RETURN(TableAccess access,
+                       TargetAccess(*catalog_, *table, stmt.where.get()));
   struct Assignment {
     size_t column;
     qgm::ExprPtr expr;
@@ -368,83 +379,49 @@ Result<int64_t> DmlExecutor::Update(const sql::UpdateStmt& stmt) {
     assignments.push_back(Assignment{i, std::move(e)});
   }
 
-  // Phase 1: plan all updates, batch-at-a-time. The WHERE predicate and the
-  // assignment expressions are evaluated column-wise over staged chunks of
-  // the scan; assignments see the original column values.
+  // Phase 1: find the targets as visible at the statement's snapshot — rows
+  // of uncommitted or later-committed transactions are neither matched nor
+  // counted (their rids would fail CheckWrite anyway) — and plan every new
+  // row. The assignments evaluate column-wise over the found rows, so they
+  // see the original column values.
   ExecContext exec_ctx;
   exec_ctx.catalog = catalog_;
-  EvalContext ectx;
-  ectx.exec = &exec_ctx;
-  std::vector<std::pair<Rid, Row>> planned;
-  std::vector<Rid> staged_rids;
-  std::vector<Row> staged_rows;
-  auto flush = [&]() -> Status {
-    if (staged_rows.empty()) return Status::Ok();
+  std::vector<Row> rows;
+  std::vector<Rid> rids;
+  ScanStats scan_stats;
+  XNF_RETURN_IF_ERROR(FindRows(*table, access, /*referenced=*/nullptr,
+                               &exec_ctx, &rows, &rids, &scan_stats));
+  if (!rows.empty()) {
+    EvalContext ectx;
+    ectx.exec = &exec_ctx;
     std::vector<const Row*> ptrs;
-    ptrs.reserve(staged_rows.size());
-    for (const Row& r : staged_rows) ptrs.push_back(&r);
-    std::vector<char> keep(staged_rows.size(), 1);
-    if (where) {
-      XNF_RETURN_IF_ERROR(EvalPredicateBatch(*where, ptrs, &ectx, &keep));
+    ptrs.reserve(rows.size());
+    for (const Row& r : rows) ptrs.push_back(&r);
+    std::vector<std::vector<Value>> cols(assignments.size());
+    for (size_t a = 0; a < assignments.size(); ++a) {
+      XNF_ASSIGN_OR_RETURN(cols[a],
+                           EvalExprBatch(*assignments[a].expr, ptrs, &ectx));
     }
-    std::vector<const Row*> alive;
-    std::vector<size_t> alive_idx;
-    for (size_t i = 0; i < ptrs.size(); ++i) {
-      if (keep[i]) {
-        alive.push_back(ptrs[i]);
-        alive_idx.push_back(i);
-      }
-    }
-    if (!alive.empty()) {
-      std::vector<std::vector<Value>> cols(assignments.size());
+    for (size_t j = 0; j < rows.size(); ++j) {
       for (size_t a = 0; a < assignments.size(); ++a) {
-        XNF_ASSIGN_OR_RETURN(cols[a],
-                             EvalExprBatch(*assignments[a].expr, alive, &ectx));
-      }
-      for (size_t j = 0; j < alive.size(); ++j) {
-        Row updated = std::move(staged_rows[alive_idx[j]]);
-        for (size_t a = 0; a < assignments.size(); ++a) {
-          updated[assignments[a].column] = std::move(cols[a][j]);
-        }
-        planned.emplace_back(staged_rids[alive_idx[j]], std::move(updated));
+        rows[j][assignments[a].column] = std::move(cols[a][j]);
       }
     }
-    staged_rids.clear();
-    staged_rows.clear();
-    return Status::Ok();
-  };
-  Status status = Status::Ok();
-  // The planning scan sees the statement's snapshot, not raw physical
-  // state: rows from uncommitted or later-committed transactions are
-  // neither matched nor counted (their rids would fail CheckWrite anyway).
-  XNF_RETURN_IF_ERROR(ScanVisible(
-      catalog_->txn_manager(), *table, [&](Rid rid, const Row& row) {
-        staged_rids.push_back(rid);
-        staged_rows.push_back(row);
-        if (staged_rows.size() >= kBatchSize) {
-          status = flush();
-          return status.ok();
-        }
-        return true;
-      }));
-  XNF_RETURN_IF_ERROR(status);
-  XNF_RETURN_IF_ERROR(flush());
+  }
 
   // Phase 2: apply under a statement savepoint. A failure mid-apply (index
   // fault, heap fault) rolls back the heap rows *and* all secondary-index
   // entries of the rows already updated, via the undo log.
   StatementAtomicity statement(catalog_);
-  int64_t applied = 0;
-  for (auto& [rid, new_row] : planned) {
-    Status st = UpdateRow(table, rid, std::move(new_row));
+  for (size_t j = 0; j < rids.size(); ++j) {
+    Status st = UpdateRow(table, rids[j], std::move(rows[j]));
     if (!st.ok()) {
       XNF_RETURN_IF_ERROR(statement.Abort());
       return st;
     }
-    ++applied;
   }
   XNF_RETURN_IF_ERROR(statement.Commit());
-  return applied;
+  return static_cast<int64_t>(rids.size());
 }
 
 Result<int64_t> DmlExecutor::Delete(const sql::DeleteStmt& stmt) {
@@ -456,49 +433,18 @@ Result<int64_t> DmlExecutor::Delete(const sql::DeleteStmt& stmt) {
     return Status::NotUpdatable("system view '" + stmt.table +
                                 "' is read-only");
   }
-  qgm::ExprPtr where;
-  if (stmt.where) {
-    XNF_ASSIGN_OR_RETURN(where, CompileDml(*stmt.where, table));
-  }
+  XNF_ASSIGN_OR_RETURN(TableAccess access,
+                       TargetAccess(*catalog_, *table, stmt.where.get()));
+  // Only the rids are needed: a columnar scan decodes just what the WHERE
+  // reads.
   ExecContext exec_ctx;
   exec_ctx.catalog = catalog_;
-  EvalContext ectx;
-  ectx.exec = &exec_ctx;
+  const std::vector<char> no_columns(table->schema.size(), 0);
+  std::vector<Row> rows;
   std::vector<Rid> victims;
-  // Stage scan chunks and evaluate the WHERE predicate batch-wise.
-  std::vector<Rid> staged_rids;
-  std::vector<Row> staged_rows;
-  auto flush = [&]() -> Status {
-    if (staged_rids.empty()) return Status::Ok();
-    if (where) {
-      std::vector<const Row*> ptrs;
-      ptrs.reserve(staged_rows.size());
-      for (const Row& r : staged_rows) ptrs.push_back(&r);
-      std::vector<char> keep(staged_rows.size(), 1);
-      XNF_RETURN_IF_ERROR(EvalPredicateBatch(*where, ptrs, &ectx, &keep));
-      for (size_t i = 0; i < staged_rids.size(); ++i) {
-        if (keep[i]) victims.push_back(staged_rids[i]);
-      }
-    } else {
-      victims.insert(victims.end(), staged_rids.begin(), staged_rids.end());
-    }
-    staged_rids.clear();
-    staged_rows.clear();
-    return Status::Ok();
-  };
-  Status status = Status::Ok();
-  XNF_RETURN_IF_ERROR(ScanVisible(
-      catalog_->txn_manager(), *table, [&](Rid rid, const Row& row) {
-        staged_rids.push_back(rid);
-        if (where) staged_rows.push_back(row);
-        if (staged_rids.size() >= kBatchSize) {
-          status = flush();
-          return status.ok();
-        }
-        return true;
-      }));
-  XNF_RETURN_IF_ERROR(status);
-  XNF_RETURN_IF_ERROR(flush());
+  ScanStats scan_stats;
+  XNF_RETURN_IF_ERROR(FindRows(*table, access, &no_columns, &exec_ctx, &rows,
+                               &victims, &scan_stats));
   StatementAtomicity statement(catalog_);
   for (Rid rid : victims) {
     Status st = DeleteRow(table, rid);

@@ -99,31 +99,6 @@ Row ConcatRows(const Row& left, const Row& right) {
   return out;
 }
 
-// Evaluates `filters` batch-wise over `in` and moves passing rows to `out`;
-// `in` is left empty.
-Status FilterAppend(const std::vector<qgm::ExprPtr>& filters,
-                    std::vector<Row>* in, EvalContext* ectx,
-                    std::vector<Row>* out) {
-  if (filters.empty()) {
-    out->insert(out->end(), std::make_move_iterator(in->begin()),
-                std::make_move_iterator(in->end()));
-    in->clear();
-    return Status::Ok();
-  }
-  std::vector<const Row*> ptrs;
-  ptrs.reserve(in->size());
-  for (const Row& r : *in) ptrs.push_back(&r);
-  std::vector<char> keep(in->size(), 1);
-  for (const qgm::ExprPtr& f : filters) {
-    XNF_RETURN_IF_ERROR(EvalPredicateBatch(*f, ptrs, ectx, &keep));
-  }
-  for (size_t i = 0; i < in->size(); ++i) {
-    if (keep[i]) out->push_back(std::move((*in)[i]));
-  }
-  in->clear();
-  return Status::Ok();
-}
-
 // Drains an already-open child into `out`.
 Status DrainChild(Operator* child, std::vector<Row>* out) {
   RowBatch batch;
@@ -196,62 +171,40 @@ Status SeqScanOp::OpenImpl(ExecContext* ctx) {
   if (table == nullptr) {
     return Status::NotFound("table '" + table_name_ + "' vanished");
   }
-  if (parallel_eligible_ && late_requested_) {
+  if (late_requested_) {
     // A batch-capable consumer asked for column batches. Taken only when
-    // every pushed filter kernelized; otherwise fall through to the
-    // materializing paths below (the consumer pulls rows instead).
+    // every pushed filter kernelized; otherwise fall through to FindRows
+    // (the consumer pulls rows instead).
     ScanStats scan_stats;
     XNF_RETURN_IF_ERROR(TryLateFilterScan(
-        *table, filters_, referenced_.has_value() ? &*referenced_ : nullptr,
-        ctx, &late_, &scan_stats));
+        *table, access_.filters,
+        referenced_.has_value() ? &*referenced_ : nullptr, ctx, &late_,
+        &scan_stats));
     if (late_.store != nullptr) {
       RecordDop(scan_stats.dop);
       RecordKernels(scan_stats.kernel_filters, scan_stats.total_filters);
       RecordLate();
       RecordCluster(scan_stats.groups_pruned, scan_stats.groups_total);
       ctx->scan_kernel_filters += scan_stats.kernel_filters;
-      ctx->scan_pushed_filters += filters_.size();
+      ctx->scan_pushed_filters += access_.filters.size();
       return Status::Ok();
     }
   }
-  if (parallel_eligible_) {
-    // Morsel-driven scan; falls back to the identical serial kernel when no
-    // pool is attached or the table is small. Output order is page order at
-    // any DOP, so downstream operators see the same stream either way.
-    // Columnar tables additionally get the kernel-filter + late-
-    // materialization path inside ParallelFilterScan.
-    ScanStats scan_stats;
-    XNF_RETURN_IF_ERROR(ParallelFilterScan(
-        *table, filters_,
-        referenced_.has_value() ? &*referenced_ : nullptr, ctx, &buffered_,
-        /*rids_out=*/nullptr, &scan_stats));
-    RecordDop(scan_stats.dop);
-    RecordColumns(scan_stats.columns_decoded, scan_stats.columns_skipped);
-    RecordCluster(scan_stats.groups_pruned, scan_stats.groups_total);
-    if (scan_stats.columnar) {
-      RecordKernels(scan_stats.kernel_filters, scan_stats.total_filters);
-      ctx->scan_kernel_filters += scan_stats.kernel_filters;
-    }
-    ctx->scan_pushed_filters += filters_.size();
-    return Status::Ok();
+  // Output order is page order at any DOP, so downstream operators see the
+  // same stream either way.
+  ScanStats scan_stats;
+  XNF_RETURN_IF_ERROR(FindRows(
+      *table, access_, referenced_.has_value() ? &*referenced_ : nullptr, ctx,
+      &buffered_, /*rids=*/nullptr, &scan_stats));
+  RecordDop(scan_stats.dop);
+  RecordColumns(scan_stats.columns_decoded, scan_stats.columns_skipped);
+  RecordCluster(scan_stats.groups_pruned, scan_stats.groups_total);
+  if (scan_stats.columnar) {
+    RecordKernels(scan_stats.kernel_filters, scan_stats.total_filters);
+    ctx->scan_kernel_filters += scan_stats.kernel_filters;
   }
-  ctx->scan_pushed_filters += filters_.size();
-  EvalContext ectx;
-  ectx.exec = ctx_;
-  std::vector<Row> staged;
-  staged.reserve(filters_.empty() ? 0 : kBatchSize);
-  Status status = Status::Ok();
-  XNF_RETURN_IF_ERROR(ScanVisible(
-      ctx->catalog->txn_manager(), *table, [&](Rid, const Row& row) {
-        staged.push_back(row);
-        if (staged.size() >= kBatchSize) {
-          status = FilterAppend(filters_, &staged, &ectx, &buffered_);
-          return status.ok();
-        }
-        return true;
-      }));
-  XNF_RETURN_IF_ERROR(status);
-  return FilterAppend(filters_, &staged, &ectx, &buffered_);
+  ctx->scan_pushed_filters += access_.filters.size();
+  return Status::Ok();
 }
 
 Status SeqScanOp::NextBatchImpl(RowBatch* out) {
@@ -329,27 +282,13 @@ Result<std::pair<TableInfo*, Index*>> FindPlannedIndex(
 Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
   buffered_.clear();
   pos_ = 0;
-  XNF_ASSIGN_OR_RETURN(auto found, FindPlannedIndex(ctx->catalog, table_name_,
-                                                    index_name_));
-  const auto [table, index] = found;
-  Row key;
-  key.reserve(keys_.size());
-  EvalContext ectx;
-  Row empty;
-  ectx.row = &empty;
-  ectx.exec = ctx;
-  for (const qgm::ExprPtr& k : keys_) {
-    XNF_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, &ectx));
-    key.push_back(std::move(v));
+  TableInfo* table = ctx->catalog->GetTable(table_name_);
+  if (table == nullptr) {
+    return Status::NotFound("table '" + table_name_ + "' vanished");
   }
-  std::vector<Row> rows;
-  XNF_RETURN_IF_ERROR(LookupVisible(
-      *table, *index, OverlayFor(ctx->catalog->txn_manager(), *table), key,
-      [&](Rid, const Row& row) {
-        rows.push_back(row);
-        return true;
-      }));
-  return FilterAppend(filters_, &rows, &ectx, &buffered_);
+  ScanStats scan_stats;
+  return FindRows(*table, access_, /*referenced=*/nullptr, ctx, &buffered_,
+                  /*rids=*/nullptr, &scan_stats);
 }
 
 Status IndexLookupOp::NextBatchImpl(RowBatch* out) {
@@ -378,7 +317,7 @@ Status FilterOp::NextBatchImpl(RowBatch* out) {
     XNF_RETURN_IF_ERROR(child_->NextBatch(&input_));
     if (input_.empty()) return Status::Ok();
     XNF_RETURN_IF_ERROR(
-        FilterAppend(predicates_, &input_.rows, &ectx, &out->rows));
+        FilterAppend(predicates_, &ectx, &input_.rows, &out->rows));
     if (!out->empty()) return Status::Ok();
   }
 }
@@ -1353,27 +1292,31 @@ std::string SeqScanOp::detail() const {
   // output is unchanged.
   if (storage_kind_ == StorageKind::kColumn) out += " storage=column";
   if (!cluster_column_.empty()) out += " cluster=" + cluster_column_;
-  if (!filters_.empty()) out += " filter=[" + ExprList(filters_) + "]";
+  if (!access_.filters.empty()) {
+    out += " filter=[" + ExprList(access_.filters) + "]";
+  }
   return out;
 }
 
 uint64_t SeqScanOp::EstimateRowsImpl(const Catalog* catalog) const {
-  return Shrink(TableRows(catalog, table_name_), filters_.size());
+  return Shrink(TableRows(catalog, table_name_), access_.filters.size());
 }
 
 std::string IndexLookupOp::detail() const {
-  std::string out = table_name_ + " via " + index_name_;
-  out += " key=[" + ExprList(keys_) + "]";
-  if (!filters_.empty()) out += " filter=[" + ExprList(filters_) + "]";
+  std::string out = table_name_ + " via " + access_.index->name();
+  out += " key=[" + access_.key->ToString() + "]";
+  if (!access_.filters.empty()) {
+    out += " filter=[" + ExprList(access_.filters) + "]";
+  }
   return out;
 }
 
 uint64_t IndexLookupOp::EstimateRowsImpl(const Catalog* catalog) const {
   uint64_t rows = TableRows(catalog, table_name_);
-  uint64_t matched = IndexIsUnique(catalog, table_name_, index_name_)
+  uint64_t matched = access_.index->unique()
                          ? (rows > 0 ? 1 : 0)
                          : rows / 10 + (rows > 0 ? 1 : 0);
-  return Shrink(matched, filters_.size());
+  return Shrink(matched, access_.filters.size());
 }
 
 std::string FilterOp::detail() const { return ExprList(predicates_); }

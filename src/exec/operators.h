@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "catalog/mvcc.h"
+#include "exec/access.h"
 #include "exec/eval.h"
 #include "exec/operator.h"
 #include "exec/parallel.h"
@@ -40,23 +41,19 @@ class ValuesOp : public Operator {
 };
 
 // Full scan of a base table with optional pushed-down filters (compiled with
-// slots over the table row alone; must be subquery-free). The materialized
-// scan is filtered batch-wise at Open.
+// slots over the table row alone; must be subquery-free). Open finds the
+// rows through FindRows, morsel-parallel when the database has a worker
+// pool, unless a consumer takes column batches (RequestLateScan).
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(Schema schema, std::string table_name,
             std::vector<qgm::ExprPtr> filters)
-      : Operator(std::move(schema)),
-        table_name_(std::move(table_name)),
-        filters_(std::move(filters)) {}
+      : Operator(std::move(schema)), table_name_(std::move(table_name)) {
+    access_.filters = std::move(filters);
+  }
 
   std::string label() const override { return "SeqScan"; }
   std::string detail() const override;
-
-  // Planner decision: morsel-parallel scan allowed (filters verified
-  // subquery-free). The scan still runs serially when the database has no
-  // worker pool or the table is small.
-  void set_parallel_eligible(bool eligible) { parallel_eligible_ = eligible; }
 
   // Planner decision: per-table-column bitmap of columns the rest of the
   // plan may read (filters included). Columnar scans skip decoding columns
@@ -98,8 +95,7 @@ class SeqScanOp : public Operator {
   void FlushLateStats();
 
   std::string table_name_;
-  std::vector<qgm::ExprPtr> filters_;
-  bool parallel_eligible_ = false;
+  TableAccess access_;  // a scan: no index, the pushed filters
   std::optional<std::vector<char>> referenced_;
   StorageKind storage_kind_ = StorageKind::kRow;
   std::string cluster_column_;
@@ -112,18 +108,15 @@ class SeqScanOp : public Operator {
   size_t late_slot_ = 0;
 };
 
-// Point lookup through an index; keys are constants or correlation params.
-// Reads through LookupVisible: exact at the statement's snapshot, rid order.
+// Index probe chosen by ChooseAccess (key: constants or correlation
+// params) plus its residual filters, run by FindRows: exact at the
+// statement's snapshot, rid order.
 class IndexLookupOp : public Operator {
  public:
-  IndexLookupOp(Schema schema, std::string table_name, std::string index_name,
-                std::vector<qgm::ExprPtr> keys,
-                std::vector<qgm::ExprPtr> filters)
+  IndexLookupOp(Schema schema, std::string table_name, TableAccess access)
       : Operator(std::move(schema)),
         table_name_(std::move(table_name)),
-        index_name_(std::move(index_name)),
-        keys_(std::move(keys)),
-        filters_(std::move(filters)) {}
+        access_(std::move(access)) {}
 
   std::string label() const override { return "IndexLookup"; }
   std::string detail() const override;
@@ -135,9 +128,7 @@ class IndexLookupOp : public Operator {
 
  private:
   std::string table_name_;
-  std::string index_name_;
-  std::vector<qgm::ExprPtr> keys_;
-  std::vector<qgm::ExprPtr> filters_;
+  TableAccess access_;
   std::vector<Row> buffered_;
   size_t pos_ = 0;
 };

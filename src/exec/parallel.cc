@@ -9,6 +9,7 @@
 #include "catalog/mvcc.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "exec/access.h"
 #include "exec/eval.h"
 #include "exec/kernels.h"
 #include "storage/column_store.h"
@@ -41,33 +42,9 @@ Status ScanMorsel(const TableStorage& storage,
   ectx.exec = exec;
   std::vector<Row> staged;
   std::vector<Rid> staged_rids;
-  auto flush = [&]() -> Status {
-    if (staged.empty()) return Status::Ok();
-    if (filters.empty()) {
-      out->rows.insert(out->rows.end(),
-                       std::make_move_iterator(staged.begin()),
-                       std::make_move_iterator(staged.end()));
-      if (want_rids) {
-        out->rids.insert(out->rids.end(), staged_rids.begin(),
-                         staged_rids.end());
-      }
-    } else {
-      std::vector<const Row*> ptrs;
-      ptrs.reserve(staged.size());
-      for (const Row& r : staged) ptrs.push_back(&r);
-      std::vector<char> keep(staged.size(), 1);
-      for (const qgm::ExprPtr& f : filters) {
-        XNF_RETURN_IF_ERROR(EvalPredicateBatch(*f, ptrs, &ectx, &keep));
-      }
-      for (size_t i = 0; i < staged.size(); ++i) {
-        if (!keep[i]) continue;
-        out->rows.push_back(std::move(staged[i]));
-        if (want_rids) out->rids.push_back(staged_rids[i]);
-      }
-    }
-    staged.clear();
-    staged_rids.clear();
-    return Status::Ok();
+  auto flush = [&] {
+    return FilterAppend(filters, &ectx, &staged, &out->rows, &staged_rids,
+                        want_rids ? &out->rids : nullptr);
   };
   Status status = Status::Ok();
   auto stage = [&](Rid rid, const Row& row) {

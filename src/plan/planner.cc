@@ -50,6 +50,23 @@ std::optional<EquiMatch> MatchEquiForQuantifier(const Expr& pred, int q) {
   return std::nullopt;
 }
 
+// A scan of `table` annotated with its storage layout and CLUSTER BY
+// column (EXPLAIN).
+std::unique_ptr<exec::SeqScanOp> MakeScan(const TableInfo& table,
+                                          Schema schema,
+                                          const std::string& name,
+                                          std::vector<ExprPtr> filters) {
+  auto scan = std::make_unique<exec::SeqScanOp>(std::move(schema), name,
+                                                std::move(filters));
+  scan->set_storage_kind(table.storage->kind());
+  if (const ColumnStore* cs = table.storage->AsColumnStore();
+      cs != nullptr && cs->cluster_column() >= 0) {
+    scan->set_cluster_column(
+        cs->schema().column(static_cast<size_t>(cs->cluster_column())).name);
+  }
+  return scan;
+}
+
 }  // namespace
 
 Result<ExprPtr> CompileExpr(const Expr& expr, const std::vector<size_t>& offsets,
@@ -128,20 +145,9 @@ Result<OperatorPtr> Planner::PlanBox(const QueryGraph& graph, int box_index) {
       if (table == nullptr) {
         return Status::NotFound("table '" + box.table_name + "' not found");
       }
-      auto scan = std::make_unique<exec::SeqScanOp>(
-          table->schema, box.table_name, std::vector<ExprPtr>{});
-      // A bare table scan has no filters at all, so it is trivially safe to
-      // split into morsels. Its whole row is the box output, so every
-      // column is referenced — no pruning.
-      scan->set_parallel_eligible(true);
-      scan->set_storage_kind(table->storage->kind());
-      if (const ColumnStore* cs = table->storage->AsColumnStore();
-          cs != nullptr && cs->cluster_column() >= 0) {
-        scan->set_cluster_column(
-            cs->schema().column(static_cast<size_t>(cs->cluster_column()))
-                .name);
-      }
-      return OperatorPtr(std::move(scan));
+      // The whole row is the box output: every column is referenced.
+      return OperatorPtr(
+          MakeScan(*table, table->schema, box.table_name, {}));
     }
     case Box::Kind::kUnion: {
       std::vector<OperatorPtr> children;
@@ -177,54 +183,20 @@ Result<OperatorPtr> Planner::PlanQuantifierSource(
     return OperatorPtr(std::make_unique<exec::FilterOp>(
         std::move(source), std::move(pushed_filters), nullptr));
   }
-  // Base table: try a single-column index for one equality filter.
+  // Base table: an index probe for one equality filter, or a scan.
   TableInfo* table = catalog_->GetTable(q.base_table);
   if (table == nullptr) {
     return Status::NotFound("table '" + q.base_table + "' not found");
   }
-  size_t considered =
-      catalog_->exec_config().use_indexes ? pushed_filters.size() : 0;
-  for (size_t i = 0; i < considered; ++i) {
-    const Expr& pred = *pushed_filters[i];
-    if (pred.kind != Expr::Kind::kBinary || pred.bin_op != sql::BinOp::kEq) {
-      continue;
-    }
-    const Expr* l = pred.args[0].get();
-    const Expr* r = pred.args[1].get();
-    const Expr* col = nullptr;
-    const Expr* key = nullptr;
-    if (l->kind == Expr::Kind::kInputRef && !qgm::HasInputRefs(*r)) {
-      col = l;
-      key = r;
-    } else if (r->kind == Expr::Kind::kInputRef && !qgm::HasInputRefs(*l)) {
-      col = r;
-      key = l;
-    } else {
-      continue;
-    }
-    Index* index = table->FindIndexOn({static_cast<size_t>(col->column)});
-    if (index == nullptr) continue;
-    std::vector<ExprPtr> keys;
-    keys.push_back(key->Clone());
-    std::vector<ExprPtr> residual;
-    for (size_t j = 0; j < pushed_filters.size(); ++j) {
-      if (j != i) residual.push_back(std::move(pushed_filters[j]));
-    }
+  exec::TableAccess access =
+      exec::ChooseAccess(*table, std::move(pushed_filters),
+                         catalog_->exec_config().use_indexes);
+  if (access.index != nullptr) {
     return OperatorPtr(std::make_unique<exec::IndexLookupOp>(
-        q.schema, q.base_table, index->name(), std::move(keys),
-        std::move(residual)));
+        q.schema, q.base_table, std::move(access)));
   }
-  auto scan = std::make_unique<exec::SeqScanOp>(q.schema, q.base_table,
-                                                std::move(pushed_filters));
-  // Pushed filters exclude subquery-bearing predicates (see PlanSelect), so
-  // they can be evaluated on any worker thread.
-  scan->set_parallel_eligible(true);
-  scan->set_storage_kind(table->storage->kind());
-  if (const ColumnStore* cs = table->storage->AsColumnStore();
-      cs != nullptr && cs->cluster_column() >= 0) {
-    scan->set_cluster_column(
-        cs->schema().column(static_cast<size_t>(cs->cluster_column())).name);
-  }
+  auto scan =
+      MakeScan(*table, q.schema, q.base_table, std::move(access.filters));
   if (!referenced.empty()) scan->set_referenced(std::move(referenced));
   return OperatorPtr(std::move(scan));
 }

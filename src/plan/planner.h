@@ -15,8 +15,9 @@ namespace xnf::plan {
 
 // Translates a QGM graph into an executable operator tree. Access-path and
 // join-method selection is rule-based:
-//  - single-table equality predicates against constants/params use an index
-//    when one exists on the column;
+//  - a base-table quantifier's pushed filters take the access path
+//    exec::ChooseAccess picks (an index for an equality against
+//    constants/params, else a scan);
 //  - joins use index nested-loop when the inner side is a base table with an
 //    index on the join column, hash join for other equi-joins, and
 //    nested-loop otherwise;

@@ -28,16 +28,6 @@ bool IsComparison(sql::BinOp op) {
   }
 }
 
-// Splits an AND tree into conjuncts.
-void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr>* out) {
-  if (expr->kind == Expr::Kind::kBinary && expr->bin_op == sql::BinOp::kAnd) {
-    SplitConjuncts(std::move(expr->args[0]), out);
-    SplitConjuncts(std::move(expr->args[1]), out);
-    return;
-  }
-  out->push_back(std::move(expr));
-}
-
 Type WidenNumeric(Type a, Type b) {
   if (a == Type::kDouble || b == Type::kDouble) return Type::kDouble;
   return Type::kInt;

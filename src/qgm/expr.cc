@@ -161,6 +161,15 @@ bool HasInputRefs(const Expr& expr) {
   return found;
 }
 
+void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr>* out) {
+  if (expr->kind == Expr::Kind::kBinary && expr->bin_op == sql::BinOp::kAnd) {
+    SplitConjuncts(std::move(expr->args[0]), out);
+    SplitConjuncts(std::move(expr->args[1]), out);
+    return;
+  }
+  out->push_back(std::move(expr));
+}
+
 bool HasParam(const Expr& expr) {
   if (expr.kind == Expr::Kind::kParam) return true;
   for (const ExprPtr& a : expr.args) {

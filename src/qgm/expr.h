@@ -107,6 +107,9 @@ bool ReferencesQuantifier(const Expr& expr, int q);
 // True if the expression contains any kInputRef at all.
 bool HasInputRefs(const Expr& expr);
 
+// Appends the conjuncts of an AND tree to `out`, left operand first.
+void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr>* out);
+
 // True if the expression reads a parameter (kParam).
 bool HasParam(const Expr& expr);
 

@@ -21,23 +21,35 @@ Status HashIndex::Insert(const Row& row, Rid rid) {
   XNF_FAILPOINT("index.insert");
   Row key = ExtractKey(row);
   if (KeyHasNull(key)) return Status::Ok();  // NULL keys are not indexed
-  if (unique() && map_.find(key) != map_.end()) {
+  const bool single = key.size() == 1;
+  if (unique() && (single ? single_.contains(key[0]) : map_.contains(key))) {
     return Status::AlreadyExists("duplicate key " + RowToString(key) +
                                  " in unique index '" + name() + "'");
   }
-  map_.emplace(std::move(key), rid);
+  if (single) {
+    single_.emplace(std::move(key[0]), rid);
+  } else {
+    map_.emplace(std::move(key), rid);
+  }
   return Status::Ok();
 }
 
 Status HashIndex::Erase(const Row& row, Rid rid) {
   XNF_FAILPOINT("index.erase");
   Row key = ExtractKey(row);
-  auto range = map_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == rid) {
-      map_.erase(it);
-      break;
+  auto erase = [rid](auto* map, const auto& k) {
+    auto range = map->equal_range(k);
+    for (auto it = range.first; it != range.second; ++it) {
+      if (it->second == rid) {
+        map->erase(it);
+        return;
+      }
     }
+  };
+  if (key.size() == 1) {
+    erase(&single_, key[0]);
+  } else {
+    erase(&map_, key);
   }
   return Status::Ok();
 }
@@ -45,9 +57,16 @@ Status HashIndex::Erase(const Row& row, Rid rid) {
 std::vector<Rid> HashIndex::Lookup(const Row& key) const {
   std::vector<Rid> out;
   if (KeyHasNull(key)) return out;
-  auto range = map_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    out.push_back(it->second);
+  auto collect = [&out](const auto& map, const auto& k) {
+    auto range = map.equal_range(k);
+    for (auto it = range.first; it != range.second; ++it) {
+      out.push_back(it->second);
+    }
+  };
+  if (key.size() == 1) {
+    collect(single_, key[0]);
+  } else {
+    collect(map_, key);
   }
   // The multimap keeps equal keys in an insert/erase-history order.
   std::sort(out.begin(), out.end());

@@ -64,7 +64,9 @@ class Index {
   bool unique_;
 };
 
-// Hash index: O(1) point lookups.
+// Hash index: O(1) point lookups. A single-column key, the kind every
+// index probe uses, is stored as a bare Value: a Row key costs one more
+// heap block per entry.
 class HashIndex : public Index {
  public:
   using Index::Index;
@@ -73,10 +75,21 @@ class HashIndex : public Index {
   Status Insert(const Row& row, Rid rid) override;
   Status Erase(const Row& row, Rid rid) override;
   std::vector<Rid> Lookup(const Row& key) const override;
-  size_t entry_count() const override { return map_.size(); }
+  size_t entry_count() const override { return single_.size() + map_.size(); }
 
  private:
-  std::unordered_multimap<Row, Rid, RowHash, RowEq> map_;
+  // Value equality and hash as RowEq / RowHash see one column (1 = 1.0).
+  struct ValueHash {
+    size_t operator()(const Value& v) const { return v.Hash(); }
+  };
+  struct ValueEq {
+    bool operator()(const Value& a, const Value& b) const {
+      return a.TotalOrderCompare(b) == 0;
+    }
+  };
+
+  std::unordered_multimap<Value, Rid, ValueHash, ValueEq> single_;
+  std::unordered_multimap<Row, Rid, RowHash, RowEq> map_;  // wider keys
 };
 
 // Ordered index: point lookups plus range scans, backed by a balanced tree.

@@ -775,7 +775,16 @@ class Generator {
         stmt += c->name + " = " + TypedExpr(scope, 2, Ctx::kSql, c->type);
       }
     }
-    if (rng_.Chance(80)) stmt += " WHERE " + Predicate(scope, 2, Ctx::kSql);
+    if (rng_.Chance(80)) {
+      // Part of the time a primary-key equality, so indexed target finding
+      // runs on both sides of use_indexes.
+      if (rng_.Chance(35)) {
+        stmt += " WHERE " + t.name + ".a = " +
+                std::to_string(rng_.Int(0, static_cast<int>(t.next_pk) - 1));
+      } else {
+        stmt += " WHERE " + Predicate(scope, 2, Ctx::kSql);
+      }
+    }
     Emit(std::move(stmt));
   }
 

@@ -7,12 +7,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "catalog/mvcc.h"
 #include "common/failpoint.h"
 #include "common/str_util.h"
 #include "exec/eval.h"
 #include "exec/operators.h"
-#include "exec/parallel.h"
 #include "plan/planner.h"
 #include "qgm/builder.h"
 #include "qgm/rewrite.h"
@@ -204,37 +202,6 @@ std::vector<CoConnection> NodeJoin(const std::vector<Row>& parents,
   return out;
 }
 
-// The first `col = key` conjunct of `pred` (AND tree, left operand first)
-// whose column has an index on `table`; `key` is a literal or a parameter.
-// Fills the plan node's fast-extraction fields; leaves them unset if none.
-void FindIndexConjunct(const qgm::Expr& e, const TableInfo& table,
-                       CoPlan::Node* node) {
-  if (node->index != nullptr) return;
-  if (e.kind == qgm::Expr::Kind::kBinary && e.bin_op == sql::BinOp::kAnd) {
-    FindIndexConjunct(*e.args[0], table, node);
-    FindIndexConjunct(*e.args[1], table, node);
-    return;
-  }
-  if (e.kind != qgm::Expr::Kind::kBinary || e.bin_op != sql::BinOp::kEq) {
-    return;
-  }
-  const qgm::Expr* col = e.args[0].get();
-  const qgm::Expr* key = e.args[1].get();
-  if (col->kind != qgm::Expr::Kind::kInputRef) std::swap(col, key);
-  if (col->kind != qgm::Expr::Kind::kInputRef ||
-      (key->kind != qgm::Expr::Kind::kLiteral &&
-       key->kind != qgm::Expr::Kind::kParam)) {
-    return;
-  }
-  Index* idx = table.FindIndexOn({static_cast<size_t>(col->slot)});
-  if (idx == nullptr) return;
-  node->index = idx;
-  node->index_key = key;
-  node->index_whole = &e == node->filters[0].get();
-  node->index_column_type =
-      table.schema.column(static_cast<size_t>(col->slot)).type;
-}
-
 // Walks every column reference of an expression tree.
 void VisitColumnRefs(const sql::Expr& e,
                      const std::function<void(const sql::Expr&)>& fn) {
@@ -362,7 +329,11 @@ void Evaluator::CompileNode(
     TableInfo* table = catalog_->GetTable(simple.base_table);
     node->table = table;
     node->base_table = simple.base_table;
-    // The predicate, compiled over the base schema.
+    // The predicate, compiled over the base schema. Fast extraction (§4
+    // "fast extraction of data"): an equality conjunct on an indexed column
+    // turns the candidate scan into an index lookup — this is what makes
+    // 1-in-10000 working-set extraction cheap.
+    std::vector<qgm::ExprPtr> conjuncts;
     if (simple.predicate != nullptr) {
       qgm::ScalarScope scope;
       scope.sources.push_back({simple.alias, &table->schema});
@@ -373,8 +344,10 @@ void Evaluator::CompileNode(
         node->error = compiled.status();
         return;
       }
-      node->filters.push_back(std::move(compiled).value());
+      qgm::SplitConjuncts(std::move(compiled).value(), &conjuncts);
     }
+    node->table_access = exec::ChooseAccess(
+        *table, std::move(conjuncts), catalog_->exec_config().use_indexes);
     // Output schema and base column map.
     if (simple.select_star) {
       for (size_t i = 0; i < table->schema.size(); ++i) {
@@ -397,12 +370,6 @@ void Evaluator::CompileNode(
         node->base_column_map.push_back(static_cast<int>(*b));
       }
     }
-    // Fast extraction (§4 "fast extraction of data"): an equality conjunct
-    // on an indexed column turns the candidate scan into an index lookup —
-    // this is what makes 1-in-10000 working-set extraction cheap.
-    if (!node->filters.empty()) {
-      FindIndexConjunct(*node->filters[0], *table, node);
-    }
     // Columnar candidate scans only decode the columns the node emits —
     // and under an analyzed TAKE list, only the emitted columns something
     // after the scan actually reads; the rest surface as NULL placeholders
@@ -420,8 +387,8 @@ void Evaluator::CompileNode(
       }
       node->referenced[node->base_column_map[c]] = 1;
     }
-    if (!node->filters.empty()) {
-      MarkExprSlots(*node->filters[0], &node->referenced);
+    for (const qgm::ExprPtr& f : node->table_access.filters) {
+      MarkExprSlots(*f, &node->referenced);
     }
     return;
   }
@@ -768,68 +735,35 @@ Result<CoNodeInstance> Evaluator::RunNode(const CoPlan& plan, size_t n,
   if (compiled.table->is_system) {
     (void)catalog_->GetTable(compiled.base_table);
   }
-  const TableInfo& table = *compiled.table;
   node.schema = compiled.schema;
   node.base_column_map = compiled.base_column_map;
   node.base_table = compiled.base_table;
-  auto emit = [&](Rid rid, const Row& row) {
-    Row& out = node.tuples.emplace_back();
-    out.reserve(node.base_column_map.size());
-    for (int b : node.base_column_map) out.push_back(row[b]);
-    node.rids.push_back(rid);
-  };
-  const qgm::Expr* pred =
-      compiled.filters.empty() ? nullptr : compiled.filters[0].get();
-  Status status = Status::Ok();
-  auto check = [&](const Row& row) -> bool {
-    if (pred == nullptr) return true;
-    exec::EvalContext ectx;
-    ectx.row = &row;
-    ectx.exec = &exec_ctx;
-    auto keep = exec::EvalPredicate(*pred, &ectx);
-    if (!keep.ok()) {
-      status = keep.status();
-      return false;
-    }
-    return *keep;
-  };
-
-  if (compiled.index != nullptr) {
-    // The lookup merges the snapshot's overlay, so concurrent writers on
-    // the table do not take the index away. Every hit satisfies the
-    // conjunct the index answered; when that conjunct is the whole
-    // predicate and its bound key needs no coercion, skip the per-row
-    // re-check.
-    exec::EvalContext kctx;
-    Row empty;
-    kctx.row = &empty;
-    kctx.exec = &exec_ctx;
-    XNF_ASSIGN_OR_RETURN(Value key, exec::EvalExpr(*compiled.index_key, &kctx));
-    const bool exact =
-        compiled.index_whole && key.type() == compiled.index_column_type;
-    XNF_RETURN_IF_ERROR(LookupVisible(
-        table, *compiled.index, OverlayFor(catalog_->txn_manager(), table),
-        {std::move(key)}, [&](Rid rid, const Row& row) {
-          if (!exact && !check(row)) return status.ok();
-          emit(rid, row);
-          return true;
-        }));
-  } else {
-    // Candidate scan: morsel-parallel when an executor pool is attached,
-    // serial otherwise; output order matches the heap scan either way.
-    std::vector<Row> rows;
-    std::vector<Rid> rids;
-    exec::ScanStats scan_stats;
-    XNF_RETURN_IF_ERROR(exec::ParallelFilterScan(
-        table, compiled.filters, &compiled.referenced, &exec_ctx, &rows,
-        &rids, &scan_stats));
-    stats->scan_columns_decoded += scan_stats.columns_decoded;
-    stats->scan_columns_skipped += scan_stats.columns_skipped;
-    for (size_t i = 0; i < rows.size(); ++i) emit(rids[i], rows[i]);
+  std::vector<Row> rows;
+  exec::ScanStats scan_stats;
+  XNF_RETURN_IF_ERROR(exec::FindRows(*compiled.table, compiled.table_access,
+                                     &compiled.referenced, &exec_ctx, &rows,
+                                     &node.rids, &scan_stats));
+  stats->scan_columns_decoded += scan_stats.columns_decoded;
+  stats->scan_columns_skipped += scan_stats.columns_skipped;
+  // A node emitting the whole base row in order (SELECT *) takes the rows
+  // as they are; any other projects through base_column_map.
+  bool whole_row = node.base_column_map.size() == compiled.table->schema.size();
+  for (size_t c = 0; whole_row && c < node.base_column_map.size(); ++c) {
+    whole_row = node.base_column_map[c] == static_cast<int>(c);
   }
-  XNF_RETURN_IF_ERROR(status);
+  if (whole_row) {
+    node.tuples = std::move(rows);
+  } else {
+    node.tuples.reserve(rows.size());
+    for (const Row& row : rows) {
+      Row& out = node.tuples.emplace_back();
+      out.reserve(node.base_column_map.size());
+      for (int b : node.base_column_map) out.push_back(row[b]);
+    }
+  }
   stats->node_queries++;
-  profile(compiled.index != nullptr ? "index" : "scan", node.tuples.size());
+  profile(compiled.table_access.index != nullptr ? "index" : "scan",
+          node.tuples.size());
   return node;
 }
 

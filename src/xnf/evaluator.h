@@ -12,6 +12,7 @@
 #include "common/result_set.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "exec/access.h"
 #include "exec/operator.h"
 #include "qgm/expr.h"
 #include "xnf/ast.h"
@@ -49,17 +50,10 @@ struct CoPlan {
     std::string base_table;
     Schema schema;                   // node output schema
     std::vector<int> base_column_map;
-    // The predicate, compiled over the base schema, as the candidate scan's
-    // one filter (empty = no predicate). May read parameters.
-    std::vector<qgm::ExprPtr> filters;
-    // Fast extraction (§4): an equality conjunct on an indexed column.
-    // `index_key` (inside the predicate) is its literal or parameter;
-    // `index_whole` says the conjunct is the whole predicate, so hits whose
-    // key needs no coercion skip the re-check.
-    Index* index = nullptr;
-    const qgm::Expr* index_key = nullptr;
-    bool index_whole = false;
-    Type index_column_type = Type::kNull;
+    // The predicate's conjuncts, compiled over the base schema (they may
+    // read parameters), as an index probe or a candidate scan (§4 "fast
+    // extraction": an equality on an indexed column is a lookup).
+    exec::TableAccess table_access;
     // Base columns the candidate scan decodes (TAKE pruning included).
     std::vector<char> referenced;
     // kQuery: the planned defining query.

@@ -2,6 +2,7 @@
 
 #include "catalog/mvcc.h"
 #include "common/str_util.h"
+#include "exec/access.h"
 #include "exec/dml.h"
 
 namespace xnf::co {
@@ -259,17 +260,28 @@ Status Manipulator::Disconnect(CoCache::Connection* conn) {
 Result<std::optional<Rid>> FindVisibleLinkRow(
     const Catalog& catalog, const TableInfo& link, int parent_column,
     const Value& pkey, int child_column, const Value& ckey) {
-  std::optional<Rid> found;
-  XNF_RETURN_IF_ERROR(ScanVisible(
-      catalog.txn_manager(), link, [&](Rid rid, const Row& row) {
-        if (row[parent_column].CompareEq(pkey) == Tribool::kTrue &&
-            row[child_column].CompareEq(ckey) == Tribool::kTrue) {
-          found = rid;
-          return false;
-        }
-        return true;
-      }));
-  return found;
+  // `parent = pkey AND child = ckey` through the engine's one access-path
+  // choice, so an index on either link column serves the lookup.
+  std::vector<qgm::ExprPtr> conjuncts;
+  for (const auto& [column, key] :
+       {std::pair{parent_column, &pkey}, std::pair{child_column, &ckey}}) {
+    qgm::ExprPtr col =
+        qgm::Expr::InputRef(0, column, link.schema.column(column).type);
+    col->slot = column;
+    conjuncts.push_back(qgm::Expr::Binary(sql::BinOp::kEq, std::move(col),
+                                          qgm::Expr::Lit(*key), Type::kBool));
+  }
+  exec::TableAccess access = exec::ChooseAccess(
+      link, std::move(conjuncts), catalog.exec_config().use_indexes);
+  exec::ExecContext ctx;
+  ctx.catalog = &catalog;
+  std::vector<Row> rows;
+  std::vector<Rid> rids;
+  exec::ScanStats stats;
+  XNF_RETURN_IF_ERROR(
+      exec::FindRows(link, access, nullptr, &ctx, &rows, &rids, &stats));
+  if (rids.empty()) return std::optional<Rid>();
+  return std::optional<Rid>(rids.front());
 }
 
 }  // namespace xnf::co

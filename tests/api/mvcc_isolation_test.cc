@@ -15,6 +15,7 @@
 #include "api/session.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "testing/reference.h"
 
 namespace xnf::testing {
 namespace {
@@ -338,6 +339,93 @@ TEST_P(IndexedReadsUnderWriterTest, IndexFedCoNodeReadsTheSnapshot) {
             "");
   EXPECT_EQ(Read("OUT OF x AS (SELECT a, c FROM big WHERE b + 0 = 5) TAKE *"),
             kSnapshotRows);
+}
+
+// UPDATE and DELETE find their targets through the same snapshot-exact
+// index probe: a key whose row the writer holds uncommitted fails with
+// kSerialization, and an untouched key is written after reading a handful
+// of pages, not the table.
+TEST_P(IndexedReadsUnderWriterTest, IndexedDmlTargetsConflictWithOpenWriter) {
+  for (const char* sql : {"UPDATE big SET c = 0 WHERE a = 5",
+                          "DELETE FROM big WHERE a = 1005",
+                          "UPDATE big SET c = 0 WHERE a = 3005"}) {
+    auto blocked = reader_->Execute(sql);
+    ASSERT_FALSE(blocked.ok()) << sql;
+    EXPECT_EQ(blocked.status().code(), StatusCode::kSerialization) << sql;
+  }
+  ASSERT_OK_AND_ASSIGN(ExecResult r,
+                       reader_->Execute("UPDATE big SET c = 0 WHERE a = 7"));
+  EXPECT_EQ(r.affected, 1);
+  EXPECT_LE(LastStatementPages(), 16) << "of " << TablePages();
+  ASSERT_OK_AND_ASSIGN(r, reader_->Execute("DELETE FROM big WHERE a = 8"));
+  EXPECT_EQ(r.affected, 1);
+  EXPECT_LE(LastStatementPages(), 16) << "of " << TablePages();
+}
+
+// A commit after the reader's snapshot moved row 5 from b = 5 to b = 5000
+// on the indexed column b. The reader's UPDATE ... WHERE b = 5 matches the
+// snapshot image and then conflicts on it; WHERE b = 5000 matches nothing,
+// although the physical row and its index entry now say 5000. The scan
+// (b + 0) agrees.
+TEST_P(IndexedReadsUnderWriterTest, IndexedDmlTargetsMatchTheSnapshotImage) {
+  ASSERT_OK(writer_->Execute("COMMIT").status());
+  for (const char* where : {"b = 5", "b + 0 = 5"}) {
+    auto blocked =
+        reader_->Execute(std::string("UPDATE big SET c = 0 WHERE ") + where);
+    ASSERT_FALSE(blocked.ok()) << where;
+    EXPECT_EQ(blocked.status().code(), StatusCode::kSerialization) << where;
+  }
+  for (const char* where : {"b = 5000", "b + 0 = 5000"}) {
+    ASSERT_OK_AND_ASSIGN(
+        ExecResult r,
+        reader_->Execute(std::string("UPDATE big SET c = 0 WHERE ") + where));
+    EXPECT_EQ(r.affected, 0) << where;
+  }
+  EXPECT_EQ(Read("SELECT a, c FROM big WHERE b = 5"), kSnapshotRows);
+}
+
+// The use_indexes ablation flips XNF simple nodes between the index probe
+// and the candidate scan — under an open writer too — with identical
+// instances.
+TEST_P(MvccIsolationTest, XnfNodeAccessFollowsUseIndexes) {
+  const std::string query = R"(
+    OUT OF x AS (SELECT * FROM acct WHERE b = 200 AND c = 0),
+           y AS (SELECT a, c FROM acct WHERE c >= 0 AND b = 300),
+           r AS (RELATE x, y WHERE x.a < y.a)
+    TAKE *)";
+  std::string canonical[2];
+  std::string access[2];
+  for (int side = 0; side < 2; ++side) {
+    Database::Options opt;
+    opt.default_storage = GetParam();
+    opt.use_indexes = side == 0;
+    Database db(opt);
+    MustExecute(&db, R"sql(
+      CREATE TABLE acct (a INT PRIMARY KEY, b INT, c INT);
+      CREATE INDEX acct_b ON acct (b);
+      INSERT INTO acct VALUES (1, 100, 0), (2, 200, 0), (3, 300, 0),
+                              (4, 200, 1), (5, 200, 0);
+    )sql");
+    auto writer = db.OpenSession();
+    auto reader = db.OpenSession();
+    ASSERT_OK(reader->Execute("BEGIN").status());
+    ASSERT_OK(writer->Execute("BEGIN").status());
+    ASSERT_OK(writer->Execute("UPDATE acct SET b = 200 WHERE a = 1").status());
+    ASSERT_OK(writer->Execute("DELETE FROM acct WHERE a = 5").status());
+    ASSERT_OK_AND_ASSIGN(ExecResult r, reader->Execute(query));
+    canonical[side] = ReferenceEngine::Canonicalize(r.co);
+    for (const co::Evaluator::QueryProfile& p :
+         db.last_xnf_stats().profiles) {
+      if (p.kind == co::Evaluator::QueryProfile::Kind::kNode) {
+        access[side] += p.access + " ";
+      }
+    }
+  }
+  EXPECT_EQ(canonical[0], canonical[1]);
+  EXPECT_NE(canonical[0].find("(5, 200, 0)"), std::string::npos)
+      << canonical[0];
+  EXPECT_EQ(access[0], "index index ");
+  EXPECT_EQ(access[1], "scan scan ");
 }
 
 // Crash recovery of the visibility horizon: committed work survives a

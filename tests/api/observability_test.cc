@@ -185,6 +185,30 @@ TEST_F(Observability, TraceSinkCapturesSqlPipeline) {
   EXPECT_NE(sink.ToString().find("\n  execute"), std::string::npos);
 }
 
+// INSERT / UPDATE / DELETE run under an `execute` span after their parse,
+// so their work is attributed instead of falling between spans.
+TEST_F(Observability, TraceSinkCapturesDmlExecute) {
+  for (const char* stmt :
+       {"INSERT INTO dept VALUES (9, 'ops', 'LA', 1, NULL)",
+        "UPDATE emp SET sal = sal + 1 WHERE eno = 1",
+        "DELETE FROM dept WHERE dno = 9"}) {
+    CollectingTraceSink sink;
+    db_.set_trace_sink(&sink);
+    ASSERT_OK_AND_ASSIGN(ExecResult r, db_.Execute(stmt));
+    db_.set_trace_sink(nullptr);
+    EXPECT_EQ(r.affected, 1) << stmt;
+    const auto& spans = sink.spans();
+    int statement = FindSpan(spans, "statement");
+    int execute = FindSpan(spans, "execute");
+    ASSERT_GE(statement, 0) << stmt;
+    ASSERT_GE(execute, 0) << stmt << "\n" << sink.ToString();
+    EXPECT_EQ(spans[execute].parent, statement) << stmt;
+    EXPECT_EQ(spans[execute].depth, 1) << stmt;
+    EXPECT_TRUE(spans[execute].closed) << stmt;
+    EXPECT_LT(FindSpan(spans, "parse"), execute) << stmt;
+  }
+}
+
 TEST_F(Observability, TraceSinkCapturesXnfPhases) {
   CollectingTraceSink sink;
   db_.set_trace_sink(&sink);

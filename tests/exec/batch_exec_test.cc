@@ -288,10 +288,10 @@ TEST_F(BatchScanTest, ReopenSeqScanWithFilter) {
 }
 
 TEST_F(BatchScanTest, ReopenIndexLookup) {
-  std::vector<qgm::ExprPtr> keys;
-  keys.push_back(IntLit(42));
-  IndexLookupOp lookup(IntSchema({"id", "v"}), "t", "t_id", std::move(keys),
-                       {});
+  TableAccess access;
+  access.index = catalog_.GetTable("t")->FindIndexOn({0});
+  access.key = IntLit(42);
+  IndexLookupOp lookup(IntSchema({"id", "v"}), "t", std::move(access));
   ResultSet first = MustRunWithCatalog(&lookup);
   ASSERT_EQ(first.rows.size(), 1u);
   EXPECT_EQ(first.rows[0][0].AsInt(), 42);

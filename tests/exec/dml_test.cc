@@ -136,5 +136,58 @@ TEST_F(DmlTest, DuplicateObjectNamesRejected) {
             StatusCode::kAlreadyExists);
 }
 
+// Keys of the other numeric type (`i = 2.0` on an INT column, `d = 2` on a
+// DOUBLE one) find the same rows through an index probe as through a scan,
+// in SELECT, OUT OF, UPDATE and DELETE alike.
+TEST(DmlAccessPath, MixedTypeKeysAgreeAcrossIndexAndScan) {
+  std::vector<std::string> outcomes[2];
+  std::string profiles[2];
+  for (bool use_indexes : {true, false}) {
+    Database::Options options;
+    options.use_indexes = use_indexes;
+    Database db(options);
+    MustExecute(&db, R"sql(
+      CREATE TABLE m (id INT PRIMARY KEY, i INT, d DOUBLE);
+      CREATE INDEX m_i ON m (i);
+      CREATE INDEX m_d ON m (d);
+      INSERT INTO m VALUES (1, 2, 2.0), (2, 3, 2.5), (3, 2, 3.0),
+                           (4, NULL, 2.0), (5, 2, NULL);
+    )sql");
+    std::vector<std::string>& out = outcomes[use_indexes ? 0 : 1];
+    for (const char* stmt : {
+             "SELECT id FROM m WHERE i = 2.0",
+             "SELECT id FROM m WHERE d = 2",
+             "SELECT id FROM m WHERE i = 2.5",
+             "SELECT id FROM m WHERE d = 2 AND id > 1",
+             "OUT OF x AS (SELECT * FROM m WHERE i = 2.0) TAKE *",
+             "OUT OF x AS (SELECT id, d FROM m WHERE d = 2) TAKE *",
+             "UPDATE m SET d = d + 1 WHERE i = 2.0",
+             "UPDATE m SET i = i * 10 WHERE d = 3",
+             "DELETE FROM m WHERE d = 4",
+             "SELECT id, i, d FROM m",
+         }) {
+      ASSERT_OK_AND_ASSIGN(ExecResult r, db.Execute(stmt));
+      std::string rendered = std::to_string(r.affected) + ":";
+      const std::vector<Row>& rows = r.kind == ExecResult::Kind::kCo
+                                         ? r.co.nodes.at(0).tuples
+                                         : r.rows.rows;
+      for (const Row& row : rows) rendered += RowToString(row);
+      out.push_back(stmt + std::string(" -> ") + rendered);
+      if (r.kind == ExecResult::Kind::kCo) {
+        profiles[use_indexes ? 0 : 1] +=
+            db.last_xnf_stats().profiles.at(0).access + " ";
+      }
+    }
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  EXPECT_EQ(profiles[0], "index index ");
+  EXPECT_EQ(profiles[1], "scan scan ");
+  // Spot checks: 1, 3 and 5 have i = 2; 1 and 4 have d = 2.0.
+  EXPECT_EQ(outcomes[0][0], "SELECT id FROM m WHERE i = 2.0 -> 0:(1)(3)(5)");
+  EXPECT_EQ(outcomes[0][1], "SELECT id FROM m WHERE d = 2 -> 0:(1)(4)");
+  EXPECT_EQ(outcomes[0][6],
+            "UPDATE m SET d = d + 1 WHERE i = 2.0 -> 3:");
+}
+
 }  // namespace
 }  // namespace xnf::testing

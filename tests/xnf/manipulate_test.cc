@@ -267,5 +267,80 @@ TEST_F(ManipulateTest, CacheBaseConsistencyAfterMixedOps) {
             fresh->rels[fresh->RelIndex("employment")].connections.size());
 }
 
+// Duplicate link rows: a removed connection deletes one link row, the first
+// match (rid order) visible at the snapshot, whether the lookup scans the
+// link table or an index on either link column serves it.
+class DuplicateLinkTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    CreateCompanyDb(&db_);
+    // A second (emp 1, proj 1) link row, after (1, 1, 50) in rid order.
+    ASSERT_OK(db_.Execute("INSERT INTO EMPPROJ VALUES (1, 1, 99)").status());
+    if (*GetParam() != '\0') ASSERT_OK(db_.Execute(GetParam()).status());
+  }
+
+  int64_t QueryInt(const std::string& q) {
+    auto rs = db_.Query(q);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    return rs.ok() && rs->rows.size() == 1 ? rs->rows[0][0].AsInt() : -999;
+  }
+
+  static constexpr char kMembership[] = R"(
+    OUT OF Xproj AS (SELECT * FROM PROJ WHERE pno = 1), Xemp AS EMP,
+      membership AS (RELATE Xproj, Xemp WITH ATTRIBUTES ep.percentage
+                     USING EMPPROJ ep
+                     WHERE Xproj.pno = ep.eppno AND Xemp.eno = ep.epeno)
+  )";
+
+  Database db_;
+};
+
+TEST_P(DuplicateLinkTest, DisconnectDeletesFirstVisibleMatch) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<co::CoCache> cache,
+                       db_.OpenCo(std::string(kMembership) + " TAKE *"));
+  co::Manipulator m(cache.get(), db_.catalog());
+  int rel = cache->RelIndex("membership");
+  co::CoCache::Tuple& p1 = cache->node(cache->NodeIndex("xproj")).tuples[0];
+  // Copied: a disconnect shifts the bucket the span views.
+  std::vector<co::CoCache::Connection*> to_e1;
+  for (co::CoCache::Connection* c : p1.out[rel]) {
+    if (c->child->values[0].AsInt() == 1) to_e1.push_back(c);
+  }
+  ASSERT_EQ(to_e1.size(), 2u);
+  if (to_e1[0]->attrs[0].AsInt() != 99) std::swap(to_e1[0], to_e1[1]);
+  ASSERT_EQ(to_e1[0]->attrs[0].AsInt(), 99);
+  // Removing the 99 connection deletes the first match, the 50 row.
+  ASSERT_OK(m.Disconnect(to_e1[0]));
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM EMPPROJ WHERE epeno = 1 AND "
+                     "eppno = 1"),
+            1);
+  EXPECT_EQ(QueryInt("SELECT percentage FROM EMPPROJ WHERE epeno = 1 AND "
+                     "eppno = 1"),
+            99);
+  ASSERT_OK(m.Disconnect(to_e1[1]));
+  // Only proj 1's link to emp 2 is left of its links.
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM EMPPROJ WHERE eppno = 1"), 1);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM EMPPROJ"), 3);
+}
+
+TEST_P(DuplicateLinkTest, CoDeleteRemovesEveryDuplicate) {
+  ASSERT_OK_AND_ASSIGN(ExecResult r,
+                       db_.Execute(std::string(kMembership) + " DELETE *"));
+  // proj 1, emps 1 and 2, and the three link rows of proj 1.
+  EXPECT_EQ(r.affected, 6);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM EMPPROJ WHERE eppno = 1"), 0);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM EMPPROJ"), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LinkIndexes, DuplicateLinkTest,
+    ::testing::Values("", "CREATE INDEX ep_proj ON EMPPROJ (eppno)",
+                      "CREATE INDEX ep_emp ON EMPPROJ (epeno)"),
+    [](const ::testing::TestParamInfo<const char*>& i) {
+      return std::string(i.index == 0   ? "NoIndex"
+                         : i.index == 1 ? "ParentColumnIndex"
+                                        : "ChildColumnIndex");
+    });
+
 }  // namespace
 }  // namespace xnf::testing
