@@ -40,7 +40,9 @@ ClusterContext& GetContext(bool clustered, size_t pool_pages,
   auto ctx = std::make_unique<ClusterContext>();
   Database::Options db_options;
   db_options.buffer_pool_pages = pool_pages;
-  db_options.tuples_per_page = 16;
+  // 16-tuple heap pages; the columnar variant gets 16-row groups from
+  // tuples_per_page = 1 (groups hold min(1024, 16 * tuples_per_page) rows).
+  db_options.tuples_per_page = columnar ? 1 : 16;
   db_options.default_storage =
       columnar ? StorageKind::kColumn : StorageKind::kRow;
   ctx->db = std::make_unique<Database>(db_options);

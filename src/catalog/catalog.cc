@@ -4,6 +4,7 @@
 
 #include "common/metrics.h"
 #include "common/str_util.h"
+#include "exec/operator.h"
 #include "storage/virtual_table.h"
 
 namespace xnf {
@@ -72,7 +73,11 @@ Status Catalog::CreateTableWithFileId(const std::string& name, Schema schema,
   }
   if (kind == StorageKind::kColumn) {
     ColumnStore::Options opts;
-    opts.rows_per_group = tuples_per_page_;
+    // One row group is one executor vector (DESIGN.md "Column store
+    // layout"): kBatchSize rows, fewer only when tuples_per_page is shrunk
+    // below a sixteenth of that.
+    opts.rows_per_group = static_cast<uint32_t>(
+        std::min<size_t>(exec::kBatchSize, size_t{16} * tuples_per_page_));
     opts.buffer_pool = buffer_pool_;
     opts.file_id = file_id;
     opts.metrics = metrics_;

@@ -74,9 +74,9 @@ class Catalog {
  public:
   // `buffer_pool` (optional, not owned) is attached to all created storage
   // so page-fault accounting spans the whole database; `tuples_per_page`
-  // configures the page capacity of every created heap (and the row-group
-  // size of every columnar table, keeping rids and morsel ranges aligned
-  // across layouts).
+  // configures the page capacity of every created heap and bounds the
+  // row-group size of every columnar table (min(kBatchSize,
+  // 16 * tuples_per_page) rows; see CreateTable).
   explicit Catalog(BufferPool* buffer_pool = nullptr,
                    uint32_t tuples_per_page = 64)
       : buffer_pool_(buffer_pool), tuples_per_page_(tuples_per_page) {}

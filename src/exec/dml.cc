@@ -1,5 +1,7 @@
 #include "exec/dml.h"
 
+#include <optional>
+
 #include "catalog/undo_log.h"
 #include "common/failpoint.h"
 #include "storage/wal.h"
@@ -22,6 +24,24 @@ Result<qgm::ExprPtr> CompileDml(const sql::Expr& expr,
   if (table != nullptr) scope.sources.push_back({table->name, &table->schema});
   scope.allow_params = true;
   return plan::CompileScalar(expr, scope);
+}
+
+// The value of an INSERT VALUES cell that is a literal or a negated numeric
+// literal, taken without compiling; nullopt for any other cell, which is
+// compiled and evaluated as a constant expression (and reports its own
+// type errors).
+std::optional<Value> LiteralCell(const sql::Expr& cell) {
+  using K = sql::Expr::Kind;
+  if (cell.kind == K::kLiteral) return cell.literal;
+  if (cell.kind != K::kUnary || cell.un_op != sql::UnOp::kNeg ||
+      cell.args[0]->kind != K::kLiteral) {
+    return std::nullopt;
+  }
+  const Value& v = cell.args[0]->literal;
+  if (v.is_null()) return Value::Null();
+  if (v.is_int()) return Value::Int(-v.AsInt());
+  if (v.is_double()) return Value::Double(-v.AsDouble());
+  return std::nullopt;
 }
 
 // Runs a row-level op called directly — with no enclosing statement — on a
@@ -330,6 +350,10 @@ Result<int64_t> DmlExecutor::Insert(const sql::InsertStmt& stmt) {
       Row row;
       row.reserve(value_row.size());
       for (const sql::ExprPtr& e : value_row) {
+        if (std::optional<Value> literal = LiteralCell(*e)) {
+          row.push_back(*std::move(literal));
+          continue;
+        }
         XNF_ASSIGN_OR_RETURN(qgm::ExprPtr compiled, CompileDml(*e, nullptr));
         XNF_ASSIGN_OR_RETURN(Value v, EvalExpr(*compiled, &ectx));
         row.push_back(std::move(v));

@@ -1,6 +1,7 @@
 #include "storage/column_store.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -20,43 +21,52 @@ const char* StorageKindName(StorageKind kind) {
 
 namespace {
 
-// Point lookup into an RLE segment: walk the runs. Only used by the rare
-// Read(rid) path; scans expand whole segments instead.
+// RLE runs are stored as (value, end) pairs: `ends` holds each run's
+// exclusive end slot (prefix sums of the run lengths), so a point read is a
+// binary search. Point reads serve Read(rid) — index probes and DML target
+// re-reads on columnar tables; scans expand whole segments instead.
 template <typename T>
-T RleAt(const std::vector<T>& values, const std::vector<uint32_t>& lens,
+T RleAt(const std::vector<T>& values, const std::vector<uint32_t>& ends,
         uint32_t slot) {
-  uint32_t pos = 0;
-  for (size_t r = 0; r < lens.size(); ++r) {
-    pos += lens[r];
-    if (slot < pos) return values[r];
-  }
-  return values.empty() ? T{} : values.back();
+  assert(!ends.empty() && slot < ends.back());
+  return values[std::upper_bound(ends.begin(), ends.end(), slot) -
+                ends.begin()];
 }
 
 template <typename T>
-void RleExpand(const std::vector<T>& values, const std::vector<uint32_t>& lens,
+void RleExpand(const std::vector<T>& values, const std::vector<uint32_t>& ends,
                std::vector<T>* out) {
   out->clear();
+  uint32_t begin = 0;
   for (size_t r = 0; r < values.size(); ++r) {
-    out->insert(out->end(), lens[r], values[r]);
+    out->insert(out->end(), ends[r] - begin, values[r]);
+    begin = ends[r];
   }
 }
 
-// Compresses `plain` into (values, lens) runs. Returns the run count.
+// Compresses `plain` into (values, ends) runs. Returns the run count.
 template <typename T>
 size_t RleBuild(const std::vector<T>& plain, std::vector<T>* values,
-                std::vector<uint32_t>* lens) {
+                std::vector<uint32_t>* ends) {
   values->clear();
-  lens->clear();
-  for (const T& v : plain) {
-    if (!values->empty() && values->back() == v) {
-      ++lens->back();
+  ends->clear();
+  for (uint32_t i = 0; i < plain.size(); ++i) {
+    if (values->empty() || values->back() != plain[i]) {
+      values->push_back(plain[i]);
+      ends->push_back(i + 1);
     } else {
-      values->push_back(v);
-      lens->push_back(1);
+      ends->back() = i + 1;
     }
   }
   return values->size();
+}
+
+// Set bits of a live group's tombstone bitmap: its dead-row count, since
+// SetBit never sets a bit past the group's row count.
+size_t CountBits(const std::vector<uint64_t>& bits) {
+  size_t n = 0;
+  for (uint64_t w : bits) n += static_cast<size_t>(std::popcount(w));
+  return n;
 }
 
 std::string RidStr(Rid rid) {
@@ -247,13 +257,13 @@ void ColumnStore::SealGroup(Group* g) {
     Type t = schema_.column(c).type;
     if (t == Type::kInt || t == Type::kBool) {
       std::vector<int64_t> values;
-      std::vector<uint32_t> lens;
-      size_t runs = RleBuild(seg.ints, &values, &lens);
-      // Only compress when it actually shrinks the segment (value + length
-      // per run vs one value per row).
+      std::vector<uint32_t> ends;
+      size_t runs = RleBuild(seg.ints, &values, &ends);
+      // Only compress when it actually shrinks the segment (value + end per
+      // run vs one value per row); the rule is independent of group size.
       if (runs != 0 && runs * 2 <= seg.ints.size()) {
         seg.rle_ints = std::move(values);
-        seg.rle_lens = std::move(lens);
+        seg.rle_ends = std::move(ends);
         seg.ints.clear();
         seg.ints.shrink_to_fit();
         seg.enc = Segment::Enc::kRle;
@@ -261,11 +271,11 @@ void ColumnStore::SealGroup(Group* g) {
       }
     } else if (t == Type::kDouble) {
       std::vector<double> values;
-      std::vector<uint32_t> lens;
-      size_t runs = RleBuild(seg.doubles, &values, &lens);
+      std::vector<uint32_t> ends;
+      size_t runs = RleBuild(seg.doubles, &values, &ends);
       if (runs != 0 && runs * 2 <= seg.doubles.size()) {
         seg.rle_doubles = std::move(values);
-        seg.rle_lens = std::move(lens);
+        seg.rle_ends = std::move(ends);
         seg.doubles.clear();
         seg.doubles.shrink_to_fit();
         seg.enc = Segment::Enc::kRle;
@@ -280,13 +290,13 @@ void ColumnStore::UnsealGroup(Group* g) {
     if (seg.enc != Segment::Enc::kRle) continue;
     CounterAdd(rle_unseals_);
     if (!seg.rle_ints.empty()) {
-      RleExpand(seg.rle_ints, seg.rle_lens, &seg.ints);
+      RleExpand(seg.rle_ints, seg.rle_ends, &seg.ints);
       seg.rle_ints.clear();
     } else {
-      RleExpand(seg.rle_doubles, seg.rle_lens, &seg.doubles);
+      RleExpand(seg.rle_doubles, seg.rle_ends, &seg.doubles);
       seg.rle_doubles.clear();
     }
-    seg.rle_lens.clear();
+    seg.rle_ends.clear();
     seg.enc = Segment::Enc::kPlain;
   }
 }
@@ -298,17 +308,17 @@ Value ColumnStore::ValueAt(const Group& g, size_t column,
   switch (schema_.column(column).type) {
     case Type::kBool: {
       int64_t v = seg.enc == Segment::Enc::kRle
-                      ? RleAt(seg.rle_ints, seg.rle_lens, slot)
+                      ? RleAt(seg.rle_ints, seg.rle_ends, slot)
                       : seg.ints[slot];
       return Value::Bool(v != 0);
     }
     case Type::kInt:
       return Value::Int(seg.enc == Segment::Enc::kRle
-                            ? RleAt(seg.rle_ints, seg.rle_lens, slot)
+                            ? RleAt(seg.rle_ints, seg.rle_ends, slot)
                             : seg.ints[slot]);
     case Type::kDouble:
       return Value::Double(seg.enc == Segment::Enc::kRle
-                               ? RleAt(seg.rle_doubles, seg.rle_lens, slot)
+                               ? RleAt(seg.rle_doubles, seg.rle_ends, slot)
                                : seg.doubles[slot]);
     case Type::kString: {
       uint32_t code = seg.codes[slot];
@@ -604,13 +614,7 @@ Status ColumnStore::ReadGroupInfo(uint32_t group, GroupInfo* out) const {
   const Group& g = groups_[group];
   out->rows = g.rows;
   out->tombstones = g.tombstones.empty() ? nullptr : g.tombstones.data();
-  size_t dead = 0;
-  if (!g.tombstones.empty()) {
-    for (uint32_t s = 0; s < g.rows; ++s) {
-      if (GetBit(g.tombstones, s)) ++dead;
-    }
-  }
-  out->live = g.rows - dead;
+  out->live = g.rows - CountBits(g.tombstones);
   return Status::Ok();
 }
 
@@ -634,7 +638,7 @@ Status ColumnStore::ViewColumn(uint32_t group, size_t column,
     case Type::kBool:
     case Type::kInt:
       if (seg.enc == Segment::Enc::kRle) {
-        RleExpand(seg.rle_ints, seg.rle_lens, &scratch->ints);
+        RleExpand(seg.rle_ints, seg.rle_ends, &scratch->ints);
         out->ints = scratch->ints.data();
       } else {
         out->ints = seg.ints.data();
@@ -642,7 +646,7 @@ Status ColumnStore::ViewColumn(uint32_t group, size_t column,
       break;
     case Type::kDouble:
       if (seg.enc == Segment::Enc::kRle) {
-        RleExpand(seg.rle_doubles, seg.rle_lens, &scratch->doubles);
+        RleExpand(seg.rle_doubles, seg.rle_ends, &scratch->doubles);
         out->doubles = scratch->doubles.data();
       } else {
         out->doubles = seg.doubles.data();

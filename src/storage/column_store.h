@@ -24,9 +24,12 @@ class Counter;
 class MetricsRegistry;
 
 // Columnar implementation of TableStorage. Rows are grouped into fixed-size
-// row groups (one group holds `rows_per_group` rows — the same tuple count
-// a heap page holds, so Rid{group, offset} is dense and page-range morsels
-// carry over unchanged). Within a group every column is a separate segment
+// row groups of `rows_per_group` rows, sized as one executor vector rather
+// than one heap page (the catalog's rule is in DESIGN.md "Column store
+// layout"). An unclustered table fills its groups in append order, so
+// Rid{group, offset} is dense and a scan visits rows in the order a heap
+// holding the same inserts would; morsels are cut by group ranges. Within a
+// group every column is a separate segment
 // with its own buffer-pool page: page id = group * num_columns + column,
 // tagged PageKind::kColumn. A scan that needs only k of n columns
 // therefore touches k pages per group — the late-materialization win the
@@ -41,9 +44,10 @@ class MetricsRegistry;
 //     overflows: new distinct strings are stored per segment and addressed
 //     with kOverflowBit-tagged codes (reads stay exact; only the
 //     code-comparing fast path turns itself off).
-//   - When a group fills, null-free numeric segments with enough repeated
-//     adjacent values are RLE-compressed. Updates decompress the group
-//     back to plain ("unsealing") before writing.
+//   - When a group fills, null-free numeric segments with at most one run
+//     per two rows are RLE-compressed as (value, run end) pairs, so a point
+//     read binary-searches the run ends. Updates decompress the group back
+//     to plain ("unsealing") before writing.
 //   - NULLs live in a per-segment bitmap; deletes in a per-group tombstone
 //     bitmap (stored with the group's first column page).
 //
@@ -54,7 +58,9 @@ class MetricsRegistry;
 class ColumnStore : public TableStorage {
  public:
   struct Options {
-    uint32_t rows_per_group = 64;       // rid.page = row-group index
+    // rid.page = row-group index; the catalog sizes groups as one
+    // executor batch (DESIGN.md "Column store layout").
+    uint32_t rows_per_group = 1024;
     BufferPool* buffer_pool = nullptr;  // not owned; may be null
     uint32_t file_id = 0;
     // Per-column dictionary cap; pushing a column past it activates the
@@ -224,7 +230,7 @@ class ColumnStore : public TableStorage {
     std::vector<std::string> overflow;
     std::vector<int64_t> rle_ints;   // RLE runs (values)
     std::vector<double> rle_doubles;
-    std::vector<uint32_t> rle_lens;  // RLE runs (lengths)
+    std::vector<uint32_t> rle_ends;  // RLE runs (exclusive end slots)
     std::vector<uint64_t> nulls;     // empty = no NULLs in segment
   };
   struct Group {

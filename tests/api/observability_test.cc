@@ -384,15 +384,18 @@ TEST_F(Observability, PlanCacheCountersInSqlxnfMetrics) {
 }
 
 TEST(ObservabilityBufferPool, EvictionsCountedSeparatelyFromFaults) {
-  // A 2-page pool over a 10-page table: scanning must evict.
+  // A 2-page pool over a 40-page heap (or three 16-row column groups under
+  // a columnar default): scanning must evict.
   Database::Options opts;
   opts.buffer_pool_pages = 2;
-  opts.tuples_per_page = 4;
+  opts.tuples_per_page = 1;
   Database db(opts);
   MustExecute(&db, "CREATE TABLE t (a INT)");
   for (int i = 0; i < 40; ++i) {
     MustExecute(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ")");
   }
+  EXPECT_GT(db.catalog()->GetTable("t")->storage->page_count(),
+            opts.buffer_pool_pages);
   ASSERT_OK_AND_ASSIGN(ResultSet rs, db.Query("SELECT * FROM t"));
   EXPECT_EQ(rs.rows.size(), 40u);
   EXPECT_GT(rs.stats.buffer_pool_evictions, 0u);

@@ -108,6 +108,35 @@ TEST_F(DmlTest, ValueCoercionOnInsert) {
   EXPECT_TRUE(rs.rows[0][0].is_double());
 }
 
+// Literal cells (negated, NULL, coerced) are taken as values while
+// expression cells compile; both give the values and errors they always
+// gave, and a failing row rolls the whole statement back.
+TEST_F(DmlTest, MultiRowInsertMixesLiteralAndExpressionCells) {
+  MustExecute(&db_, "CREATE TABLE m (i INT, d DOUBLE, s VARCHAR)");
+  EXPECT_EQ(Affected("INSERT INTO m VALUES (1, 2.5, 'a'), (-3, -4, NULL), "
+                     "(NULL, -0.5, 'c'), (2 + 3, 1.0 * 2, 'x' || 'y'), "
+                     "(-(-7), -NULL, 'z')"),
+            5);
+  ASSERT_OK_AND_ASSIGN(ResultSet rs, db_.Query("SELECT i, d, s FROM m"));
+  EXPECT_EQ(NormalizedRows(rs),
+            (std::vector<std::string>{"(-3, -4, NULL)", "(1, 2.5, 'a')",
+                                      "(5, 2, 'xy')", "(7, NULL, 'z')",
+                                      "(NULL, -0.5, 'c')"}));
+  for (const Row& row : rs.rows) {
+    EXPECT_TRUE(row[1].is_null() || row[1].is_double()) << row[1].ToString();
+  }
+  for (const char* bad : {"(-'abc', 1.0, 'x')", "(1, 1.0, -'s')",
+                          "('str', 1.0, 'x')", "(-2.7, 1.0, 'x')",
+                          "(1 / 0, 1.0, 'x')"}) {
+    auto r = db_.Execute(std::string("INSERT INTO m VALUES (9, 9.0, 'ok'), ") +
+                         bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ASSERT_OK_AND_ASSIGN(ResultSet count, db_.Query("SELECT COUNT(*) FROM m"));
+  EXPECT_EQ(IntColumn(count, 0), std::vector<int64_t>{5});
+}
+
 TEST_F(DmlTest, ArityMismatchRejected) {
   EXPECT_FALSE(db_.Execute("INSERT INTO t VALUES (1, 2)").ok());
   EXPECT_FALSE(db_.Execute("INSERT INTO t (id) VALUES (1, 2)").ok());

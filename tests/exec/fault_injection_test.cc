@@ -4,6 +4,7 @@
 // reusable connection after a failed EXPLAIN ANALYZE.
 
 #include "common/failpoint.h"
+#include "exec/parallel.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -168,6 +169,9 @@ class ParallelFaultInjection : public ::testing::Test {
     Database::Options options;
     options.buffer_pool_pages = 4;  // small pool: evictions + pins interact
     options.threads = 4;
+    // 4-tuple heap pages or 64-row column groups: `big` splits into morsels
+    // in either layout.
+    options.tuples_per_page = 4;
     db_ = std::make_unique<Database>(options);
     MustExecute(db_.get(), "CREATE TABLE big (id INT PRIMARY KEY, v INT)");
     std::string insert = "INSERT INTO big VALUES ";
@@ -176,6 +180,8 @@ class ParallelFaultInjection : public ::testing::Test {
       insert += "(" + std::to_string(i) + ", " + std::to_string(i % 97) + ")";
     }
     MustExecute(db_.get(), insert);
+    EXPECT_GE(db_->catalog()->GetTable("big")->storage->page_count(),
+              2 * exec::kMinMorselPages);
   }
   void TearDown() override { Failpoints::DisableAll(); }
 

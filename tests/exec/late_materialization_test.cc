@@ -23,6 +23,7 @@
 
 #include "common/failpoint.h"
 #include "exec/dml.h"
+#include "exec/parallel.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -64,10 +65,12 @@ void InsertRows(Database* db, const std::string& table,
 std::unique_ptr<Database> MakeDb(
     bool columnar,
     const std::function<void(Database*, const std::string&)>& build,
-    int threads = 1, size_t pool_pages = 0) {
+    int threads = 1, size_t pool_pages = 0,
+    uint32_t tuples_per_page = Database::Options{}.tuples_per_page) {
   Database::Options options;
   options.threads = threads;
   options.buffer_pool_pages = pool_pages;
+  options.tuples_per_page = tuples_per_page;
   auto db = std::make_unique<Database>(options);
   build(db.get(), columnar ? " USING column" : " USING row");
   return db;
@@ -225,7 +228,12 @@ TEST(DictCodeJoin, EmptyAndAllNullBuildSides) {
 
 // Schema/data shared by the pin tests: two columnar tables spanning many
 // row groups, joined on a string key — the join retains build-side batches
-// (and their pins) for its whole lifetime.
+// (and their pins) for its whole lifetime. The pin tests run over an 8-page
+// pool with tuples_per_page = 4, i.e. 64-row groups: each 2000-row table
+// spans 32 groups of two column pages.
+constexpr size_t kPinPoolPages = 8;
+constexpr uint32_t kPinPageTuples = 4;
+
 void BuildPinDb(Database* db, const std::string& storage) {
   MustExecute(db, "CREATE TABLE build (s VARCHAR, v INT)" + storage);
   MustExecute(db, "CREATE TABLE probe (s VARCHAR, w INT)" + storage);
@@ -243,6 +251,19 @@ void BuildPinDb(Database* db, const std::string& storage) {
   InsertRows(db, "probe", std::move(probe));
 }
 
+// Both pin tables hold more column pages than the pool, so statements over
+// them must evict; a change of group size cannot silently turn that off.
+void ExpectPinTablesOutgrowPool(Database* db) {
+  for (const char* table : {"build", "probe"}) {
+    const TableInfo* info = db->catalog()->GetTable(table);
+    ASSERT_NE(info, nullptr) << table;
+    EXPECT_GT(info->storage->page_count(), 1u) << table;
+    EXPECT_GT(info->storage->page_count() * info->schema.size(),
+              kPinPoolPages)
+        << table;
+  }
+}
+
 TEST(PinLifetime, BoundedPoolJoinEvictsOnlyUnpinnedGroups) {
   // A pool far smaller than the working set forces evictions mid-join while
   // the build side holds live column views. The view-lease debug assert in
@@ -256,8 +277,9 @@ TEST(PinLifetime, BoundedPoolJoinEvictsOnlyUnpinnedGroups) {
   std::string expected = QueryText(reference.get(), kJoin);
   ASSERT_FALSE(expected.empty());
   for (int threads : {1, 4}) {
-    auto db = MakeDb(/*columnar=*/true, BuildPinDb, threads,
-                     /*pool_pages=*/8);
+    auto db = MakeDb(/*columnar=*/true, BuildPinDb, threads, kPinPoolPages,
+                     kPinPageTuples);
+    ExpectPinTablesOutgrowPool(db.get());
     EXPECT_EQ(QueryText(db.get(), kJoin), expected) << "dop=" << threads;
     EXPECT_GT(db->buffer_pool()->evictions(), 0u) << "dop=" << threads;
     EXPECT_EQ(db->buffer_pool()->pinned_pages(), 0u) << "dop=" << threads;
@@ -270,7 +292,8 @@ TEST(PinLifetime, MidJoinEvictionFaultReleasesAllPins) {
   // clean statement error — never as a column view over freed memory — and
   // that every morsel/batch pin is released on the error path.
   auto db = MakeDb(/*columnar=*/true, BuildPinDb,
-                   /*threads=*/1, /*pool_pages=*/8);
+                   /*threads=*/1, kPinPoolPages, kPinPageTuples);
+  ExpectPinTablesOutgrowPool(db.get());
   const char* kJoin =
       "SELECT build.v, probe.w FROM build, probe WHERE build.s = probe.s";
   ASSERT_OK(Failpoints::Enable("bufferpool.evict", "nth(5)"));
@@ -308,10 +331,13 @@ TEST(PinLifetime, DurabilityFaultsMidStatementReleaseAllPins) {
       options.data_dir = dir;
       options.wal_fsync = false;
       options.checkpoint_on_close = false;
-      options.buffer_pool_pages = 8;
+      options.buffer_pool_pages = kPinPoolPages;
+      options.tuples_per_page = kPinPageTuples;
       Database db(options);
       ASSERT_OK(db.open_error());
       BuildPinDb(&db, " USING column");
+      ExpectPinTablesOutgrowPool(&db);
+      EXPECT_GT(db.buffer_pool()->evictions(), 0u);
 
       std::vector<std::string> before =
           NormalizedRows(*db.Query("SELECT * FROM build"));
@@ -329,6 +355,7 @@ TEST(PinLifetime, DurabilityFaultsMidStatementReleaseAllPins) {
     Database::Options options;
     options.data_dir = dir;
     options.wal_fsync = false;
+    options.tuples_per_page = kPinPageTuples;  // WAL rids assume the layout
     Database db(options);
     ASSERT_TRUE(db.open_error().ok()) << db.open_error().ToString();
     auto recovered = db.Query("SELECT COUNT(*) FROM build WHERE v < 501");
@@ -353,10 +380,12 @@ TEST(PinLifetime, DurabilityFaultsMidStatementReleaseAllPins) {
       options.wal_fsync = false;
       options.checkpoint_on_close = false;
       options.checkpoint_wal_bytes = 4096;  // trip on the update's records
-      options.buffer_pool_pages = 8;
+      options.buffer_pool_pages = kPinPoolPages;
+      options.tuples_per_page = kPinPageTuples;
       Database db(options);
       ASSERT_OK(db.open_error());
       BuildPinDb(&db, " USING column");
+      ExpectPinTablesOutgrowPool(&db);
       ASSERT_OK(Failpoints::EnableSpec("page.flush=nth(1)"));
       MustExecute(&db, "UPDATE build SET v = v + 1 WHERE v < 500");
       Failpoints::DisableAll();
@@ -366,6 +395,7 @@ TEST(PinLifetime, DurabilityFaultsMidStatementReleaseAllPins) {
     Database::Options options;
     options.data_dir = dir;
     options.wal_fsync = false;
+    options.tuples_per_page = kPinPageTuples;  // WAL rids assume the layout
     Database db(options);
     ASSERT_TRUE(db.open_error().ok()) << db.open_error().ToString();
     EXPECT_EQ(NormalizedRows(*db.Query("SELECT * FROM build")), want);
@@ -526,10 +556,14 @@ TEST(LateExec, ColumnarLatePlansBitIdenticalAtEveryDop) {
       "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM f GROUP BY g",
       "SELECT d.s, SUM(f.v) FROM f, d WHERE f.s = d.s GROUP BY d.s"};
   // Row engine at DOP 1 is the single source of truth; the columnar engine
-  // must reproduce it byte-for-byte at every DOP.
+  // must reproduce it byte-for-byte at every DOP. 64-row groups
+  // (tuples_per_page = 4) split `f` into 47 groups, enough for morsels.
   auto reference = MakeDb(/*columnar=*/false, build);
   for (int dop : {1, 2, 4, 8}) {
-    auto db = MakeDb(/*columnar=*/true, build, dop);
+    auto db = MakeDb(/*columnar=*/true, build, dop, /*pool_pages=*/0,
+                     /*tuples_per_page=*/4);
+    EXPECT_GE(db->catalog()->GetTable("f")->storage->page_count(),
+              2 * exec::kMinMorselPages);
     for (const std::string& sql : queries) {
       EXPECT_EQ(QueryText(db.get(), sql), QueryText(reference.get(), sql))
           << "dop=" << dop << " sql=" << sql;

@@ -14,7 +14,9 @@ namespace xnf::testing {
 namespace {
 
 // Deterministic synthetic data large enough to cross the parallel-scan
-// threshold (>= 8 pages at 64 tuples/page).
+// threshold (2 * kMinMorselPages pages) in either layout: 16-tuple heap
+// pages, or the 256-row column groups that page size gives.
+constexpr uint32_t kTuplesPerPage = 16;
 constexpr int kBigRows = 4096;
 constexpr int kDimRows = 3000;
 
@@ -24,6 +26,7 @@ int GrpOf(int id) { return id % 50; }
 std::unique_ptr<Database> MakeDb(int threads) {
   Database::Options options;
   options.threads = threads;
+  options.tuples_per_page = kTuplesPerPage;
   auto db = std::make_unique<Database>(options);
   MustExecute(db.get(), "CREATE TABLE big (id INT, grp INT, val INT)");
   MustExecute(db.get(), "CREATE TABLE dim (grp INT, val INT)");
@@ -46,6 +49,11 @@ std::unique_ptr<Database> MakeDb(int threads) {
     return "(" + std::to_string(i % 50) + "," + std::to_string(ValOf(i)) +
            ")";
   });
+  for (const char* table : {"big", "dim"}) {
+    EXPECT_GE(db->catalog()->GetTable(table)->storage->page_count(),
+              2 * exec::kMinMorselPages)
+        << table;
+  }
   return db;
 }
 

@@ -214,6 +214,56 @@ TEST(ColumnStore, RleRunsSpanningGroupBoundaries) {
   for (size_t i = 0; i < view.rows; ++i) EXPECT_EQ(view.ints[i], 42);
 }
 
+TEST(ColumnStore, SealedRunsReadBackAtEverySlot) {
+  // One 1024-row group whose INT lanes seal at the two extremes — a single
+  // run, and the most runs a sealed segment may hold (runs * 2 == rows) —
+  // and one with runs of mixed lengths (1, 2, 3, ...), plus a DOUBLE lane.
+  // Point reads binary-search the run ends: every slot, so the first and
+  // last slot of every run, must read back what was inserted, and so must
+  // the expanded view.
+  constexpr uint32_t kRows = 1024;
+  Schema schema;
+  for (const char* name : {"one", "pairs", "mixed"}) {
+    schema.AddColumn(Column(name, Type::kInt));
+  }
+  schema.AddColumn(Column("d", Type::kDouble));
+  ColumnStore store = MakeStore(std::move(schema), kRows);
+  std::vector<int64_t> mixed;
+  for (int64_t run = 1; mixed.size() < kRows; ++run) {
+    for (int64_t i = 0; i < run && mixed.size() < kRows; ++i) {
+      mixed.push_back(run);
+    }
+  }
+  auto expected = [&](uint32_t slot) {
+    return Row{Value::Int(7), Value::Int(slot / 2), Value::Int(mixed[slot]),
+               Value::Double(0.5 * (slot / 4))};
+  };
+  for (uint32_t slot = 0; slot < kRows; ++slot) {
+    ASSERT_TRUE(store.Insert(expected(slot)).ok());
+  }
+  ASSERT_EQ(store.page_count(), 1u);
+  EXPECT_EQ(store.CompressionStats().rle_segments, 4u);
+  std::vector<ColumnStore::ViewScratch> scratch(4);
+  std::vector<ColumnStore::ColumnView> views(4);
+  for (size_t c = 0; c < 4; ++c) {
+    ASSERT_TRUE(store.ViewColumn(0, c, &scratch[c], &views[c]).ok());
+  }
+  auto typed = [](const Value& v) {
+    return std::string(TypeName(v.type())) + " " + v.ToString();
+  };
+  for (uint32_t slot = 0; slot < kRows; ++slot) {
+    auto row = store.Read(Rid{0, slot});
+    ASSERT_TRUE(row.ok());
+    Row want = expected(slot);
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(typed((*row)[c]), typed(want[c]))
+          << "slot " << slot << " column " << c;
+      EXPECT_EQ(typed(ColumnStore::ViewValue(views[c], slot)), typed(want[c]))
+          << "slot " << slot << " column " << c;
+    }
+  }
+}
+
 TEST(ColumnStore, UpdateUnsealsRleGroup) {
   ColumnStore store = MakeStore(WideSchema(), 4);
   for (int i = 0; i < 4; ++i) {

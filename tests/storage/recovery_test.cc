@@ -322,22 +322,27 @@ TEST_F(RecoveryTest, ColumnarRowGroupsRecover) {
   std::vector<std::string> want_cluster;
   {
     Database::Options opt = DurableOptions(dir.path());
-    opt.tuples_per_page = 8;  // force multiple row groups
+    opt.tuples_per_page = 1;  // 16-row groups: 24 rows per key seal one each
     Database db(opt);
     ASSERT_OK(db.open_error());
     MustExecute(&db,
                 "CREATE TABLE m (k INT PRIMARY KEY, grp INT, v VARCHAR) "
                 "USING COLUMN CLUSTER BY grp");
-    for (int i = 0; i < 60; ++i) {
+    for (int i = 0; i < 120; ++i) {
       MustExecute(&db, "INSERT INTO m VALUES (" + std::to_string(i) + ", " +
                            std::to_string(i % 5) + ", 'v" +
                            std::to_string(i % 7) + "')");
     }
+    const ColumnStore* store =
+        db.catalog()->GetTable("m")->storage->AsColumnStore();
+    ASSERT_NE(store, nullptr);
+    EXPECT_GT(store->page_count(), 5u);  // a sealed and an open group per key
+    EXPECT_GT(store->CompressionStats().rle_segments, 0u);
     MustExecute(&db, "DELETE FROM m WHERE k % 9 = 3");
     MustExecute(&db, "UPDATE m SET v = 'upd' WHERE k % 11 = 0");
     ASSERT_OK(db.Checkpoint());
     // Post-checkpoint writes ride the WAL into open row groups.
-    MustExecute(&db, "INSERT INTO m VALUES (100, 2, 'tail'), (101, 4, 'tail')");
+    MustExecute(&db, "INSERT INTO m VALUES (200, 2, 'tail'), (201, 4, 'tail')");
     want = TableDump(&db, "m");
     ASSERT_OK_AND_ASSIGN(auto rs,
                          db.Query("SELECT k FROM m WHERE grp = 2"));
@@ -350,7 +355,7 @@ TEST_F(RecoveryTest, ColumnarRowGroupsRecover) {
   ASSERT_OK_AND_ASSIGN(auto rs, db.Query("SELECT k FROM m WHERE grp = 2"));
   EXPECT_EQ(NormalizedRows(rs), want_cluster);
   // Restored open groups keep accepting clustered inserts.
-  MustExecute(&db, "INSERT INTO m VALUES (102, 2, 'more')");
+  MustExecute(&db, "INSERT INTO m VALUES (202, 2, 'more')");
   ASSERT_OK_AND_ASSIGN(auto after,
                        db.Query("SELECT COUNT(*) FROM m WHERE grp = 2"));
   EXPECT_EQ(IntColumn(after, 0),
