@@ -108,6 +108,9 @@ class Database {
   struct Options {
     // 0 = unbounded buffer pool (fault count == distinct pages touched).
     size_t buffer_pool_pages = 0;
+    // Rows per heap page, which also bounds the row-group size of columnar
+    // tables (StorageLayout::ForPageSize). Applies when a data dir is
+    // created: an existing one keeps the layout its MANIFEST records.
     uint32_t tuples_per_page = 64;
     // Degree of parallelism of morsel scans, the only intra-query
     // parallelism (SQL scans and XNF candidate scans alike). 0 = hardware

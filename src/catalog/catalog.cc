@@ -4,7 +4,6 @@
 
 #include "common/metrics.h"
 #include "common/str_util.h"
-#include "exec/operator.h"
 #include "storage/virtual_table.h"
 
 namespace xnf {
@@ -73,11 +72,7 @@ Status Catalog::CreateTableWithFileId(const std::string& name, Schema schema,
   }
   if (kind == StorageKind::kColumn) {
     ColumnStore::Options opts;
-    // One row group is one executor vector (DESIGN.md "Column store
-    // layout"): kBatchSize rows, fewer only when tuples_per_page is shrunk
-    // below a sixteenth of that.
-    opts.rows_per_group = static_cast<uint32_t>(
-        std::min<size_t>(exec::kBatchSize, size_t{16} * tuples_per_page_));
+    opts.rows_per_group = layout_.rows_per_group;
     opts.buffer_pool = buffer_pool_;
     opts.file_id = file_id;
     opts.metrics = metrics_;
@@ -85,7 +80,7 @@ Status Catalog::CreateTableWithFileId(const std::string& name, Schema schema,
     info->storage = std::make_unique<ColumnStore>(info->schema, opts);
   } else {
     TableHeap::Options opts;
-    opts.tuples_per_page = tuples_per_page_;
+    opts.tuples_per_page = layout_.tuples_per_page;
     opts.buffer_pool = buffer_pool_;
     opts.file_id = file_id;
     opts.metrics = metrics_;
@@ -247,7 +242,7 @@ TableInfo* Catalog::GetSystemView(const std::string& lower_name) const {
     // Re-snapshot once per statement epoch: every resolution of this view
     // within one statement — including self-joins — sees the same rows.
     view.info->storage =
-        std::make_unique<VirtualTable>(view.fill(), tuples_per_page_);
+        std::make_unique<VirtualTable>(view.fill(), layout_.tuples_per_page);
     view.filled_epoch = epoch_;
   }
   return view.info.get();

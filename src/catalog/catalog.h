@@ -1,6 +1,8 @@
 #ifndef XNF_CATALOG_CATALOG_H_
 #define XNF_CATALOG_CATALOG_H_
 
+#include <algorithm>
+#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
@@ -69,17 +71,35 @@ struct ExecConfig {
   bool use_rewrite = true;
 };
 
+// Unit sizes of every table a catalog creates: rows per heap page and rows
+// per columnar row group. A durable data dir records the layout it was
+// created with and keeps it for life, since checkpoint units are restored
+// into these sizes and WAL replay re-derives every rid from them.
+struct StorageLayout {
+  uint32_t tuples_per_page = 0;
+  uint32_t rows_per_group = 0;
+
+  // The layout of a new database: heap pages of `tuples_per_page` rows,
+  // row groups of one executor batch, fewer only when pages are shrunk
+  // below a sixteenth of that.
+  static StorageLayout ForPageSize(uint32_t tuples_per_page) {
+    return {tuples_per_page,
+            static_cast<uint32_t>(std::min<uint64_t>(
+                ColumnStore::kMaxRowsPerGroup, uint64_t{16} * tuples_per_page))};
+  }
+  bool operator==(const StorageLayout&) const = default;
+};
+
 // Name-to-object registry for one database. Names are case-insensitive.
 class Catalog {
  public:
   // `buffer_pool` (optional, not owned) is attached to all created storage
   // so page-fault accounting spans the whole database; `tuples_per_page`
-  // configures the page capacity of every created heap and bounds the
-  // row-group size of every columnar table (min(kBatchSize,
-  // 16 * tuples_per_page) rows; see CreateTable).
+  // sets the storage layout (StorageLayout::ForPageSize).
   explicit Catalog(BufferPool* buffer_pool = nullptr,
                    uint32_t tuples_per_page = 64)
-      : buffer_pool_(buffer_pool), tuples_per_page_(tuples_per_page) {}
+      : buffer_pool_(buffer_pool),
+        layout_(StorageLayout::ForPageSize(tuples_per_page)) {}
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
@@ -102,6 +122,14 @@ class Catalog {
                                 const std::string& cluster_by,
                                 uint32_t file_id);
   Status DropTable(const std::string& name);
+
+  const StorageLayout& layout() const { return layout_; }
+  // Replaces the layout before any table exists: recovery adopts the
+  // layout a data dir recorded, whatever the opening process asked for.
+  void set_layout(StorageLayout layout) {
+    assert(tables_.empty());
+    layout_ = layout;
+  }
   // nullptr if absent.
   TableInfo* GetTable(const std::string& name) const;
 
@@ -235,7 +263,7 @@ class Catalog {
   ThreadPool* exec_pool_ = nullptr;
   BufferPool* buffer_pool_;
   MetricsRegistry* metrics_ = nullptr;
-  uint32_t tuples_per_page_;
+  StorageLayout layout_;
   StorageKind default_storage_ = StorageKind::kRow;
   uint32_t next_file_id_ = 1;
   std::unordered_map<std::string, std::unique_ptr<TableInfo>> tables_;

@@ -81,6 +81,17 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     local.created = true;
     XNF_RETURN_IF_ERROR(store->InitFresh());
   } else {
+    // Checkpointed units are restored at the size they were written with,
+    // and replay re-derives the rid of every logged insert from it, so the
+    // data dir's layout wins over the opener's. A manifest that records
+    // none predates the split of row groups from heap pages, when a group
+    // held one page's rows.
+    StorageLayout layout = store->layout_;
+    if (layout.tuples_per_page == 0) {
+      layout.tuples_per_page = catalog->layout().tuples_per_page;
+      layout.rows_per_group = layout.tuples_per_page;
+    }
+    catalog->set_layout(layout);
     XNF_ASSIGN_OR_RETURN(
         PageFile::UnitMap units,
         PageFile::Load(store->PathOf(store->pages_name_),
@@ -435,7 +446,12 @@ Status DurableStore::WriteManifest(const std::string& pages_name,
                         "pages " + pages_name + "\n" +
                         "pages_valid " + std::to_string(pages_valid) + "\n" +
                         "wal " + wal_name + "\n" +
-                        "seq " + std::to_string(next_file_seq) + "\n";
+                        "seq " + std::to_string(next_file_seq) + "\n" +
+                        "tuples_per_page " +
+                        std::to_string(catalog_->layout().tuples_per_page) +
+                        "\n" + "rows_per_group " +
+                        std::to_string(catalog_->layout().rows_per_group) +
+                        "\n";
   std::string tmp = PathOf("MANIFEST.tmp");
   std::string final_path = PathOf("MANIFEST");
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -485,6 +501,10 @@ Status DurableStore::ReadManifest(bool* found) {
       wal_name_ = value;
     } else if (key == "seq") {
       next_file_seq_ = std::stoull(value);
+    } else if (key == "tuples_per_page") {
+      layout_.tuples_per_page = static_cast<uint32_t>(std::stoul(value));
+    } else if (key == "rows_per_group") {
+      layout_.rows_per_group = static_cast<uint32_t>(std::stoul(value));
     } else {
       return Status::Internal("durability: unknown manifest key '" + key +
                               "'");
@@ -492,6 +512,10 @@ Status DurableStore::ReadManifest(bool* found) {
   }
   if (pages_name_.empty() || wal_name_.empty()) {
     return Status::Internal("durability: manifest misses pages/wal entries");
+  }
+  if ((layout_.tuples_per_page == 0) != (layout_.rows_per_group == 0)) {
+    return Status::Internal(
+        "durability: manifest records only part of the storage layout");
   }
   *found = true;
   return Status::Ok();

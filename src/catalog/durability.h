@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "storage/page_file.h"
@@ -14,13 +15,12 @@
 
 namespace xnf {
 
-class Catalog;
-
 // On-disk layout of one durable database (see DESIGN.md, "Durability &
 // recovery"):
 //
 //   <data_dir>/MANIFEST    authoritative root: names the live page file,
-//                          its valid byte count, and the live WAL
+//                          its valid byte count, and the live WAL, and
+//                          records the storage layout (StorageLayout)
 //   <data_dir>/pages-<k>   append-only checkpoint page file
 //   <data_dir>/wal-<k>     write-ahead log since the last checkpoint
 //
@@ -65,7 +65,9 @@ class DurableStore {
 
   // Opens (creating if needed) the durable store rooted at `data_dir`,
   // restores the checkpointed snapshot into `catalog`, and returns the WAL
-  // records to replay. On success the WAL is open for appending (the torn
+  // records to replay. `catalog` must hold no table yet: an existing data
+  // dir gives it the storage layout recorded in the MANIFEST, a fresh one
+  // records the catalog's. On success the WAL is open for appending (the torn
   // tail, if any, already truncated away) but NOT yet attached to the
   // catalog — the caller replays first, then calls catalog->set_wal(wal()).
   static Result<std::unique_ptr<DurableStore>> Open(
@@ -135,6 +137,8 @@ class DurableStore {
   uint64_t pages_valid_ = 0;
   std::string wal_name_;
   uint64_t next_file_seq_ = 1;
+  // Zero when the manifest predates recorded layouts.
+  StorageLayout layout_;
 
   std::unique_ptr<PageFile> pages_;
   std::unique_ptr<Wal> wal_;

@@ -20,6 +20,8 @@ class SeqScanOp;
 // per-call virtual dispatch and Status plumbing over many rows, small enough
 // that a batch of slim rows stays cache-resident.
 inline constexpr size_t kBatchSize = 1024;
+static_assert(ColumnStore::kMaxRowsPerGroup == kBatchSize,
+              "a columnar row group is at most one executor batch");
 
 // A batch of rows flowing between operators (row-vector layout: each row owns
 // its values). An empty batch returned from NextBatch() signals end of

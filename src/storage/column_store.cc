@@ -510,6 +510,14 @@ Status ColumnStore::RestoreUnit(uint32_t unit, serde::Reader* in) {
   if (has_routing != 0) XNF_RETURN_IF_ERROR(in->GetValue(&routing));
   uint32_t tomb_words = 0;
   XNF_RETURN_IF_ERROR(in->GetU32(&tomb_words));
+  const size_t group_words =
+      (static_cast<size_t>(options_.rows_per_group) + 63) / 64;
+  if (rows > options_.rows_per_group || tomb_words > group_words) {
+    return Status::Internal(
+        "column: group " + std::to_string(unit) + " of " +
+        std::to_string(rows) + " rows does not fit " +
+        std::to_string(options_.rows_per_group) + "-row groups");
+  }
   std::vector<uint64_t> tombstones(tomb_words);
   for (uint32_t w = 0; w < tomb_words; ++w) {
     XNF_RETURN_IF_ERROR(in->GetU64(&tombstones[w]));
@@ -528,14 +536,14 @@ Status ColumnStore::RestoreUnit(uint32_t unit, serde::Reader* in) {
     AppendToGroup(&g, row);
   }
   g.tombstones = std::move(tombstones);
+  // A bitmap is empty or sized for a full group (see SetBit); one written
+  // by a smaller group must not be read past its end once the group grows.
+  if (!g.tombstones.empty()) g.tombstones.resize(group_words, 0);
   g.has_tag = has_tag != 0;
   g.tag = std::move(tag);
   if (rows >= options_.rows_per_group) SealGroup(&g);
 
-  size_t dead = 0;
-  for (uint32_t r = 0; r < rows; ++r) {
-    if (GetBit(g.tombstones, r)) ++dead;
-  }
+  const size_t dead = CountBits(g.tombstones);
   live_count_ += rows - dead;
   tombstones_ += dead;
   groups_.push_back(std::move(g));

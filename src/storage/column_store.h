@@ -57,10 +57,14 @@ class MetricsRegistry;
 // never leaves a partial change behind.
 class ColumnStore : public TableStorage {
  public:
+  // The row-group size of a new database: one executor batch
+  // (exec::kBatchSize, checked where both are visible), so a ColBatch never
+  // outgrows a batch; StorageLayout::ForPageSize shrinks it only for tiny
+  // heap pages (DESIGN.md "Column store layout").
+  static constexpr uint32_t kMaxRowsPerGroup = 1024;
+
   struct Options {
-    // rid.page = row-group index; the catalog sizes groups as one
-    // executor batch (DESIGN.md "Column store layout").
-    uint32_t rows_per_group = 1024;
+    uint32_t rows_per_group = kMaxRowsPerGroup;  // rid.page = group index
     BufferPool* buffer_pool = nullptr;  // not owned; may be null
     uint32_t file_id = 0;
     // Per-column dictionary cap; pushing a column past it activates the

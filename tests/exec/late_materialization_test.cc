@@ -351,11 +351,11 @@ TEST(PinLifetime, DurabilityFaultsMidStatementReleaseAllPins) {
 
       // The engine recovers in-process: the same statement now commits.
       MustExecute(&db, "UPDATE build SET v = v + 1 WHERE v < 500");
-    }  // killed without a close checkpoint: reopen replays the WAL
+    }  // killed without a close checkpoint: reopen replays the WAL, at the
+       // default tuples_per_page into the data dir's recorded layout
     Database::Options options;
     options.data_dir = dir;
     options.wal_fsync = false;
-    options.tuples_per_page = kPinPageTuples;  // WAL rids assume the layout
     Database db(options);
     ASSERT_TRUE(db.open_error().ok()) << db.open_error().ToString();
     auto recovered = db.Query("SELECT COUNT(*) FROM build WHERE v < 501");
@@ -395,7 +395,6 @@ TEST(PinLifetime, DurabilityFaultsMidStatementReleaseAllPins) {
     Database::Options options;
     options.data_dir = dir;
     options.wal_fsync = false;
-    options.tuples_per_page = kPinPageTuples;  // WAL rids assume the layout
     Database db(options);
     ASSERT_TRUE(db.open_error().ok()) << db.open_error().ToString();
     EXPECT_EQ(NormalizedRows(*db.Query("SELECT * FROM build")), want);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/serde.h"
 #include "gtest/gtest.h"
 #include "storage/buffer_pool.h"
 
@@ -280,6 +281,46 @@ TEST(ColumnStore, UpdateUnsealsRleGroup) {
   EXPECT_EQ((*store.Read(Rid{0, 2}))[0].AsInt(), 5);
   EXPECT_EQ((*store.Read(Rid{0, 1}))[0].AsInt(), 1);
   EXPECT_EQ((*store.Read(Rid{0, 3}))[0].AsInt(), 1);
+}
+
+// A group checkpointed at a smaller group size keeps growing after restore
+// into a larger one; its tombstone bitmap must cover every slot, since scans
+// index it unchecked (GroupView).
+TEST(ColumnStore, RestoredGroupBitmapCoversTheWholeGroup) {
+  ColumnStore small = MakeStore(IntStrSchema(), 16);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(small.Insert({Value::Int(i), Value::String("v")}).ok());
+  }
+  ASSERT_TRUE(small.Delete(Rid{0, 3}).ok());
+  std::string unit;
+  ASSERT_TRUE(small.SerializeUnit(0, &unit).ok());
+
+  ColumnStore big = MakeStore(IntStrSchema(), 1024);
+  serde::Reader in(unit);
+  ASSERT_TRUE(big.RestoreUnit(0, &in).ok());
+  big.FinalizeRestore();
+  for (int i = 10; i < 200; ++i) {
+    ASSERT_TRUE(big.Insert({Value::Int(i), Value::String("v")}).ok());
+  }
+  ASSERT_EQ(big.page_count(), 1u);
+  ColumnStore::GroupInfo info;
+  ASSERT_TRUE(big.ReadGroupInfo(0, &info).ok());
+  ASSERT_NE(info.tombstones, nullptr);
+  EXPECT_EQ(info.rows, 200u);
+  EXPECT_EQ(info.live, 199u);
+  size_t dead = 0;
+  for (size_t i = 0; i < info.rows; ++i) {
+    if ((info.tombstones[i >> 6] >> (i & 63)) & 1) ++dead;
+  }
+  EXPECT_EQ(dead, 1u);
+  EXPECT_FALSE(big.IsLive(Rid{0, 3}));
+  EXPECT_TRUE(big.IsLive(Rid{0, 199}));
+
+  // A group larger than the store's groups cannot be restored at all.
+  ColumnStore tiny = MakeStore(IntStrSchema(), 8);
+  serde::Reader again(unit);
+  Status st = tiny.RestoreUnit(0, &again);
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
 }
 
 TEST(ColumnStore, StrictSchemaTypesEnforced) {

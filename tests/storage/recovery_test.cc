@@ -348,9 +348,17 @@ TEST_F(RecoveryTest, ColumnarRowGroupsRecover) {
                          db.Query("SELECT k FROM m WHERE grp = 2"));
     want_cluster = NormalizedRows(rs);
   }
-  Database db(DurableOptions(dir.path()));
+  Database::Options opt = DurableOptions(dir.path());
+  opt.tuples_per_page = 1;
+  Database db(opt);
   ASSERT_OK(db.open_error());
   EXPECT_EQ(TableDump(&db, "m"), want);
+  // Full restored groups are sealed again.
+  const ColumnStore* store =
+      db.catalog()->GetTable("m")->storage->AsColumnStore();
+  ASSERT_NE(store, nullptr);
+  EXPECT_GT(store->page_count(), 5u);
+  EXPECT_GT(store->CompressionStats().rle_segments, 0u);
   // Cluster-tag pruning still answers correctly on the restored groups.
   ASSERT_OK_AND_ASSIGN(auto rs, db.Query("SELECT k FROM m WHERE grp = 2"));
   EXPECT_EQ(NormalizedRows(rs), want_cluster);
@@ -360,6 +368,116 @@ TEST_F(RecoveryTest, ColumnarRowGroupsRecover) {
                        db.Query("SELECT COUNT(*) FROM m WHERE grp = 2"));
   EXPECT_EQ(IntColumn(after, 0),
             std::vector<int64_t>{static_cast<int64_t>(want_cluster.size()) + 1});
+}
+
+// A data dir records its storage layout in the MANIFEST and keeps it
+// whatever tuples_per_page a later open asks for: checkpointed groups are
+// restored at their own size, and replayed inserts get the rids that the
+// logged updates and deletes name.
+TEST_F(RecoveryTest, DataDirKeepsTheLayoutItWasCreatedWith) {
+  TempDir dir("layout");
+  std::vector<std::string> want;
+  {
+    Database::Options opt =
+        DurableOptions(dir.path(), /*checkpoint_on_close=*/false);
+    opt.tuples_per_page = 1;  // 16-row groups
+    Database db(opt);
+    ASSERT_OK(db.open_error());
+    MustExecute(&db, "CREATE TABLE c (k INT PRIMARY KEY, v INT) USING COLUMN");
+    for (int i = 0; i < 70; ++i) {
+      MustExecute(&db, "INSERT INTO c VALUES (" + std::to_string(i) + ", " +
+                           std::to_string(i) + ")");
+      if (i == 39) {
+        // A tombstone in the open tail group, then a checkpoint.
+        MustExecute(&db, "DELETE FROM c WHERE k = 37");
+        ASSERT_OK(db.Checkpoint());
+      }
+    }
+    // Logged after the checkpoint, by rid, in groups that replay refills.
+    MustExecute(&db, "UPDATE c SET v = -1 WHERE k = 50");
+    MustExecute(&db, "DELETE FROM c WHERE k = 65");
+    EXPECT_EQ(db.catalog()->GetTable("c")->storage->page_count(), 5u);
+    want = TableDump(&db, "c");
+  }
+  Database db(DurableOptions(dir.path()));  // default tuples_per_page
+  ASSERT_OK(db.open_error());
+  EXPECT_EQ(db.catalog()->layout(), StorageLayout::ForPageSize(1));
+  EXPECT_EQ(TableDump(&db, "c"), want);
+  // The restored tail group grows past 64 rows.
+  for (int i = 100; i < 200; ++i) {
+    MustExecute(&db, "INSERT INTO c VALUES (" + std::to_string(i) + ", " +
+                         std::to_string(i) + ")");
+  }
+  ASSERT_OK_AND_ASSIGN(auto rs, db.Query("SELECT COUNT(*), SUM(v) FROM c"));
+  EXPECT_EQ(IntColumn(rs, 0), std::vector<int64_t>{168});
+  // 0..69 without 37, 50 and 65, plus -1 for 50, plus 100..199.
+  EXPECT_EQ(IntColumn(rs, 1),
+            std::vector<int64_t>{2415 - 37 - 50 - 65 - 1 + 14950});
+  EXPECT_EQ(db.catalog()->GetTable("c")->storage->page_count(), 11u);
+  // Tables created after the reopen share the recorded layout.
+  MustExecute(&db, "CREATE TABLE d (k INT) USING COLUMN");
+  for (int i = 0; i < 20; ++i) {
+    MustExecute(&db, "INSERT INTO d VALUES (" + std::to_string(i) + ")");
+  }
+  EXPECT_EQ(db.catalog()->GetTable("d")->storage->page_count(), 2u);
+}
+
+// A MANIFEST without a recorded layout was written when a row group held
+// one heap page's rows: it opens with that layout, and its WAL replays onto
+// the same rids.
+TEST_F(RecoveryTest, ManifestWithoutLayoutKeepsPageSizedRowGroups) {
+  TempDir dir("legacy");
+  std::vector<std::string> want;
+  {
+    Database::Options opt =
+        DurableOptions(dir.path(), /*checkpoint_on_close=*/false);
+    opt.tuples_per_page = 4;  // 64-row groups, as at 64-tuple pages before
+    Database db(opt);
+    ASSERT_OK(db.open_error());
+    ASSERT_EQ(db.catalog()->layout().rows_per_group, 64u);
+    MustExecute(&db, "CREATE TABLE c (k INT PRIMARY KEY, v INT) USING COLUMN");
+    for (int i = 0; i < 100; ++i) {
+      MustExecute(&db, "INSERT INTO c VALUES (" + std::to_string(i) + ", " +
+                           std::to_string(i) + ")");
+    }
+    MustExecute(&db, "DELETE FROM c WHERE k = 70");
+    ASSERT_OK(db.Checkpoint());
+    for (int i = 100; i < 200; ++i) {
+      MustExecute(&db, "INSERT INTO c VALUES (" + std::to_string(i) + ", " +
+                           std::to_string(i) + ")");
+    }
+    MustExecute(&db, "UPDATE c SET v = -1 WHERE k = 130");
+    MustExecute(&db, "DELETE FROM c WHERE k = 190");
+    want = TableDump(&db, "c");
+  }
+  {
+    // Strip the layout lines, as a MANIFEST written before they existed.
+    const std::string path = dir.path() + "/MANIFEST";
+    std::ifstream in(path);
+    std::string line, kept;
+    while (std::getline(in, line)) {
+      if (line.rfind("tuples_per_page ", 0) == 0 ||
+          line.rfind("rows_per_group ", 0) == 0) {
+        continue;
+      }
+      kept += line + "\n";
+    }
+    in.close();
+    std::ofstream out(path, std::ios::trunc);
+    out << kept;
+  }
+  {
+    Database db(DurableOptions(dir.path()));  // 64-tuple pages
+    ASSERT_OK(db.open_error());
+    EXPECT_EQ(db.catalog()->layout(), (StorageLayout{64, 64}));
+    EXPECT_EQ(TableDump(&db, "c"), want);
+    EXPECT_EQ(db.catalog()->GetTable("c")->storage->page_count(), 4u);
+  }
+  // The close checkpoint recorded the adopted layout.
+  Database db(DurableOptions(dir.path()));
+  ASSERT_OK(db.open_error());
+  EXPECT_EQ(db.catalog()->layout(), (StorageLayout{64, 64}));
+  EXPECT_EQ(TableDump(&db, "c"), want);
 }
 
 TEST_F(RecoveryTest, DroppedAndRecreatedTablesRecover) {
